@@ -14,16 +14,24 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import rng
-from .geometry import Box, Configuration, Window
+from .geometry import Box, Configuration, Window, cell_size_above
 
 
 class BoundViolationError(RuntimeError):
-    """A birth kernel produced a value above its declared uniform bound."""
+    """A birth kernel produced a value above its declared uniform bound.
+
+    ``witness`` names the offending position, rate value and bound (and the
+    candidate time, when raised from a sweep).
+    """
+
+    def __init__(self, message: str, **witness):
+        super().__init__(message)
+        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -106,12 +114,13 @@ class BirthKernel:
             raise ValueError("non-finite position in birth rate evaluation")
         value = float(self.rate(x, config))
         if not math.isfinite(value) or value < 0:
-            raise BoundViolationError(f"kernel returned invalid rate {value!r}")
-        if value > self.b_max * (1.0 + 1e-12) + 1e-300:
-            raise BoundViolationError(
-                f"bound violation: b(x, gamma) = {value} exceeds declared b_max = {self.b_max}"
-            )
-        return value
+            message = f"kernel returned invalid rate {value!r}"
+        elif value > self.b_max * (1.0 + 1e-12) + 1e-300:
+            message = f"bound violation: b(x, gamma) = {value} exceeds declared b_max = {self.b_max}"
+        else:
+            return value
+        raise BoundViolationError(message, x=[float(c) for c in x], value=value,
+                                  bound=self.b_max)
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -364,6 +373,31 @@ class Trajectory:
                 out.append(pid)
         return sorted(out)
 
+    def presence_masks(self, times: Iterable[float]) -> Iterator[np.ndarray]:
+        """Right-continuous present mask over ``phantom_ids()`` at each time.
+
+        ``times`` must be non-decreasing.  One forward pass over the event
+        log: the mask starts from gamma0 and applies, in log order, every
+        event with time <= t, so entry k is True iff ``phantom_ids()[k]`` is
+        in ``present_ids(t, "right")``.  The same array is updated in place
+        and yielded for every time; copy it to keep it.
+        """
+        index_of = {pid: k for k, pid in enumerate(self.phantom_ids())}
+        mask = np.zeros(len(index_of), dtype=bool)
+        mask[[index_of[pid] for pid in self.gamma0.ids()]] = True
+        events = self.events
+        e = 0
+        last = 0.0
+        for t in times:
+            self._check_time(t)
+            if t < last:
+                raise ValueError(f"times must be non-decreasing, got {t} after {last}")
+            last = t
+            while e < len(events) and events[e].time <= t:
+                mask[index_of[events[e].id]] = events[e].kind == "birth"
+                e += 1
+            yield mask
+
     def config_at(self, t: float, side: str = "right",
                   cell_size: float | None = None) -> Configuration:
         ids = self.present_ids(t, side)
@@ -439,8 +473,10 @@ def simulate(gamma0: Configuration, kernel: BirthKernel, death_rate: float,
     init_marks = gen.standard_exponential(len(init_ids))
     initial_lifetimes = {pid: float(mark) for pid, mark in zip(init_ids, init_marks)}
 
-    cell = max(kernel.interaction_range, window.side / 8.0)
-    state = gamma0.copy(cell_size=cell)
+    # cells sized by the interaction range, not the window: a rate query
+    # visits the 3^d cells around the candidate whatever the window size
+    reach = kernel.interaction_range
+    state = gamma0.copy(cell_size=cell_size_above(reach) if reach > 0 else window.side / 8.0)
     presence: dict[int, tuple[float, float | None]] = {pid: (0.0, None) for pid in init_ids}
     phantom_positions: dict[int, tuple[float, ...]] = {
         pid: tuple(pos) for pid, pos in gamma0.items()
@@ -464,7 +500,11 @@ def simulate(gamma0: Configuration, kernel: BirthKernel, death_rate: float,
         t, _, kind, payload = heapq.heappop(heap)
         if kind == "candidate":
             dp = payload
-            b = kernel.evaluate(np.asarray(dp.x), state)
+            try:
+                b = kernel.evaluate(np.asarray(dp.x), state)
+            except BoundViolationError as exc:
+                exc.witness["t"] = t
+                raise
             if dp.u <= b:
                 pid = next_id
                 next_id += 1

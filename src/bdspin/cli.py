@@ -3,7 +3,10 @@
 Runs are described by a JSON config file with a versioned schema id.  All
 artifacts are deterministic functions of (config, seed): no timestamps, keys
 sorted, floats written with full round-trip precision.  Exit codes: 0 all
-good, 1 a verification suite failed, 2 usage or config error.
+good, 1 a verification suite failed, 2 usage or config error, 3 a model or
+runtime failure (a birth kernel above its declared bound, a mark blow-up),
+reported as one JSON witness line on stderr.  A failed ``simulate`` removes
+the output directory it created.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +25,7 @@ import numpy as np
 
 from . import __version__, rng
 from .birth_death import (
+    BoundViolationError,
     Trajectory,
     kernel_from_descriptor,
     read_event_log,
@@ -49,6 +54,7 @@ from .spin_sde import (
     COEFFICIENT_LIBRARY,
     CoefficientSet,
     InitialMarkPolicy,
+    IntegrationBlowUpError,
     IntegratorConfig,
     check_drift_diffusion_bounds,
     cutoff_convergence_study,
@@ -303,11 +309,23 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed,
                       replicas_override=args.replicas)
     out = Path(args.out)
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
+    try:
+        _simulate_into(args, cfg, out)
+    except BaseException:
+        # a failed run must not leave a directory that looks like a run
+        if created:
+            shutil.rmtree(out, ignore_errors=True)
+        raise
+    return 0
+
+
+def _simulate_into(args, cfg: RunConfig, out: Path) -> None:
     if cfg.replicas == 1:
         _run_one_replica(args.config, str(out), 0, args.seed, args.replicas)
         print(f"wrote artifacts to {out}")
-        return 0
+        return
     jobs = args.jobs or os.cpu_count() or 1
     env_jobs = os.environ.get("SIM_THREADS")
     if env_jobs:
@@ -325,7 +343,6 @@ def cmd_simulate(args) -> int:
             for fut in futures:
                 fut.result()
     print(f"wrote {cfg.replicas} replicas to {out}")
-    return 0
 
 
 # -- verify ---------------------------------------------------------------------
@@ -472,10 +489,16 @@ def _load_run_dir(run_dir: Path):
 
 
 def _observable_from_spec(spec: dict, i: int) -> Observable:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"observables[{i}]: expected an object")
     name = _get(spec, "name", f"observables[{i}].", str)
     kind = _get(spec, "kind", f"observables[{i}].", str)
     bspec = _get(spec, "box", f"observables[{i}].", dict)
-    box = Box(tuple(bspec["lo"]), tuple(bspec["hi"]))
+    try:
+        box = Box(tuple(_get(bspec, "lo", f"observables[{i}].box.", list)),
+                  tuple(_get(bspec, "hi", f"observables[{i}].box.", list)))
+    except ValueError as exc:
+        raise ConfigError(f"observables[{i}].box: {exc}") from None
     if kind == "count":
         return counting_observable(box, name=name)
     if kind == "mark_sum":
@@ -488,8 +511,15 @@ def cmd_emit_plotdata(args) -> int:
     if not artifacts.exists():
         print(f"artifacts directory {artifacts} does not exist", file=sys.stderr)
         return 2
-    with open(args.observables) as fh:
-        specs = json.load(fh)
+    try:
+        with open(args.observables) as fh:
+            specs = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"observables: cannot read {args.observables}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"observables: invalid JSON: {exc}") from None
+    if not isinstance(specs, list):
+        raise ConfigError("observables: expected a list of observable specs")
     observables = [_observable_from_spec(s, i) for i, s in enumerate(specs)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -581,6 +611,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (BoundViolationError, IntegrationBlowUpError) as exc:
+        witness = {"error": type(exc).__name__, "message": str(exc), **exc.witness}
+        print(json.dumps(witness, sort_keys=True), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -189,10 +189,7 @@ class Configuration:
         cell_size: float | None = None,
     ):
         self.window = window
-        if cell_size is None or cell_size <= 0:
-            cell_size = window.side / 8.0
-        # Integer cell count per axis keeps the periodic wrap exact.
-        self._ncells = max(1, int(window.side / cell_size))
+        self._ncells = self._cell_count(window, cell_size)
         self._cell = window.side / self._ncells
         self._pos: dict[int, np.ndarray] = {}
         self._cells: dict[tuple[int, ...], list[int]] = {}
@@ -202,6 +199,13 @@ class Configuration:
 
     # -- construction / mutation ------------------------------------------
 
+    @staticmethod
+    def _cell_count(window: Window, cell_size: float | None) -> int:
+        """Cells per axis; an integer count keeps the periodic wrap exact."""
+        if cell_size is None or cell_size <= 0:
+            cell_size = window.side / 8.0
+        return max(1, int(window.side / cell_size))
+
     @classmethod
     def from_positions(cls, window: Window, positions: Iterable[Iterable[float]],
                        cell_size: float | None = None) -> "Configuration":
@@ -209,8 +213,17 @@ class Configuration:
         return cls(window, list(enumerate(positions)), cell_size=cell_size)
 
     def copy(self, cell_size: float | None = None) -> "Configuration":
-        return Configuration(self.window, dict(self._pos),
-                             cell_size=cell_size if cell_size is not None else self._cell)
+        """Independent copy; the index is re-built only if ``cell_size``
+        gives another grid, and cloned otherwise."""
+        if cell_size is not None and self._cell_count(self.window, cell_size) != self._ncells:
+            return Configuration(self.window, dict(self._pos), cell_size=cell_size)
+        clone = Configuration.__new__(Configuration)
+        clone.window = self.window
+        clone._ncells = self._ncells
+        clone._cell = self._cell
+        clone._pos = dict(self._pos)  # positions are never mutated in place
+        clone._cells = {key: list(bucket) for key, bucket in self._cells.items()}
+        return clone
 
     def insert(self, pid: int, position: Iterable[float]) -> None:
         pid = int(pid)
@@ -360,6 +373,12 @@ class Configuration:
     @classmethod
     def loads(cls, window: Window, s: str, cell_size: float | None = None) -> "Configuration":
         return cls.from_json_obj(window, json.loads(s), cell_size=cell_size)
+
+
+def cell_size_above(radius: float) -> float:
+    """A cell size just above ``radius``: a radius query then visits the 3^d
+    cells around its center, where cells of exactly ``radius`` need 5^d."""
+    return radius * (1.0 + 1e-9)
 
 
 def log_bound_constant(config: Configuration, radius: float) -> float:

@@ -108,16 +108,26 @@ class MarkedTrajectory:
         return MarkedConfiguration(config, marks)
 
     def observable_series(self, g: Observable) -> np.ndarray:
-        """<g, state> at every grid time (right-continuous values)."""
+        """<g, state> at every grid time (right-continuous values).
+
+        One presence sweep walks the grid; each value sums over the present
+        points in ascending id order, as a pairing with ``at(t)`` would.
+        """
+        ids = self.base.phantom_ids()
         col = {pid: k for k, pid in enumerate(self.marks.ids)}
+        cols = [col[pid] for pid in ids]
+        window = self.base.window
+        # positions as a Configuration stores them (wrapped on a torus)
+        positions = window.wrap(
+            np.array([self.base.phantom_positions[pid] for pid in ids], dtype=float)
+            .reshape(len(ids), window.dim))
+        inside = g.support.contains_many(positions)
         out = np.zeros(len(self.grid))
-        for j, t in enumerate(self.grid):
-            config = self.base.config_at(float(t), "right")
+        for j, present in enumerate(self.base.presence_masks(self.grid)):
             row = self.marks.values[j]
             total = 0.0
-            for pid, pos in config.items():
-                if g.support.contains(pos):
-                    total += g(pos, float(row[col[pid]]))
+            for k in np.flatnonzero(present & inside):
+                total += g(positions[k], float(row[cols[k]]))
             out[j] = total
         return out
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -223,6 +224,11 @@ class KTEstimate(NamedTuple):
         return self.value
 
 
+# ln of the largest double, rounded down: exp of any log up to it is finite,
+# and a sum whose log exceeds it is not representable
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+
+
 def gronwall_series_constant(alpha: float, beta: float, q: float, bound_l: float,
                              horizon: float, tol: float = 1e-12) -> KTEstimate:
     """K_T(alpha, beta) = sum_n L^n T^n n^{qn} / ((beta-alpha)^{qn} n!).
@@ -262,7 +268,7 @@ def gronwall_series_constant(alpha: float, beta: float, q: float, bound_l: float
         lt = log_term(n)
         m = max(log_total, lt)
         log_total = m + math.log(math.exp(log_total - m) + math.exp(lt - m))
-        if log_total > 709.0:
+        if log_total > _LOG_DOUBLE_MAX:
             # partial sums only grow: the value is beyond double range already
             return KTEstimate(math.inf, math.inf, n + 1)
         # ratio of any later consecutive terms is at most x e^q (m+1)^{q-1}

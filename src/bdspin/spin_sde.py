@@ -13,6 +13,12 @@ grid refined to contain every jump time, so coefficients are constant within
 each step.  Wiener increments for particle k at step j are a pure function of
 (seed, k, j), which makes solves pathwise comparable across volume cutoffs,
 horizons and replicas.
+
+A solve walks the grid once, alongside the trajectory's presence sweep.  The
+path is constant between jumps, so each segment's active marks and edges are
+built when the segment starts and dropped when it ends: per-segment state is
+held only while that segment runs.  The mark array and the pre-drawn noise
+stay dense (grid x phantom).
 """
 from __future__ import annotations
 
@@ -22,15 +28,21 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import rng
 from .birth_death import Trajectory
-from .geometry import Box, Configuration, Window, poisson_configuration
+from .geometry import Box, Configuration, Window, cell_size_above, poisson_configuration
 
 
 class IntegrationBlowUpError(RuntimeError):
-    """A mark became non-finite during integration."""
+    """A mark became non-finite during integration.
+
+    ``witness`` names the particle id and the grid time of the blow-up.
+    """
+
+    def __init__(self, message: str, **witness):
+        super().__init__(message)
+        self.witness = witness
 
 
 # -- coefficient data model ---------------------------------------------------
@@ -328,20 +340,11 @@ def build_time_grid(horizon: float, dt: float, event_times: Iterable[float]) -> 
     return np.unique(np.concatenate(pieces))
 
 
-@dataclass
-class _Segment:
-    start: float
-    present_idx: np.ndarray  # indices into phantom id order
-    src: np.ndarray          # edge sources (phantom indices), both ends present
-    dst: np.ndarray
-    dist: np.ndarray
-
-
 def _phantom_edges(traj: Trajectory, radius: float):
     """Directed neighbor pairs within ``radius`` over the phantom configuration."""
     ids = traj.phantom_ids()
     index_of = {pid: k for k, pid in enumerate(ids)}
-    phantom = traj.phantom(cell_size=radius)
+    phantom = traj.phantom(cell_size=cell_size_above(radius))
     src, dst, dist = [], [], []
     for pid in ids:
         for qid, d in phantom.neighbors_within(pid, radius):
@@ -350,25 +353,6 @@ def _phantom_edges(traj: Trajectory, radius: float):
             dist.append(d)
     return (ids, np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp),
             np.asarray(dist, dtype=float))
-
-
-def _segments(traj: Trajectory, radius: float) -> tuple[list[int], list[_Segment], np.ndarray]:
-    ids, src, dst, dist = _phantom_edges(traj, radius)
-    index_of = {pid: k for k, pid in enumerate(ids)}
-    boundaries = sorted({ev.time for ev in traj.events if ev.time < traj.horizon})
-    starts = [0.0] + boundaries
-    segments = []
-    for t0 in starts:
-        present = traj.present_ids(t0, "right")
-        mask = np.zeros(len(ids), dtype=bool)
-        mask[[index_of[pid] for pid in present]] = True
-        if src.size:
-            keep = mask[src] & mask[dst]
-            seg = _Segment(t0, np.flatnonzero(mask), src[keep], dst[keep], dist[keep])
-        else:
-            seg = _Segment(t0, np.flatnonzero(mask), src, dst, dist)
-        segments.append(seg)
-    return ids, segments, np.asarray(starts)
 
 
 def _keyed_normals(seed: int, ids: Sequence[int], n_steps: int) -> np.ndarray:
@@ -396,7 +380,7 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
            frozen_box: Box | None = None,
            noise: np.ndarray | None = None,
            n_replicas: int | None = None) -> MarkPath:
-    ids, segments, seg_starts = _segments(traj, coeffs.radius)
+    ids, src, dst, dist = _phantom_edges(traj, coeffs.radius)
     grid = build_time_grid(traj.horizon, icfg.dt, [ev.time for ev in traj.events])
     n_steps = len(grid) - 1
     n_ids = len(ids)
@@ -427,24 +411,23 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
     values = np.empty(shape)
     values[0] = z0 if not ensemble else z0[:, None]
 
-    # per-segment active indices and edges restricted to active sources
-    seg_active: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    for seg in segments:
-        act_mask = np.zeros(n_ids, dtype=bool)
-        act_mask[seg.present_idx] = True
-        act_mask &= ~frozen_mask
-        keep = act_mask[seg.src] if seg.src.size else np.zeros(0, dtype=bool)
-        seg_active.append((np.flatnonzero(act_mask), seg.src[keep], seg.dst[keep],
-                           seg.dist[keep]))
-
-    seg_of_step = np.searchsorted(seg_starts, grid[:-1], side="right") - 1
+    # The path is constant between jumps: a segment starts at 0 and at every
+    # event time, all of which lie on the grid.  Its active indices and the
+    # edges out of them are built when it starts and dropped when it ends.
+    segment_starts = {ev.time for ev in traj.events}
     tamed = icfg.scheme == "tamed"
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_steps):
+        for j, present in enumerate(traj.presence_masks(grid[:-1])):
             z = values[j]
             values[j + 1] = z
-            act, esrc, edst, edist = seg_active[seg_of_step[j]]
+            if j == 0 or grid[j] in segment_starts:
+                act_mask = present & ~frozen_mask
+                act = np.flatnonzero(act_mask)
+                keep = act_mask[src] & present[dst]
+                esrc, edst, edist = src[keep], dst[keep], dist[keep]
+                if ensemble:
+                    edist = edist[:, None]
             if act.size == 0:
                 continue
             h = float(grid[j + 1] - grid[j])
@@ -452,9 +435,8 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
             diffusion = np.zeros_like(z)
             drift[act] = coeffs.single.func(z[act])
             if esrc.size:
-                dd = edist if not ensemble else edist[:, None]
-                np.add.at(drift, esrc, coeffs.pair.func(z[esrc], z[edst], dd))
-                np.add.at(diffusion, esrc, coeffs.diffusion.func(z[esrc], z[edst], dd))
+                np.add.at(drift, esrc, coeffs.pair.func(z[esrc], z[edst], edist))
+                np.add.at(diffusion, esrc, coeffs.diffusion.func(z[esrc], z[edst], edist))
             incr = h * drift[act]
             if tamed:
                 incr = incr / (1.0 + np.abs(incr))
@@ -463,7 +445,8 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
             if not np.all(np.isfinite(new)):
                 bad = np.argwhere(~np.isfinite(new))[0]
                 pid = ids[int(act[bad[0]])]
-                raise IntegrationBlowUpError(f"blow-up at (id={pid}, t={grid[j + 1]})")
+                t = float(grid[j + 1])
+                raise IntegrationBlowUpError(f"blow-up at (id={pid}, t={t})", id=pid, t=t)
             values[j + 1][act] = new
 
     return MarkPath(grid, list(ids), values)
@@ -726,6 +709,8 @@ def cutoff_convergence_study(traj: Trajectory, coeffs: CoefficientSet,
             per_box_means[i] = norms if per_box_means[i] is None else per_box_means[i] + norms
     estimates = [float(np.max(acc / len(seeds))) for acc in per_box_means]
     if len(set(estimates)) > 1:
+        from scipy import stats  # imported here: it is slow to load and used only here
+
         rho = float(stats.spearmanr(np.arange(len(boxes)), estimates).statistic)
     else:
         rho = 0.0

@@ -11,6 +11,7 @@ from bdspin.birth_death import (
     BoundViolationError,
     ConstantBirthKernel,
     EstablishmentBirthKernel,
+    Event,
     FecundityBirthKernel,
     GlauberBirthKernel,
     check_rate_perturbation_bound,
@@ -20,11 +21,13 @@ from bdspin.birth_death import (
     sample_driving_process,
     simulate,
     step_potential,
+    Trajectory,
     verify_counting_identity,
     verify_domination,
     write_event_log,
 )
 from bdspin.geometry import Box, Configuration, TemperedWeight, Window, poisson_configuration
+from bdspin.spin_sde import build_time_grid
 
 
 def glauber_run(seed, z=1.5, side=5.0, T=1.0, m=0.5, init_intensity=0.5, c=0.8, rho=1.0):
@@ -387,3 +390,67 @@ class TestRestrictAndLog:
         write_event_log(glauber_run(seed=19), a)
         write_event_log(glauber_run(seed=19), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestPresenceSweep:
+    @staticmethod
+    def assert_sweep_matches(traj, times):
+        ids = traj.phantom_ids()
+        for t, mask in zip(times, traj.presence_masks(times)):
+            assert [pid for pid, on in zip(ids, mask) if on] == traj.present_ids(t, "right"), t
+
+    @staticmethod
+    def grid_and_segment_starts(traj, dt=1 / 64):
+        grid = build_time_grid(traj.horizon, dt, [ev.time for ev in traj.events])
+        starts = {0.0, traj.horizon} | {ev.time for ev in traj.events}
+        return sorted(set(float(t) for t in grid) | starts)
+
+    @pytest.mark.parametrize("seed", [0, 3, 8, 21])
+    def test_matches_present_ids_on_grid_and_segment_starts(self, seed):
+        traj = glauber_run(seed, m=1.0, z=2.0, T=1.5)
+        times = self.grid_and_segment_starts(traj)
+        assert times[0] == 0.0 and times[-1] == traj.horizon
+        self.assert_sweep_matches(traj, times)
+
+    def test_restricted_trajectory(self):
+        traj = glauber_run(seed=31, m=1.0, T=2.0, z=2.0).restrict(1.0)
+        self.assert_sweep_matches(traj, self.grid_and_segment_starts(traj))
+
+    def test_repeated_times_and_pure_death(self):
+        window = Window(5.0, 2, "open")
+        gamma0 = poisson_configuration(window, 2.0, seed=4)
+        traj = simulate(gamma0, ConstantBirthKernel(0.0), 2.0, 1.0, seed=4)
+        times = sorted([0.0, 0.0, 1.0, 1.0] + [ev.time for ev in traj.events] * 2)
+        self.assert_sweep_matches(traj, times)
+
+    def test_birth_and_death_at_the_same_time(self):
+        window = Window(4.0, 2, "open")
+        gamma0 = Configuration(window, [(0, [1.0, 1.0]), (1, [3.0, 3.0])])
+        events = [
+            Event(0.25, "birth", 2, (2.0, 2.0)),
+            Event(0.5, "death", 0, (1.0, 1.0)),
+            Event(0.5, "birth", 3, (0.5, 3.5)),
+            Event(0.75, "birth", 4, (3.5, 0.5)),
+            Event(0.75, "death", 4, (3.5, 0.5)),
+        ]
+        traj = Trajectory(
+            window=window, gamma0=gamma0, kernel=ConstantBirthKernel(1.0),
+            death_rate=1.0, horizon=1.0, seed=0, events=events,
+            presence={0: (0.0, 0.5), 1: (0.0, None), 2: (0.25, None),
+                      3: (0.5, None), 4: (0.75, 0.75)},
+            phantom_positions={0: (1.0, 1.0), 1: (3.0, 3.0), 2: (2.0, 2.0),
+                               3: (0.5, 3.5), 4: (3.5, 0.5)},
+            initial_lifetimes={0: 0.5, 1: 2.0},
+        )
+        times = [0.0, 0.25, 0.4, 0.5, 0.5, 0.6, 0.75, 0.9, 1.0]
+        self.assert_sweep_matches(traj, times)
+        masks = [mask.copy() for mask in traj.presence_masks([0.5, 0.75])]
+        assert masks[0].tolist() == [False, True, True, True, False]
+        assert masks[1].tolist() == [False, True, True, True, False]
+
+    def test_decreasing_times_rejected(self):
+        traj = glauber_run(seed=2)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            list(traj.presence_masks([0.5, 0.25]))
+        with pytest.raises(ValueError, match="outside"):
+            list(traj.presence_masks([traj.horizon + 0.5]))

@@ -1,6 +1,11 @@
 """CLI: config validation, artifact determinism, verify suites, plot data."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +108,70 @@ class TestSimulate:
                 != (out2 / "events.jsonl").read_bytes())
 
 
+def fecundity_over_bound():
+    """A fecundity kernel whose declared b_max (0.5) is below its rate."""
+    return {"variant": "fecundity",
+            "a": {"name": "step", "params": [1.0, 1.0]},
+            "c": {"name": "step", "params": [0.2, 1.0]},
+            "phi": {"name": "step", "params": [0.5, 1.0]},
+            "b_max": 0.5}
+
+
+def single_witness_line(err: str) -> dict:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    assert "Traceback" not in err
+    return json.loads(lines[0])
+
+
+class TestFailureContract:
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_bound_violation_exit_3_removes_created_dir(self, tmp_path, capsys, replicas):
+        cfg = write_config(tmp_path, kernel=fecundity_over_bound(), replicas=replicas)
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", "1"])
+        assert code == 3
+        witness = single_witness_line(capsys.readouterr().err)
+        assert witness["error"] == "BoundViolationError"
+        assert witness["bound"] == 0.5 and witness["value"] > 0.5
+        assert 0.0 < witness["t"] <= 0.5 and len(witness["x"]) == 2
+        assert not out.exists()
+
+    def test_failed_run_keeps_existing_dir(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, kernel=fecundity_over_bound())
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("mine")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert (out / "keep.txt").read_text() == "mine"
+
+    def test_blow_up_exit_3(self, tmp_path, capsys):
+        # explicit Euler on the cubic drift from a huge initial mark overflows
+        cfg = write_config(tmp_path, initial_marks={"kind": "constant", "value": 1e100})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        witness = single_witness_line(capsys.readouterr().err)
+        assert witness["error"] == "IntegrationBlowUpError"
+        assert isinstance(witness["id"], int) and 0.0 < witness["t"] <= 0.5
+        assert not out.exists()
+
+    def test_verify_bound_violation_exit_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, kernel=fecundity_over_bound())
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r"),
+                     "--suite", "domination"])
+        assert code == 3
+        assert single_witness_line(capsys.readouterr().err)["error"] == "BoundViolationError"
+
+    def test_cli_import_does_not_load_scipy(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        probe = ("import sys, bdspin.cli; "
+                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
+
 class TestVerify:
     def test_domination_and_bounds_pass(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -123,6 +192,22 @@ class TestVerify:
         rep = json.loads((out / "gronwall_report.json").read_text())
         assert rep["passed"]
         assert rep["bound_value"] >= rep["measured_value"]
+
+    def test_gronwall_constant_near_double_max_is_finite(self, tmp_path):
+        # README config, side 6, T 1, seed 301: L = 32.31 and K_T = 1.70e308,
+        # a representable double whose log exceeds 709
+        readme = dict(base_config(), window={"side": 6.0, "dim": 2, "boundary": "periodic"},
+                      horizon=1.0, seed=301, integrator={"dt": 0.015625},
+                      initial_configuration={"kind": "poisson", "intensity": 0.8})
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(readme))
+        out = tmp_path / "rep"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--suite", "gronwall"]) == 0
+        consts = json.loads((out / "gronwall_report.json").read_text())["constants_used"]
+        assert math.isclose(consts["L"], 32.31, rel_tol=1e-3)
+        assert math.isfinite(consts["K_T"])
+        assert math.isclose(consts["K_T"], 1.70e308, rel_tol=1e-3)
 
     def test_cadlag_suite(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -208,6 +293,23 @@ class TestEmitPlotdata:
         obs = self.make_observables(tmp_path, [])
         assert main(["emit-plotdata", "--artifacts", str(out),
                      "--observables", str(obs), "--out", str(tmp_path / "p")]) == 0
+
+    @pytest.mark.parametrize("content", [None, "{not json", '{"name": "x"}',
+                                         '[{"name": "x", "kind": "count", "box": {}}]'])
+    def test_bad_observables_file_exit_2(self, tmp_path, capsys, content):
+        cfg = write_config(tmp_path, horizon=0.125)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        obs = tmp_path / "obs.json"
+        if content is not None:
+            obs.write_text(content)
+        code = main(["emit-plotdata", "--artifacts", str(out),
+                     "--observables", str(obs), "--out", str(tmp_path / "p")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "observables" in err
+        assert not (tmp_path / "p").exists()
 
     def test_missing_artifacts_exit_2(self, tmp_path):
         obs = self.make_observables(tmp_path, [

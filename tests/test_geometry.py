@@ -116,6 +116,25 @@ class TestNeighborQueries:
             got = sorted(pid for pid, _ in config.ids_within(x, 1.2))
             assert got == brute_force_within(window, positions, x, 1.2)
 
+    @pytest.mark.parametrize("cell_size", [None, 1.0, 2.5])
+    def test_copy_is_independent_and_exact(self, cell_size):
+        window = Window(10.0, 2, "periodic")
+        config, gen = random_config(window, 100, 5, cell_size=1.0)
+        clone = config.copy(cell_size=cell_size)
+        positions = dict(clone.items())
+        for pid in list(positions)[:30]:
+            clone.remove(pid)
+            del positions[pid]
+        clone.insert(1000, [9.9, 0.1])
+        positions[1000] = np.array([9.9, 0.1])
+        assert len(config) == 100 and 1000 not in config
+        for _ in range(25):
+            x = window.side * gen.random(2)
+            assert sorted(p for p, _ in clone.ids_within(x, 1.3)) == \
+                brute_force_within(window, positions, x, 1.3)
+            assert sorted(p for p, _ in config.ids_within(x, 1.3)) == \
+                brute_force_within(window, dict(config.items()), x, 1.3)
+
     def test_duplicate_position_rejected(self):
         window = Window(5.0, 2, "open")
         config = Configuration(window, [(0, [1.0, 1.0])])

@@ -179,6 +179,16 @@ class TestSeriesConstant:
         assert got.value <= want + 1e-12 * want  # truncation undershoots
         assert want - got.value <= got.tail_bound + 1e-12 * want
 
+    def test_sum_just_below_double_max_is_finite(self):
+        # the README config's Gronwall constants at side 6, T 1, seed 301:
+        # ln K_T = 709.73 lies between 709 and ln(DBL_MAX) = 709.78
+        bound_l = 32.30888997397645
+        got = gronwall_series_constant(0.2, 0.7, 0.5, bound_l, 0.5)
+        want = kt_reference(0.2, 0.7, 0.5, bound_l, 0.5, terms=2000)
+        assert math.log(want) > 709.0
+        assert math.isfinite(got.value)
+        assert math.isclose(got.value, want, rel_tol=1e-9)
+
     def test_overflow_returns_inf(self):
         got = gronwall_series_constant(0.0, 0.2, 0.8, 50.0, 1.0)
         assert math.isinf(got.value)
