@@ -10,7 +10,6 @@ from .birth_death import (
     GlauberBirthKernel,
     RadialPotential,
     Trajectory,
-    evaluate_birth_rate,
     gaussian_potential,
     replay_events,
     sample_driving_process,
@@ -21,7 +20,6 @@ from .birth_death import (
 from .geometry import (
     Box,
     Configuration,
-    Point,
     TemperedWeight,
     Window,
     log_bound_constant,
@@ -30,14 +28,12 @@ from .geometry import (
     weighted_tail_sum,
 )
 from .marked_process import (
-    MarkedConfiguration,
     MarkedTrajectory,
     Observable,
     cadlag_check,
     combine,
     counting_observable,
     mark_sum_observable,
-    observable_value,
 )
 from .scales import (
     OvsjannikovMatrix,

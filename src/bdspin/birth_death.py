@@ -284,11 +284,6 @@ def kernel_from_descriptor(desc: dict) -> BirthKernel:
     raise ValueError(f"unknown kernel variant {variant!r}")
 
 
-def evaluate_birth_rate(kernel: BirthKernel, x, config: Configuration) -> float:
-    """Birth rate at x given gamma, checked against the declared bound."""
-    return kernel.evaluate(x, config)
-
-
 def sample_driving_process(window: Window, horizon: float, b_max: float,
                            seed: int) -> list[DrivingPoint]:
     """Poisson driving candidates on (0, T] x window x [0, b_max] x R_+.

@@ -42,7 +42,6 @@ from .marked_process import (
     counting_observable,
     mark_sum_observable,
     write_marked_snapshots,
-    write_observable_series,
 )
 from .scales import (
     ScaleParams,
@@ -462,8 +461,10 @@ def cmd_verify(args) -> int:
 def _load_run_dir(run_dir: Path):
     events_path = run_dir / "events.jsonl"
     marks_path = run_dir / "marks.csv"
-    if not events_path.exists() or not marks_path.exists():
-        raise FileNotFoundError(f"missing artifacts in {run_dir}")
+    # a run directory without its manifest is not a finished run
+    for artifact in (events_path, marks_path, run_dir / "manifest.json"):
+        if not artifact.exists():
+            raise FileNotFoundError(f"missing run artifact {artifact}")
     header, events = read_event_log(events_path)
     window = Window.from_descriptor(header["window"])
     gamma0 = Configuration.from_json_obj(window, header["gamma0"])
@@ -521,11 +522,6 @@ def cmd_emit_plotdata(args) -> int:
     if not isinstance(specs, list):
         raise ConfigError("observables: expected a list of observable specs")
     observables = [_observable_from_spec(s, i) for i, s in enumerate(specs)]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if not observables:
-        print("empty observables spec: nothing to emit")
-        return 0
 
     replica_dirs = sorted(d for d in artifacts.iterdir()
                           if d.is_dir() and d.name.startswith("replica_"))
@@ -536,6 +532,12 @@ def cmd_emit_plotdata(args) -> int:
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    # only a run that loaded gets an output directory
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if not observables:
+        print("empty observables spec: nothing to emit")
+        return 0
 
     # each replica's grid refines the shared dt lattice with its own event
     # times; aggregation happens on the lattice common to all replicas

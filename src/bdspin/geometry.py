@@ -19,14 +19,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class Point:
-    """A particle with a stable integer identity (never reused in a run)."""
-
-    id: int
-    position: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class Box:
     """Axis-aligned box, closed on both sides."""
 
@@ -275,9 +267,6 @@ class Configuration:
     def items(self) -> Iterator[tuple[int, np.ndarray]]:
         for pid in self.ids():
             yield pid, self._pos[pid]
-
-    def points(self) -> list[Point]:
-        return [Point(pid, tuple(pos)) for pid, pos in self.items()]
 
     def positions_array(self) -> np.ndarray:
         """Positions stacked in ascending id order, shape (n, dim)."""

@@ -1,46 +1,26 @@
 """The combined marked trajectory: positions plus marks, and its regularity.
 
-A marked configuration pairs each present particle with its current mark.
-The topology of the marked state is probed operationally, through pairings
-with bounded observables of spatially compact support; the cadlag check
-verifies right-continuity and existence of left limits of those pairings at
-every jump time, at the resolution of the integrator grid.
+The marked state at a grid time pairs each present particle with its mark.
+Who is present comes from the trajectory's forward presence sweep, and each
+consumer here (observable series, snapshots, the cadlag check) walks that
+sweep once.  The topology of the marked state is probed operationally,
+through pairings with bounded observables of spatially compact support; the
+cadlag check verifies right-continuity and existence of left limits of those
+pairings at every jump time, at the resolution of the integrator grid.
 """
 from __future__ import annotations
 
-import csv
+import bisect
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .birth_death import Trajectory
-from .geometry import Box, Configuration
+from .geometry import Box
 from .spin_sde import MarkPath
-
-
-@dataclass
-class MarkedConfiguration:
-    """Finite set of (point, mark) pairs; one mark per point."""
-
-    config: Configuration
-    marks: dict[int, float]
-
-    def __post_init__(self):
-        missing = [pid for pid in self.config.ids() if pid not in self.marks]
-        if missing:
-            raise ValueError(f"missing mark for present ids {missing}")
-
-    def pairs(self) -> list[tuple[int, np.ndarray, float]]:
-        return [(pid, pos, self.marks[pid]) for pid, pos in self.config.items()]
-
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"id": pid, "position": [float(c) for c in pos], "mark": float(mark)}
-            for pid, pos, mark in self.pairs()
-        ]
 
 
 @dataclass(frozen=True)
@@ -69,58 +49,39 @@ def mark_sum_observable(box: Box, name: str = "mark_sum") -> Observable:
     return Observable(lambda pos, mark: mark, box, name, spin_lipschitz=1.0)
 
 
-def observable_value(mc: MarkedConfiguration, g: Observable) -> float:
-    """Pairing <g, marked configuration>: sum over pairs inside the support."""
-    total = 0.0
-    for pid, pos, mark in mc.pairs():
-        if g.support.contains(pos):
-            total += g(pos, mark)
-    return total
-
-
 @dataclass
 class MarkedTrajectory:
-    """Positions and marks assembled on the integration grid."""
+    """Positions and marks assembled on the integration grid.
+
+    Build it with ``combine``, which checks that the marks cover the phantom.
+    """
 
     base: Trajectory
     marks: MarkPath
-
-    def __post_init__(self):
-        covered = set(self.marks.ids)
-        for t in (0.0, self.base.horizon):
-            missing = [pid for pid in self.base.present_ids(t) if pid not in covered]
-            if missing:
-                raise ValueError(f"missing mark for present ids {missing}")
 
     @property
     def grid(self) -> np.ndarray:
         return self.marks.grid
 
-    def at(self, t: float, side: str = "right") -> MarkedConfiguration:
-        """Marked configuration at a grid time; 'left' pairs the pre-jump
-        position set with the (continuous) marks at t."""
-        j = self.marks.index_of(t)
-        config = self.base.config_at(t, side)
-        if self.marks.values.ndim != 2:
-            raise ValueError("marked assembly needs a single-replica mark path")
-        row = self.marks.values[j]
-        marks = {pid: float(row[self.marks.ids.index(pid)]) for pid in config.ids()}
-        return MarkedConfiguration(config, marks)
+    def _phantom_columns(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """Phantom ids (ascending, the order of the presence masks), their
+        positions (wrapped on a torus, as the simulation stores them) and
+        each id's column in the mark values."""
+        ids = self.base.phantom_ids()
+        col = {pid: k for k, pid in enumerate(self.marks.ids)}
+        window = self.base.window
+        positions = window.wrap(
+            np.array([self.base.phantom_positions[pid] for pid in ids], dtype=float)
+            .reshape(len(ids), window.dim))
+        return ids, positions, np.array([col[pid] for pid in ids], dtype=int)
 
     def observable_series(self, g: Observable) -> np.ndarray:
         """<g, state> at every grid time (right-continuous values).
 
         One presence sweep walks the grid; each value sums over the present
-        points in ascending id order, as a pairing with ``at(t)`` would.
+        points in ascending id order.
         """
-        ids = self.base.phantom_ids()
-        col = {pid: k for k, pid in enumerate(self.marks.ids)}
-        cols = [col[pid] for pid in ids]
-        window = self.base.window
-        # positions as a Configuration stores them (wrapped on a torus)
-        positions = window.wrap(
-            np.array([self.base.phantom_positions[pid] for pid in ids], dtype=float)
-            .reshape(len(ids), window.dim))
+        _, positions, cols = self._phantom_columns()
         inside = g.support.contains_many(positions)
         out = np.zeros(len(self.grid))
         for j, present in enumerate(self.base.presence_masks(self.grid)):
@@ -168,78 +129,86 @@ def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
     pre-jump configuration with the marks at the event time.  All quantities
     live on the integrator grid; ``eps_t`` caps how far right of the event the
     stability point may be taken.
+
+    The event log must be time-sorted.  One presence sweep visits, for each
+    support event time t = grid[j], first grid[j-1] and then t: the grid
+    holds every event time, so the state is constant on [grid[j-1], t) and
+    the first visit gives gamma_{t-}, the second gamma_t.
     """
     traj = mt.base
     grid = mt.grid
-    col = {pid: k for k, pid in enumerate(mt.marks.ids)}
-    support_events = [ev for ev in traj.events if g.support.contains(ev.position)]
-    times = sorted({ev.time for ev in support_events})
+    values = mt.marks.values
+    _, positions, cols = mt._phantom_columns()
+    inside = g.support.contains_many(positions)
+    event_times = [ev.time for ev in traj.events]
+    support_events: dict[float, list] = {}
+    for ev in traj.events:
+        if g.support.contains(ev.position):
+            support_events.setdefault(ev.time, []).append(ev)
+    times = sorted(support_events)
     min_gap = min((b - a for a, b in zip(times, times[1:])), default=math.inf)
 
-    def pairing(config: Configuration, j: int) -> float:
-        row = mt.marks.values[j]
+    def pairing(ks: np.ndarray, j: int) -> float:
+        row = values[j]
         total = 0.0
-        for pid, pos in config.items():
-            if g.support.contains(pos):
-                total += g(pos, float(row[col[pid]]))
+        for k in ks:
+            total += g(positions[k], float(row[cols[k]]))
         return total
 
-    def support_modulus(config: Configuration, j0: int, j1: int) -> float:
-        cols = [col[pid] for pid, pos in config.items() if g.support.contains(pos)]
-        if not cols:
+    def support_modulus(ks: np.ndarray, j0: int, j1: int) -> float:
+        if not len(ks):
             return 0.0
-        return float(np.max(np.abs(mt.marks.values[j1, cols] - mt.marks.values[j0, cols])))
+        c = cols[ks]
+        return float(np.max(np.abs(values[j1, c] - values[j0, c])))
+
+    index = [mt.marks.index_of(t) for t in times]
+    visits = [s for t, j in zip(times, index) for s in (grid[max(j - 1, 0)], t)]
+    masks = traj.presence_masks(visits)
 
     violations: list[dict] = []
     max_modulus = 0.0
     checked = 0
-    for ev in support_events:
-        t = ev.time
-        j = mt.marks.index_of(t)
-        config_right = traj.config_at(t, "right")
-        config_left = traj.config_at(t, "left")
-        n_support = sum(1 for _, pos in config_right.items() if g.support.contains(pos))
-        value = pairing(config_right, j)
-        checked += 1
+    for t, j in zip(times, index):
+        left = np.flatnonzero(next(masks) & inside)
+        right = np.flatnonzero(next(masks) & inside)
+        value = pairing(right, j)
+        v_limit = pairing(left, j)
+        # left side: grid points below the event inside the same constant
+        # segment [seg_lo, t), approaching t; each pairing must sit within
+        # the mark modulus at its own scale of the limit value (marks
+        # fluctuate, so the deviations themselves need not be monotone)
+        e = bisect.bisect_left(event_times, t)
+        seg_lo = event_times[e - 1] if e else 0.0
+        i_lo = max(0, j - left_points, int(np.searchsorted(grid, seg_lo)))
+        for ev in support_events[t]:
+            checked += 1
 
-        # right side: first grid point after the event, within eps_t
-        if j + 1 < len(grid):
-            j_right = j + 1
-            if grid[j_right] - t > eps_t * (1 + 1e-9):
-                violations.append({"kind": "grid_coarser_than_eps", "t": t,
-                                   "next_grid": float(grid[j_right])})
-            else:
-                # no event in (t, grid[j_right]): the position set is unchanged
-                next_events = [s for s in times if s > t]
-                if not next_events or grid[j_right] <= next_events[0]:
-                    omega = support_modulus(config_right, j, j_right)
+            # right side: first grid point after the event, within eps_t
+            if j + 1 < len(grid):
+                j_right = j + 1
+                if grid[j_right] - t > eps_t * (1 + 1e-9):
+                    violations.append({"kind": "grid_coarser_than_eps", "t": t,
+                                       "next_grid": float(grid[j_right])})
+                else:
+                    # the grid holds every event time, so no event lies in
+                    # (t, grid[j_right]): the position set is unchanged
+                    omega = support_modulus(right, j, j_right)
                     max_modulus = max(max_modulus, omega)
-                    v_right = pairing(config_right, j_right)
-                    bound = g.spin_lipschitz * n_support * omega + atol
+                    v_right = pairing(right, j_right)
+                    bound = g.spin_lipschitz * len(right) * omega + atol
                     if abs(v_right - value) > bound:
                         violations.append({
                             "kind": "right_continuity", "t": t, "id": ev.id,
                             "jump": abs(v_right - value), "bound": bound,
                         })
 
-        # left side: grid points below the event inside the same constant
-        # segment, approaching t; each pairing must sit within the mark
-        # modulus at its own scale of the limit value (marks fluctuate, so
-        # the deviations themselves need not be monotone)
-        prev_events = [s for s in (ev2.time for ev2 in traj.events) if s < t]
-        seg_lo = max(prev_events) if prev_events else 0.0
-        left_idx = [i for i in range(max(0, j - left_points), j)
-                    if grid[i] >= seg_lo]
-        v_limit = pairing(config_left, j)
-        n_left = sum(1 for _, pos in config_left.items() if g.support.contains(pos))
-        for i in left_idx:
-            cfg_i = traj.config_at(float(grid[i]), "right")
-            dev = abs(pairing(cfg_i, i) - v_limit)
-            omega_l = support_modulus(config_left, i, j)
-            if dev > g.spin_lipschitz * n_left * omega_l + atol:
-                violations.append({"kind": "left_limit_value", "t": t, "id": ev.id,
-                                   "s": float(grid[i]), "deviation": dev,
-                                   "bound": g.spin_lipschitz * n_left * omega_l + atol})
+            for i in range(i_lo, j):
+                dev = abs(pairing(left, i) - v_limit)
+                omega_l = support_modulus(left, i, j)
+                if dev > g.spin_lipschitz * len(left) * omega_l + atol:
+                    violations.append({"kind": "left_limit_value", "t": t, "id": ev.id,
+                                       "s": float(grid[i]), "deviation": dev,
+                                       "bound": g.spin_lipschitz * len(left) * omega_l + atol})
 
     return CadlagReport(not violations, checked, violations, max_modulus,
                         min_gap if math.isfinite(min_gap) else -1.0)
@@ -248,22 +217,17 @@ def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
 # -- artifact writers -----------------------------------------------------------
 
 
-def write_observable_series(path, mt: MarkedTrajectory,
-                            observables: Sequence[Observable]) -> None:
-    """CSV columns (t, observable_name, value) over the grid."""
-    series = [(g.name, mt.observable_series(g)) for g in observables]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "observable_name", "value"])
-        for j, t in enumerate(mt.grid):
-            for name, vals in series:
-                writer.writerow([repr(float(t)), name, repr(float(vals[j]))])
-
-
 def write_marked_snapshots(path, mt: MarkedTrajectory, stride: int = 1) -> None:
-    """JSON Lines, one record {t, points: [{id, position, mark}]} per grid time."""
+    """JSON Lines, one record {t, points: [{id, position, mark}]} per
+    ``stride``-th grid time; points are the present ids in ascending order."""
+    if mt.marks.values.ndim != 2:
+        raise ValueError("marked snapshots need a single-replica mark path")
+    ids, positions, cols = mt._phantom_columns()
+    coords = [[float(c) for c in pos] for pos in positions]
+    rows = range(0, len(mt.grid), stride)
     with open(path, "w") as fh:
-        for j in range(0, len(mt.grid), stride):
-            t = float(mt.grid[j])
-            mc = mt.at(t)
-            fh.write(json.dumps({"t": t, "points": mc.to_json_obj()}) + "\n")
+        for j, present in zip(rows, mt.base.presence_masks(mt.grid[::stride])):
+            row = mt.marks.values[j]
+            points = [{"id": ids[k], "position": coords[k], "mark": float(row[cols[k]])}
+                      for k in np.flatnonzero(present)]
+            fh.write(json.dumps({"t": float(mt.grid[j]), "points": points}) + "\n")

@@ -19,7 +19,7 @@ BROWNIAN = 2           # per-particle Wiener increments, keyed (BROWNIAN, id)
 REPLICA = 3            # derivation of per-replica master seeds
 SAMPLING = 4           # randomized verification checks
 INITIAL_CONFIG = 5     # Poisson sampling of initial configurations
-SHARED_BROWNIAN = 6    # deliberately non-keyed noise (negative controls only)
+# 6 is reserved: archived runs may have keyed a stream with it; never reuse
 
 
 def keyed_generator(seed: int, *key: int) -> np.random.Generator:

@@ -214,7 +214,8 @@ def check_operator_bound(matrix: OvsjannikovMatrix, bound: float, alpha: float,
 
 
 class KTEstimate(NamedTuple):
-    """Truncated series value with a rigorous tail bound and the term count."""
+    """Truncated series value, a rigorous bound on its error (truncation tail
+    plus log-space rounding) and the term count."""
 
     value: float
     tail_bound: float
@@ -236,9 +237,12 @@ def gronwall_series_constant(alpha: float, beta: float, q: float, bound_l: float
     Terms are summed until the current term drops below ``tol`` and the
     remaining terms are provably dominated by a geometric series with ratio
     < 1/2 (using (1 + 1/n)^{qn} <= e^q), whose sum bounds the truncation
-    error; that bound is returned alongside the value.  The sum is finite for
-    every q < 1 but can exceed the double range, in which case the value
-    comes back as inf (growth bounds built from it then hold vacuously).
+    error.  The sum is taken in log space, where each of the n terms may move
+    ln K_T by about one ulp of ln K_T; the returned tail bound is the
+    truncation bound plus a rounding allowance of 4 n eps max(1, ln K_T) K_T.
+    The sum is finite for every q < 1 but can exceed the double range, in
+    which case the value comes back as inf (growth bounds built from it then
+    hold vacuously).
     """
     if beta <= alpha:
         raise ValueError("beta must exceed alpha")
@@ -274,8 +278,10 @@ def gronwall_series_constant(alpha: float, beta: float, q: float, bound_l: float
         # ratio of any later consecutive terms is at most x e^q (m+1)^{q-1}
         ratio_cap = x * math.exp(q) * (n + 2) ** (q - 1.0)
         if lt < math.log(tol) and ratio_cap < 0.5:
+            value = math.exp(log_total)
+            rounding = 4 * (n + 1) * sys.float_info.epsilon * max(1.0, log_total) * value
             tail = math.exp(log_term(n + 1)) / (1.0 - ratio_cap)
-            return KTEstimate(math.exp(log_total), tail, n + 1)
+            return KTEstimate(value, tail + rounding, n + 1)
         n += 1
         if n > 500_000:
             raise RuntimeError("series truncation did not trigger; check parameters")
@@ -476,10 +482,7 @@ def check_moment_growth(paths: Sequence[MarkPath], traj, coeffs: CoefficientSet,
     grid = paths[0].grid
     p = params.p
 
-    alive = np.zeros((len(grid), len(ids)), dtype=bool)
-    for k, pid in enumerate(ids):
-        birth, death = traj.presence[pid]
-        alive[:, k] = (grid >= birth) & ((grid < death) if death is not None else True)
+    alive = np.array([present.copy() for present in traj.presence_masks(grid)])
 
     w_beta = np.exp(-params.beta * radii)
     w_alpha = np.exp(-params.alpha * radii)

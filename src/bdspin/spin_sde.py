@@ -230,34 +230,25 @@ class IntegratorConfig:
     ``dt`` is the maximum step; the actual grid additionally contains every
     jump time of the trajectory.  ``scheme`` is "euler" or "tamed" (the tamed
     variant divides the drift increment by 1 + dt*|drift| to stop discrete
-    blow-up of the cubic drift).  ``noise_mode`` "keyed" is the contract; the
-    "shared" mode deliberately breaks per-particle keying and exists only as
-    a negative control for the pathwise-comparison tests.
+    blow-up of the cubic drift).  Wiener increments are always keyed per
+    particle; the descriptor records that as ``"noise_mode": "keyed"``.  A
+    solve that needs other noise passes it as an explicit ``noise`` array.
     """
 
     dt: float
     scheme: str = "euler"
-    noise_mode: str = "keyed"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.scheme not in ("euler", "tamed"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.noise_mode not in ("keyed", "shared"):
-            raise ValueError(f"unknown noise mode {self.noise_mode!r}")
 
     def descriptor(self) -> dict:
-        return {"dt": self.dt, "scheme": self.scheme, "noise_mode": self.noise_mode}
+        return {"dt": self.dt, "scheme": self.scheme, "noise_mode": "keyed"}
 
 
 # -- mark paths ----------------------------------------------------------------
-
-
-@dataclass
-class MarkState:
-    time: float
-    values: dict[int, float]
 
 
 @dataclass
@@ -281,11 +272,6 @@ class MarkPath:
         if j >= len(self.grid) or self.grid[j] != t:
             raise ValueError(f"time {t} is not on the integration grid")
         return j
-
-    def state_at(self, t: float, replica: int = 0) -> MarkState:
-        j = self.index_of(t)
-        row = self.values[j] if self.values.ndim == 2 else self.values[j, :, replica]
-        return MarkState(float(t), {pid: float(v) for pid, v in zip(self.ids, row)})
 
     def series(self, pid: int, replica: int = 0) -> np.ndarray:
         k = self.ids.index(pid)
@@ -394,9 +380,6 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
         noise = np.empty((n_steps, n_ids, n_replicas))
         for r in range(n_replicas):
             noise[:, :, r] = _keyed_normals(rng.replica_seed(seed, r), ids, n_steps)
-    elif icfg.noise_mode == "shared":
-        gen = rng.keyed_generator(seed, rng.SHARED_BROWNIAN)
-        noise = gen.standard_normal((n_steps, n_ids))
     else:
         noise = _keyed_normals(seed, ids, n_steps)
 

@@ -15,7 +15,6 @@ from bdspin.birth_death import (
     FecundityBirthKernel,
     GlauberBirthKernel,
     check_rate_perturbation_bound,
-    evaluate_birth_rate,
     read_event_log,
     replay_events,
     sample_driving_process,
@@ -79,14 +78,14 @@ class TestBirthRates:
         window = Window(5.0, 2, "open")
         config = poisson_configuration(window, 1.0, seed=2)
         kernel = GlauberBirthKernel(3.0, step_potential(0.0, 1.0))
-        assert evaluate_birth_rate(kernel, [2.0, 2.0], config) == pytest.approx(3.0)
+        assert kernel.evaluate([2.0, 2.0], config) == pytest.approx(3.0)
 
     def test_fecundity_empty_configuration(self):
         window = Window(5.0, 2, "open")
         config = Configuration(window)
         pot = step_potential(0.5, 1.0)
         kernel = FecundityBirthKernel(pot, pot, pot, bound=10.0)
-        assert evaluate_birth_rate(kernel, [1.0, 1.0], config) == 0.0
+        assert kernel.evaluate([1.0, 1.0], config) == 0.0
 
     def test_glauber_neighbor_count_oracle(self):
         window = Window(10.0, 2, "open")
@@ -102,7 +101,7 @@ class TestBirthRates:
                 pts.append(x + rad * np.array([math.cos(ang), math.sin(ang)]))
             pts += [x + np.array([3.0 + i, 0.0]) for i in range(3)]
             config = Configuration.from_positions(window, pts)
-            got = evaluate_birth_rate(kernel, x, config)
+            got = kernel.evaluate(x, config)
             assert got == pytest.approx(math.exp(-k * c), rel=1e-12)
 
     def test_establishment_matches_direct_formula(self):
@@ -120,7 +119,7 @@ class TestBirthRates:
             c_sum += 0.3 if d <= 0.9 else 0.0
             phi_sum += 0.6 if d <= 1.5 else 0.0
         want = a_sum * (1.0 + c_sum) * math.exp(-phi_sum)
-        assert evaluate_birth_rate(kernel, x, config) == pytest.approx(want, rel=1e-12)
+        assert kernel.evaluate(x, config) == pytest.approx(want, rel=1e-12)
 
     def test_fecundity_matches_direct_formula(self):
         window = Window(6.0, 2, "open")
@@ -143,7 +142,7 @@ class TestBirthRates:
                 c_sum += 0.2 if d <= 1.0 else 0.0
                 phi_sum += 0.5 if d <= 1.0 else 0.0
             want += 0.4 * (1.0 + c_sum) * math.exp(-phi_sum)
-        assert evaluate_birth_rate(kernel, x, config) == pytest.approx(want, rel=1e-12)
+        assert kernel.evaluate(x, config) == pytest.approx(want, rel=1e-12)
 
     def test_misdeclared_bound_raises(self):
         window = Window(5.0, 2, "open")
@@ -152,7 +151,7 @@ class TestBirthRates:
         zero = step_potential(0.0, 0.1)
         kernel = FecundityBirthKernel(a, zero, zero, bound=0.01)
         with pytest.raises(BoundViolationError, match="bound violation"):
-            evaluate_birth_rate(kernel, [2.5, 2.5], config)
+            kernel.evaluate([2.5, 2.5], config)
 
     def test_glauber_configuration_lipschitz_bound(self):
         # phi = c * 1{d <= rho} <= B * G with B = c / G(rho)
@@ -392,12 +391,46 @@ class TestRestrictAndLog:
         assert a.read_bytes() == b.read_bytes()
 
 
+def same_time_trajectory():
+    """Hand-built path with a death and a birth at 0.5, and a particle born
+    and dying at 0.75."""
+    window = Window(4.0, 2, "open")
+    gamma0 = Configuration(window, [(0, [1.0, 1.0]), (1, [3.0, 3.0])])
+    events = [
+        Event(0.25, "birth", 2, (2.0, 2.0)),
+        Event(0.5, "death", 0, (1.0, 1.0)),
+        Event(0.5, "birth", 3, (0.5, 3.5)),
+        Event(0.75, "birth", 4, (3.5, 0.5)),
+        Event(0.75, "death", 4, (3.5, 0.5)),
+    ]
+    return Trajectory(
+        window=window, gamma0=gamma0, kernel=ConstantBirthKernel(1.0),
+        death_rate=1.0, horizon=1.0, seed=0, events=events,
+        presence={0: (0.0, 0.5), 1: (0.0, None), 2: (0.25, None),
+                  3: (0.5, None), 4: (0.75, 0.75)},
+        phantom_positions={0: (1.0, 1.0), 1: (3.0, 3.0), 2: (2.0, 2.0),
+                           3: (0.5, 3.5), 4: (3.5, 0.5)},
+        initial_lifetimes={0: 0.5, 1: 2.0},
+    )
+
+
 class TestPresenceSweep:
     @staticmethod
     def assert_sweep_matches(traj, times):
         ids = traj.phantom_ids()
         for t, mask in zip(times, traj.presence_masks(times)):
             assert [pid for pid, on in zip(ids, mask) if on] == traj.present_ids(t, "right"), t
+
+    @staticmethod
+    def assert_left_limits_match(traj, dt=1 / 64):
+        # the grid holds every event time, so the sweep state at the grid
+        # point just before an event time t is gamma_{t-}
+        grid = build_time_grid(traj.horizon, dt, [ev.time for ev in traj.events])
+        times = sorted({ev.time for ev in traj.events})
+        before = [float(grid[int(np.searchsorted(grid, t)) - 1]) for t in times]
+        ids = traj.phantom_ids()
+        for t, mask in zip(times, traj.presence_masks(before)):
+            assert [pid for pid, on in zip(ids, mask) if on] == traj.present_ids(t, "left"), t
 
     @staticmethod
     def grid_and_segment_starts(traj, dt=1 / 64):
@@ -411,10 +444,12 @@ class TestPresenceSweep:
         times = self.grid_and_segment_starts(traj)
         assert times[0] == 0.0 and times[-1] == traj.horizon
         self.assert_sweep_matches(traj, times)
+        self.assert_left_limits_match(traj)
 
     def test_restricted_trajectory(self):
         traj = glauber_run(seed=31, m=1.0, T=2.0, z=2.0).restrict(1.0)
         self.assert_sweep_matches(traj, self.grid_and_segment_starts(traj))
+        self.assert_left_limits_match(traj)
 
     def test_repeated_times_and_pure_death(self):
         window = Window(5.0, 2, "open")
@@ -422,31 +457,17 @@ class TestPresenceSweep:
         traj = simulate(gamma0, ConstantBirthKernel(0.0), 2.0, 1.0, seed=4)
         times = sorted([0.0, 0.0, 1.0, 1.0] + [ev.time for ev in traj.events] * 2)
         self.assert_sweep_matches(traj, times)
+        self.assert_left_limits_match(traj)
 
     def test_birth_and_death_at_the_same_time(self):
-        window = Window(4.0, 2, "open")
-        gamma0 = Configuration(window, [(0, [1.0, 1.0]), (1, [3.0, 3.0])])
-        events = [
-            Event(0.25, "birth", 2, (2.0, 2.0)),
-            Event(0.5, "death", 0, (1.0, 1.0)),
-            Event(0.5, "birth", 3, (0.5, 3.5)),
-            Event(0.75, "birth", 4, (3.5, 0.5)),
-            Event(0.75, "death", 4, (3.5, 0.5)),
-        ]
-        traj = Trajectory(
-            window=window, gamma0=gamma0, kernel=ConstantBirthKernel(1.0),
-            death_rate=1.0, horizon=1.0, seed=0, events=events,
-            presence={0: (0.0, 0.5), 1: (0.0, None), 2: (0.25, None),
-                      3: (0.5, None), 4: (0.75, 0.75)},
-            phantom_positions={0: (1.0, 1.0), 1: (3.0, 3.0), 2: (2.0, 2.0),
-                               3: (0.5, 3.5), 4: (3.5, 0.5)},
-            initial_lifetimes={0: 0.5, 1: 2.0},
-        )
+        traj = same_time_trajectory()
         times = [0.0, 0.25, 0.4, 0.5, 0.5, 0.6, 0.75, 0.9, 1.0]
         self.assert_sweep_matches(traj, times)
         masks = [mask.copy() for mask in traj.presence_masks([0.5, 0.75])]
         assert masks[0].tolist() == [False, True, True, True, False]
         assert masks[1].tolist() == [False, True, True, True, False]
+        self.assert_left_limits_match(traj)
+        self.assert_left_limits_match(traj, dt=0.25)
 
     def test_decreasing_times_rejected(self):
         traj = glauber_run(seed=2)

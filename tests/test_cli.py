@@ -318,6 +318,26 @@ class TestEmitPlotdata:
         code = main(["emit-plotdata", "--artifacts", str(tmp_path / "nope"),
                      "--observables", str(obs), "--out", str(tmp_path / "p")])
         assert code == 2
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("artifact", ["manifest.json", "events.jsonl", "marks.csv"])
+    def test_missing_run_artifact_exit_2(self, tmp_path, capsys, artifact):
+        # a run directory without its manifest is not a finished run
+        cfg = write_config(tmp_path, replicas=2, horizon=0.125)
+        out = tmp_path / "ens"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--jobs", "1"]) == 0
+        (out / "replica_0001" / artifact).unlink()
+        obs = self.make_observables(tmp_path, [
+            {"name": "x", "kind": "count", "box": {"lo": [0, 0], "hi": [1, 1]}},
+        ])
+        capsys.readouterr()
+        code = main(["emit-plotdata", "--artifacts", str(out),
+                     "--observables", str(obs), "--out", str(tmp_path / "p")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(out / "replica_0001" / artifact) in err[0]
+        assert not (tmp_path / "p").exists()
 
     def test_ensemble_aggregate_rows_match_grid(self, tmp_path):
         cfg = write_config(tmp_path, replicas=3, horizon=0.25)

@@ -2,7 +2,8 @@
 
 Each config below is run through the CLI and the SHA-256 of every artifact
 is compared against a recorded value.  A mismatch means the event log, the
-mark path, the snapshots, the manifest or the plot data changed; that is
+mark path, the snapshots, the manifest, the plot data or the cadlag suite's
+report changed; that is
 only acceptable together with a deliberate schema bump, in which case the
 hashes are re-recorded by running this module's ``_record`` helper:
 
@@ -105,6 +106,11 @@ GOLDEN = {
         "marks_mid.csv": "f023085f7501211d591f7e2801b2b9435c44b42a4aca9aaae11294e990f72b40",
         "marks_mid_aggregate.csv": "55f48fbc4a64562e49beef9222710bfe88fce7b3b0fc17aeed5276205c6d5878",
     },
+    # ``bdspin verify --suite cadlag`` on the two run configs
+    "cadlag": {
+        "readme": "84a0e99e23ca28860ac83a5641c37d0be4cc8eadfa526cb7721b4a7a53f0039d",
+        "open": "b933658de5108a856c276b092b2a45f897c9e88a35dd03ccd34709166ae12854",
+    },
 }
 
 
@@ -112,9 +118,14 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _simulate(tmp: Path, name: str, config: dict, extra: tuple[str, ...] = ()) -> Path:
+def _write_config(tmp: Path, name: str, config: dict) -> Path:
     cfg_path = tmp / f"{name}.json"
     cfg_path.write_text(json.dumps(config))
+    return cfg_path
+
+
+def _simulate(tmp: Path, name: str, config: dict, extra: tuple[str, ...] = ()) -> Path:
+    cfg_path = _write_config(tmp, name, config)
     out = tmp / name
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out), *extra]) == 0
     return out
@@ -137,6 +148,13 @@ def _plot_hashes(tmp: Path) -> dict[str, str]:
     return {p.name: _sha256(p) for p in sorted(plots.iterdir())}
 
 
+def _cadlag_hash(tmp: Path, name: str, config: dict) -> str:
+    out = tmp / f"{name}_verify"
+    assert main(["verify", "--config", str(_write_config(tmp, name, config)),
+                 "--suite", "cadlag", "--out", str(out)]) == 0
+    return _sha256(out / "cadlag_report.json")
+
+
 def _record() -> None:
     """Print the current hashes in the layout of ``GOLDEN``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -145,6 +163,8 @@ def _record() -> None:
             "readme": _run_hashes(tmp, "readme", README_CONFIG),
             "open": _run_hashes(tmp, "open", OPEN_CONFIG),
             "plot": _plot_hashes(tmp),
+            "cadlag": {name: _cadlag_hash(tmp, name, config)
+                       for name, config in (("readme", README_CONFIG), ("open", OPEN_CONFIG))},
         }
     print(json.dumps(current, indent=4))
 
@@ -156,3 +176,8 @@ def test_run_artifacts_match_golden_hashes(tmp_path, name, config):
 
 def test_plot_data_matches_golden_hashes(tmp_path):
     assert _plot_hashes(tmp_path) == GOLDEN["plot"]
+
+
+@pytest.mark.parametrize("name,config", [("readme", README_CONFIG), ("open", OPEN_CONFIG)])
+def test_cadlag_report_matches_golden_hash(tmp_path, name, config):
+    assert _cadlag_hash(tmp_path, name, config) == GOLDEN["cadlag"][name]

@@ -10,25 +10,77 @@ from bdspin import rng
 from bdspin.birth_death import ConstantBirthKernel, GlauberBirthKernel, simulate, step_potential
 from bdspin.geometry import Box, Configuration, Window, poisson_configuration
 from bdspin.marked_process import (
-    MarkedConfiguration,
     Observable,
     cadlag_check,
     combine,
     counting_observable,
     mark_sum_observable,
-    observable_value,
     write_marked_snapshots,
-    write_observable_series,
 )
 from bdspin.spin_sde import (
     CoefficientSet,
     InitialMarkPolicy,
     IntegratorConfig,
+    MarkPath,
     cubic_drift,
     exchange_coupling,
     integrate_marks,
+    integrate_marks_ensemble,
     tanh_diffusion,
 )
+from test_birth_death import same_time_trajectory
+
+
+def cadlag_reference(mt, g, eps_t, atol=1e-9, left_points=4):
+    """The cadlag check with every state rebuilt by ``config_at``: gamma_t and
+    gamma_{t-} at each support event, and the state at each left grid point.
+    An oracle for the presence sweep in ``cadlag_check``."""
+    traj, grid, values = mt.base, mt.grid, mt.marks.values
+    col = {pid: k for k, pid in enumerate(mt.marks.ids)}
+    support_events = [ev for ev in traj.events if g.support.contains(ev.position)]
+    times = sorted({ev.time for ev in support_events})
+    min_gap = min((b - a for a, b in zip(times, times[1:])), default=math.inf)
+
+    def in_support(config):
+        return [(pid, pos) for pid, pos in config.items() if g.support.contains(pos)]
+
+    def pairing(config, j):
+        return sum((g(pos, float(values[j, col[pid]])) for pid, pos in in_support(config)), 0.0)
+
+    def modulus(config, j0, j1):
+        cols = [col[pid] for pid, _ in in_support(config)]
+        return float(np.max(np.abs(values[j1, cols] - values[j0, cols]))) if cols else 0.0
+
+    violations, max_modulus = [], 0.0
+    for ev in support_events:
+        t, j = ev.time, mt.marks.index_of(ev.time)
+        right, left = traj.config_at(t, "right"), traj.config_at(t, "left")
+        value = pairing(right, j)
+        if j + 1 < len(grid):
+            if grid[j + 1] - t > eps_t * (1 + 1e-9):
+                violations.append({"kind": "grid_coarser_than_eps", "t": t,
+                                   "next_grid": float(grid[j + 1])})
+            else:
+                omega = modulus(right, j, j + 1)
+                max_modulus = max(max_modulus, omega)
+                jump = abs(pairing(right, j + 1) - value)
+                bound = g.spin_lipschitz * len(in_support(right)) * omega + atol
+                if jump > bound:
+                    violations.append({"kind": "right_continuity", "t": t, "id": ev.id,
+                                       "jump": jump, "bound": bound})
+        seg_lo = max((e.time for e in traj.events if e.time < t), default=0.0)
+        v_limit = pairing(left, j)
+        for i in range(max(0, j - left_points), j):
+            if grid[i] < seg_lo:
+                continue
+            dev = abs(pairing(traj.config_at(float(grid[i])), i) - v_limit)
+            bound = g.spin_lipschitz * len(in_support(left)) * modulus(left, i, j) + atol
+            if dev > bound:
+                violations.append({"kind": "left_limit_value", "t": t, "id": ev.id,
+                                   "s": float(grid[i]), "deviation": dev, "bound": bound})
+    return {"passed": not violations, "events_checked": len(support_events),
+            "violations": violations, "max_right_modulus": max_modulus,
+            "min_support_gap": min_gap if math.isfinite(min_gap) else -1.0}
 
 
 def glauber_marked(seed=0, side=5.0, T=1.0, m=1.0, z=2.0, dt=1 / 64):
@@ -43,56 +95,74 @@ def glauber_marked(seed=0, side=5.0, T=1.0, m=1.0, z=2.0, dt=1 / 64):
     return traj, path, combine(traj, path)
 
 
+def static_marked(config, marks):
+    """A trajectory without events on [0, 1] and a hand-built mark path that
+    gives ``config``'s points (ascending ids) the marks ``marks``.  The path
+    also carries a mark for an id outside the phantom, in its first column,
+    so a mark read from the wrong column shows."""
+    traj = simulate(config, ConstantBirthKernel(0.0), 0.0, 1.0, seed=0)
+    row = [1e6, *marks]
+    path = MarkPath(np.array([0.0, 1.0]), [-1, *config.ids()], np.array([row, row], dtype=float))
+    return combine(traj, path)
+
+
+def snapshot_records(path, mt, stride=1):
+    write_marked_snapshots(path, mt, stride=stride)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 class TestMarkedConfiguration:
     def test_requires_mark_per_point(self):
         window = Window(4.0, 2, "open")
         config = Configuration(window, [(0, [1.0, 1.0]), (1, [2.0, 2.0])])
+        traj = simulate(config, ConstantBirthKernel(0.0), 0.0, 1.0, seed=0)
+        path = MarkPath(np.array([0.0, 1.0]), [0], np.ones((2, 1)))
         with pytest.raises(ValueError, match="missing mark"):
-            MarkedConfiguration(config, {0: 1.0})
+            combine(traj, path)
 
     def test_observable_zero_function(self):
         window = Window(4.0, 2, "open")
-        config = Configuration(window, [(0, [1.0, 1.0])])
-        mc = MarkedConfiguration(config, {0: 2.0})
+        mt = static_marked(Configuration(window, [(0, [1.0, 1.0])]), [2.0])
         g = Observable(lambda pos, mark: 0.0, window.box, "zero")
-        assert observable_value(mc, g) == 0.0
+        assert mt.observable_series(g).tolist() == [0.0, 0.0]
 
-    def test_mark_sum_in_box(self):
+    def test_mark_sum_in_box(self, tmp_path):
         window = Window(4.0, 2, "open")
         config = Configuration(window, [(0, [1.0, 1.0]), (1, [3.5, 3.5])])
-        mc = MarkedConfiguration(config, {0: 2.0, 1: 5.0})
+        mt = static_marked(config, [2.0, 5.0])
         g = mark_sum_observable(Box((0.0, 0.0), (2.0, 2.0)))
-        assert observable_value(mc, g) == pytest.approx(2.0)
+        assert mt.observable_series(g)[0] == pytest.approx(2.0)
+        points = snapshot_records(tmp_path / "snaps.jsonl", mt)[0]["points"]
+        assert [(p["id"], p["mark"]) for p in points] == [(0, 2.0), (1, 5.0)]
 
     def test_random_observable_matches_brute_force(self):
         window = Window(6.0, 2, "open")
         config = poisson_configuration(window, 1.0, seed=3)
         gen = rng.keyed_generator(3, rng.SAMPLING)
-        marks = {pid: float(v) for pid, v in zip(config.ids(),
-                                                 gen.standard_normal(len(config)))}
-        mc = MarkedConfiguration(config, marks)
+        marks = gen.standard_normal(len(config))
+        mt = static_marked(config, marks)
         box = Box((1.0, 1.0), (4.0, 5.0))
         g = Observable(lambda pos, mark: mark**2 + pos[0], box, "mix")
         want = sum(
-            marks[pid] ** 2 + pos[0]
-            for pid, pos in config.items() if box.contains(pos)
+            mark ** 2 + pos[0]
+            for (pid, pos), mark in zip(config.items(), marks) if box.contains(pos)
         )
-        assert observable_value(mc, g) == pytest.approx(want, rel=1e-12)
+        assert mt.observable_series(g)[0] == pytest.approx(want, rel=1e-12)
 
 
 class TestCombine:
-    def test_empty_trajectory(self):
+    def test_empty_trajectory(self, tmp_path):
         window = Window(3.0, 2, "open")
         traj = simulate(Configuration(window), ConstantBirthKernel(0.0), 0.0, 1.0, seed=0)
         coeffs = CoefficientSet(cubic_drift(0.1), exchange_coupling(0.1),
                                 tanh_diffusion(0.1), radius=1.0)
         path = integrate_marks(traj, coeffs, InitialMarkPolicy.constant(0.0),
                                IntegratorConfig(dt=0.25), seed=0)
-        mt = combine(traj, path)
-        for t in path.grid:
-            assert len(mt.at(float(t)).config) == 0
+        records = snapshot_records(tmp_path / "snaps.jsonl", combine(traj, path))
+        assert [rec["t"] for rec in records] == path.grid.tolist()
+        assert all(rec["points"] == [] for rec in records)
 
-    def test_static_configuration_marks_evolve(self):
+    def test_static_configuration_marks_evolve(self, tmp_path):
         window = Window(4.0, 2, "open")
         gamma0 = Configuration(window, [(0, [1.0, 1.0]), (1, [1.5, 1.0])])
         traj = simulate(gamma0, ConstantBirthKernel(0.0), 0.0, 1.0, seed=0)
@@ -100,42 +170,48 @@ class TestCombine:
                                 tanh_diffusion(0.3), radius=1.0)
         path = integrate_marks(traj, coeffs, InitialMarkPolicy.constant(1.0),
                                IntegratorConfig(dt=1 / 32), seed=1)
-        mt = combine(traj, path)
+        records = snapshot_records(tmp_path / "snaps.jsonl", combine(traj, path))
+        by_time = {rec["t"]: rec["points"] for rec in records}
         for t in (0.0, 0.5, 1.0):
-            mc = mt.at(t)
-            assert mc.config.ids() == [0, 1]
-        assert mt.at(1.0).marks != mt.at(0.0).marks
+            assert [p["id"] for p in by_time[t]] == [0, 1]
+        marks = {t: [p["mark"] for p in by_time[t]] for t in (0.0, 1.0)}
+        assert marks[1.0] != marks[0.0]
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_fibre_conditions(self, seed):
+    def test_fibre_conditions(self, tmp_path, seed):
         # position projection equals the jump state; marks restrict the path
         traj, path, mt = glauber_marked(seed=seed)
         col = {pid: k for k, pid in enumerate(path.ids)}
+        records = snapshot_records(tmp_path / "snaps.jsonl", mt)
+        assert [rec["t"] for rec in records] == path.grid.tolist()
         gen = rng.keyed_generator(seed, rng.SAMPLING)
-        for t in gen.choice(path.grid, size=25):
-            t = float(t)
-            mc = mt.at(t)
-            assert mc.config.ids() == traj.config_at(t).ids()
-            j = path.index_of(t)
-            for pid in mc.config.ids():
-                assert mc.marks[pid] == float(path.values[j, col[pid]])
+        for j in gen.choice(len(path.grid), size=25):
+            t = float(path.grid[j])
+            config = traj.config_at(t)
+            points = records[j]["points"]
+            assert [p["id"] for p in points] == config.ids()
+            for p in points:
+                assert p["position"] == config.position_of(p["id"]).tolist()
+                assert p["mark"] == float(path.values[j, col[p["id"]]])
 
-    def test_presence_interval_oracle(self):
+    def test_presence_interval_oracle(self, tmp_path):
         traj, path, mt = glauber_marked(seed=5)
-        for t in path.grid[:: max(1, len(path.grid) // 40)]:
-            t = float(t)
+        stride = max(1, len(path.grid) // 40)
+        records = snapshot_records(tmp_path / "snaps.jsonl", mt, stride=stride)
+        assert [rec["t"] for rec in records] == path.grid[::stride].tolist()
+        for rec in records:
+            t = rec["t"]
             want = sorted(
                 pid for pid, (birth, death) in traj.presence.items()
                 if birth <= t and (death is None or t < death)
             )
-            assert mt.at(t).config.ids() == want
+            assert [p["id"] for p in rec["points"]] == want
 
     def test_missing_marks_rejected(self):
         traj, path, _ = glauber_marked(seed=1)
         short = type(path)(path.grid, path.ids[:-1], path.values[:, :-1])
-        if traj.phantom_ids()[-1] in traj.present_ids(traj.horizon):
-            with pytest.raises(ValueError, match="missing mark"):
-                combine(traj, short)
+        with pytest.raises(ValueError, match="missing mark"):
+            combine(traj, short)
 
 
 class TestCountingJumps:
@@ -187,8 +263,41 @@ class TestCadlag:
         ev = traj.birth_events()[0]
         j = path.index_of(ev.time)
         series = mt.observable_series(g)
-        left = observable_value(mt.at(ev.time, "left"), g)
+        col = {pid: k for k, pid in enumerate(path.ids)}
+        left = sum(g(pos, float(path.values[j, col[pid]]))
+                   for pid, pos in traj.config_at(ev.time, "left").items()
+                   if g.support.contains(pos))
         assert series[j] - left == 1.0
+
+    @pytest.mark.parametrize("case", ["glauber-0", "glauber-1", "glauber-2", "same-time"])
+    def test_matches_config_at_reference(self, case):
+        if case == "same-time":
+            traj = same_time_trajectory()
+            coeffs = CoefficientSet(cubic_drift(0.4), exchange_coupling(0.3),
+                                    tanh_diffusion(0.25), radius=1.0)
+            path = integrate_marks(traj, coeffs, InitialMarkPolicy.constant(0.5),
+                                   IntegratorConfig(dt=1 / 16), seed=0)
+        else:
+            traj, path, _ = glauber_marked(seed=int(case[-1]), m=1.5, z=3.0, dt=1 / 16)
+        # a leading column for an id outside the phantom: marks read from the
+        # wrong column change the report
+        extra = np.linspace(0.0, 1e3, len(path.grid))[:, None]
+        mt = combine(traj, MarkPath(path.grid, [-1, *path.ids], np.hstack([extra, path.values])))
+        side = traj.window.side
+        boxes = [traj.window.box, Box((0.0, 0.0), (side / 2, side)),
+                 Box((side / 4, side / 4), (3 * side / 4, 3 * side / 4))]
+        kinds = set()
+        for box in boxes:
+            # a mark observable declared mark-blind fails both continuity
+            # checks; a negative atol fails every comparison, and an eps
+            # below the grid step fails every right-side check
+            for g in (counting_observable(box), mark_sum_observable(box),
+                      Observable(lambda pos, mark: mark, box, "blind")):
+                for eps_t, atol in ((1 / 16, 1e-9), (1 / 64, 1e-9), (1 / 16, -1.0)):
+                    got = cadlag_check(mt, g, eps_t=eps_t, atol=atol).to_json_obj()
+                    assert got == cadlag_reference(mt, g, eps_t, atol)
+                    kinds |= {v["kind"] for v in got["violations"]}
+        assert kinds == {"grid_coarser_than_eps", "right_continuity", "left_limit_value"}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_glauber_runs_pass(self, seed):
@@ -204,16 +313,6 @@ class TestCadlag:
 
 
 class TestWriters:
-    def test_observable_series_csv(self, tmp_path):
-        traj, path, mt = glauber_marked(seed=11)
-        g1 = counting_observable(traj.window.box, "count_all")
-        g2 = mark_sum_observable(Box((1.0, 1.0), (4.0, 4.0)), "marks_mid")
-        f = tmp_path / "series.csv"
-        write_observable_series(f, mt, [g1, g2])
-        lines = f.read_text().strip().splitlines()
-        assert lines[0] == "t,observable_name,value"
-        assert len(lines) == 1 + 2 * len(path.grid)
-
     def test_snapshots_jsonl(self, tmp_path):
         traj, path, mt = glauber_marked(seed=12)
         f = tmp_path / "snaps.jsonl"
@@ -224,3 +323,12 @@ class TestWriters:
         assert sorted(p["id"] for p in first) == traj.gamma0.ids()
         for p in first:
             assert p["mark"] == 0.5
+
+    def test_snapshots_need_a_single_replica(self, tmp_path):
+        traj, path, _ = glauber_marked(seed=12, T=0.25)
+        coeffs = CoefficientSet(cubic_drift(0.4), exchange_coupling(0.3),
+                                tanh_diffusion(0.25), radius=1.0)
+        ensemble = integrate_marks_ensemble(traj, coeffs, InitialMarkPolicy.constant(0.5),
+                                            IntegratorConfig(dt=1 / 64), seed=12, n_replicas=2)
+        with pytest.raises(ValueError, match="single-replica"):
+            write_marked_snapshots(tmp_path / "snaps.jsonl", combine(traj, ensemble))

@@ -189,6 +189,17 @@ class TestSeriesConstant:
         assert math.isfinite(got.value)
         assert math.isclose(got.value, want, rel_tol=1e-9)
 
+    def test_tail_bound_covers_log_space_rounding(self):
+        # the README config's Gronwall constants at side 6, T 1, seed 701:
+        # ln K_T = 595, where the truncation tail underflows to 0 but the
+        # log-space sum still sits about 7.7e-13 relative off the exact value
+        bound_l = 29.590608145517404
+        got = gronwall_series_constant(0.2, 0.7, 0.5, bound_l, 0.5)
+        want = kt_reference(0.2, 0.7, 0.5, bound_l, 0.5, terms=2000)
+        assert math.log(want) > 590.0
+        assert got.value != want
+        assert abs(got.value - want) <= got.tail_bound
+
     def test_overflow_returns_inf(self):
         got = gronwall_series_constant(0.0, 0.2, 0.8, 50.0, 1.0)
         assert math.isinf(got.value)

@@ -35,6 +35,7 @@ from bdspin.spin_sde import (
     zero_drift,
     zero_pair,
 )
+from bdspin.spin_sde import _projection_mismatch
 import dataclasses
 
 
@@ -49,6 +50,13 @@ def static_traj(positions, side=5.0, T=1.0, boundary="open", seed=0):
     window = Window(side, 2, boundary)
     gamma0 = Configuration(window, list(enumerate(positions)))
     return simulate(gamma0, ConstantBirthKernel(0.0), 0.0, T, seed=seed)
+
+
+def shared_noise(traj, icfg, seed):
+    """Normals for every step and phantom id drawn row by row from one stream."""
+    n_steps = len(build_time_grid(traj.horizon, icfg.dt, [ev.time for ev in traj.events])) - 1
+    gen = np.random.default_rng(seed)
+    return gen.standard_normal((n_steps, len(traj.phantom_ids())))
 
 
 def default_coeffs(rho=1.0, theta=0.5, J=0.3, kappa=0.2):
@@ -325,16 +333,21 @@ class TestProjection:
                                       IntegratorConfig(dt=1 / 32), 0.5, seed=seed)
 
     def test_shared_noise_breaks_projection(self):
-        # negative control: non-keyed noise must be detected as inconsistent
+        # negative control: noise that is not keyed per particle must be
+        # detected as inconsistent.  One stream filled row by row over the
+        # phantom shifts every later draw once the phantom grows.
+        icfg = IntegratorConfig(dt=1 / 32)
         for seed in range(6):
             traj = make_glauber_traj(seed=seed, m=0.5, z=3.0, T=1.0)
             n_births = len([e for e in traj.events if e.kind == "birth" and e.time > 0.5])
             if n_births == 0:
                 continue  # phantom identical on both horizons: sharing is harmless
-            icfg = IntegratorConfig(dt=1 / 32, noise_mode="shared")
-            assert not projection_consistency(traj, default_coeffs(kappa=0.4),
-                                              InitialMarkPolicy.constant(0.1),
-                                              icfg, 0.5, seed=seed)
+            full, short = (
+                integrate_marks(tr, default_coeffs(kappa=0.4), InitialMarkPolicy.constant(0.1),
+                                icfg, seed, noise=shared_noise(tr, icfg, seed))
+                for tr in (traj, traj.restrict(0.5))
+            )
+            assert _projection_mismatch(full, short) is not None
             return
         pytest.fail("no run with late births found")
 
@@ -392,9 +405,9 @@ class TestMarkPathIO:
         assert np.array_equal(back.grid, path.grid)
         assert np.array_equal(back.values, path.values)
 
-    def test_state_at_off_grid_raises(self):
+    def test_index_of_off_grid_raises(self):
         traj = static_traj([[1.0, 1.0]])
         path = integrate_marks(traj, default_coeffs(), InitialMarkPolicy.constant(0.0),
                                IntegratorConfig(dt=0.25), seed=0)
         with pytest.raises(ValueError, match="not on the integration grid"):
-            path.state_at(0.1)
+            path.index_of(0.1)
