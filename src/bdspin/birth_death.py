@@ -339,9 +339,7 @@ class Trajectory:
     def b_max(self) -> float:
         return self.kernel.b_max
 
-    def phantom(self, cell_size: float | None = None) -> Configuration:
-        if cell_size is not None:
-            return Configuration(self.window, dict(self.phantom_positions), cell_size=cell_size)
+    def phantom(self) -> Configuration:
         if self._phantom_cache is None:
             self._phantom_cache = Configuration(self.window, dict(self.phantom_positions))
         return self._phantom_cache

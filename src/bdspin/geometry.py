@@ -10,6 +10,7 @@ never mutate; concurrent read-only use is safe once building is done.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -121,7 +122,11 @@ class Window:
         """Distances from ``x`` to each row of ``pts``."""
         if len(pts) == 0:
             return np.zeros(0)
-        d = np.abs(pts - np.asarray(x, dtype=float))
+        return self.row_distances(pts, np.asarray(x, dtype=float))
+
+    def row_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Distance from row i of ``a`` to row i of ``b`` (``b`` may broadcast)."""
+        d = np.abs(a - b)
         if self.periodic:
             d = np.minimum(d, self.side - d)
         return np.sqrt(np.sum(d * d, axis=1))
@@ -368,6 +373,61 @@ def cell_size_above(radius: float) -> float:
     """A cell size just above ``radius``: a radius query then visits the 3^d
     cells around its center, where cells of exactly ``radius`` need 5^d."""
     return radius * (1.0 + 1e-9)
+
+
+def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The integers of every range [starts[i], stops[i]), concatenated in order."""
+    lengths = stops - starts
+    firsts = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - firsts, lengths)
+
+
+def neighbor_pairs(window: Window, positions: np.ndarray,
+                   radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directed pairs of distinct rows of ``positions`` within closed distance
+    ``radius``, as arrays ``(src, dst, dist)`` sorted by ``(src, dst)``.
+
+    The pairs and distances are those ``Configuration.neighbors_within`` gives
+    for every point (positions wrap as they do there), without building a
+    configuration.  Points are binned into cells just above ``radius``, so each
+    point scans the 3^d cells around it; under 3 cells per axis every pair is
+    a candidate.
+    """
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    pts = window.wrap(np.asarray(positions, dtype=float).reshape(-1, window.dim))
+    n = len(pts)
+    ncells = max(1, int(window.side / cell_size_above(radius)))
+    if ncells < 3:
+        src = np.repeat(np.arange(n), n)
+        dst = np.tile(np.arange(n), n)
+    else:
+        key = (pts / (window.side / ncells)).astype(np.intp)
+        key = np.mod(key, ncells) if window.periodic else np.minimum(key, ncells - 1)
+        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=window.dim)),
+                           dtype=np.intp)
+        around = key[:, None, :] + offsets  # (n, 3^d, dim) neighbor cell keys
+        if window.periodic:
+            around = np.mod(around, ncells)
+            valid = np.ones(around.shape[:2], dtype=bool)
+        else:
+            valid = np.all((around >= 0) & (around < ncells), axis=2)
+        weights = ncells ** np.arange(window.dim, dtype=np.intp)
+        cell_of = key @ weights
+        by_cell = np.argsort(cell_of, kind="stable")
+        sorted_cells = cell_of[by_cell]
+        wanted = (around @ weights)[valid]
+        lo = np.searchsorted(sorted_cells, wanted, "left")
+        hi = np.searchsorted(sorted_cells, wanted, "right")
+        src = np.repeat(np.repeat(np.arange(n), offsets.shape[0])[valid.ravel()], hi - lo)
+        dst = by_cell[concat_ranges(lo, hi)]
+    distinct = src != dst
+    src, dst = src[distinct], dst[distinct]
+    dist = window.row_distances(pts[dst], pts[src])
+    near = dist <= radius
+    src, dst, dist = src[near], dst[near], dist[near]
+    order = np.lexsort((dst, src))
+    return src[order], dst[order], dist[order]
 
 
 def log_bound_constant(config: Configuration, radius: float) -> float:

@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import rng
-from .geometry import Configuration
+from .geometry import Configuration, neighbor_pairs
 from .spin_sde import CoefficientSet, MarkPath
 
 
@@ -151,6 +151,23 @@ def ovsjannikov_bound_constant(config: Configuration, growth_c: float, growth_k:
     where R is any radius beyond which n_x <= |x|^{q/(2k)}; when omitted, the
     smallest such R is found by scanning the finite configuration.
     """
+    counts = _neighbor_counts(config, radius)
+    r_cut, n_0r = _cut_radius(config, counts, growth_k, q, alpha_star, alpha_sup, r_cut)
+    return LBound(_bound_value(growth_c, q, radius, n_0r, alpha_star, alpha_sup), r_cut)
+
+
+def _neighbor_counts(config: Configuration, radius: float) -> np.ndarray:
+    """Closed in-radius count n_x of every point (ascending id order)."""
+    src, _, _ = neighbor_pairs(config.window, config.positions_array(), radius)
+    return (np.bincount(src, minlength=len(config)) + 1).astype(float)
+
+
+def _cut_radius(config: Configuration, counts: np.ndarray, growth_k: float, q: float,
+                alpha_star: float, alpha_sup: float,
+                r_cut: float | None) -> tuple[float, int]:
+    """Check the scale indices; return the cut radius R of the operator bound
+    (found, or checked when given) and the number n_{0,R} of points within R
+    of the anchor."""
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     if growth_k < 1:
@@ -158,8 +175,6 @@ def ovsjannikov_bound_constant(config: Configuration, growth_c: float, growth_k:
     if not 0.0 <= alpha_star <= alpha_sup:
         raise ValueError("need 0 <= alpha_star <= alpha_sup")
     norms = config.radial_norms()
-    counts = np.array([config.neighbor_count(pos, radius) for _, pos in config.items()],
-                      dtype=float)
     exponent = q / (2.0 * growth_k)
     with np.errstate(divide="ignore"):
         ceiling = norms**exponent
@@ -177,10 +192,14 @@ def ovsjannikov_bound_constant(config: Configuration, growth_c: float, growth_k:
                 f"> |x|^(q/2k)={ceiling[worst]:.6g}"
             )
     n_0r = int(np.sum(norms <= r_cut)) if len(norms) else 0
-    value = growth_c * math.exp(alpha_sup * radius) * (
+    return r_cut, n_0r
+
+
+def _bound_value(growth_c: float, q: float, radius: float, n_0r: int,
+                 alpha_star: float, alpha_sup: float) -> float:
+    return growth_c * math.exp(alpha_sup * radius) * (
         (radius**q + n_0r) * (alpha_sup - alpha_star) ** q + (q / math.e) ** q
     )
-    return LBound(value, r_cut)
 
 
 def check_operator_bound(matrix: OvsjannikovMatrix, bound: float, alpha: float,
@@ -497,16 +516,19 @@ def check_moment_growth(paths: Sequence[MarkPath], traj, coeffs: CoefficientSet,
     measured = float(np.max(lhs_sum / len(paths)))
     init_moment = init_sum / len(paths)
 
-    counts = np.array([phantom.neighbor_count(pos, coeffs.radius)
-                       for _, pos in phantom.items()], dtype=float)
+    # the counts and the cut radius do not depend on the prefactor c, so the
+    # bisection below evaluates only L(c) and K_T afresh
+    counts = _neighbor_counts(phantom, coeffs.radius)
     c2_norm = float(np.sum(w_alpha * (c2 * counts**2) ** p) ** (1.0 / p))
     base = init_moment + c2_norm
+    _, n_0r = _cut_radius(phantom, counts, 2.0, params.q, params.alpha_star,
+                          params.alpha_sup, None)
 
     def bound_for(c: float) -> float:
-        l = ovsjannikov_bound_constant(phantom, c, 2.0, params.q, coeffs.radius,
-                                       params.alpha_star, params.alpha_sup)
+        l_value = _bound_value(c, params.q, coeffs.radius, n_0r, params.alpha_star,
+                               params.alpha_sup)
         k_t = gronwall_series_constant(params.alpha, params.beta, params.q,
-                                       l.value, traj.horizon, series_tol)
+                                       l_value, traj.horizon, series_tol)
         return c * k_t.value * base
 
     bound = bound_for(c1)

@@ -15,10 +15,13 @@ each step.  Wiener increments for particle k at step j are a pure function of
 horizons and replicas.
 
 A solve walks the grid once, alongside the trajectory's presence sweep.  The
-path is constant between jumps, so each segment's active marks and edges are
-built when the segment starts and dropped when it ends: per-segment state is
-held only while that segment runs.  The mark array and the pre-drawn noise
-stay dense (grid x phantom).
+in-radius pairs of the phantom configuration are found once
+(``geometry.neighbor_pairs``).  The path is constant between jumps, and a
+jump changes only the edges of the particle born or dying, so at each
+segment start only those edges are re-evaluated.  Each particle's keyed
+stream is drawn up to its death step and stored only over its lifetime;
+marks frozen by a volume cutoff draw nothing.  The mark array stays dense
+(grid x phantom).
 """
 from __future__ import annotations
 
@@ -31,7 +34,8 @@ import numpy as np
 
 from . import rng
 from .birth_death import Trajectory
-from .geometry import Box, Configuration, Window, cell_size_above, poisson_configuration
+from .geometry import (Box, Configuration, Window, concat_ranges, neighbor_pairs,
+                       poisson_configuration)
 
 
 class IntegrationBlowUpError(RuntimeError):
@@ -326,26 +330,30 @@ def build_time_grid(horizon: float, dt: float, event_times: Iterable[float]) -> 
     return np.unique(np.concatenate(pieces))
 
 
-def _phantom_edges(traj: Trajectory, radius: float):
-    """Directed neighbor pairs within ``radius`` over the phantom configuration."""
-    ids = traj.phantom_ids()
-    index_of = {pid: k for k, pid in enumerate(ids)}
-    phantom = traj.phantom(cell_size=cell_size_above(radius))
-    src, dst, dist = [], [], []
-    for pid in ids:
-        for qid, d in phantom.neighbors_within(pid, radius):
-            src.append(index_of[pid])
-            dst.append(index_of[qid])
-            dist.append(d)
-    return (ids, np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp),
-            np.asarray(dist, dtype=float))
-
-
 def _keyed_normals(seed: int, ids: Sequence[int], n_steps: int) -> np.ndarray:
-    out = np.empty((n_steps, len(ids)))
-    for k, pid in enumerate(ids):
-        gen = rng.keyed_generator(seed, rng.BROWNIAN, pid)
-        out[:, k] = gen.standard_normal(n_steps)
+    """The first ``n_steps`` normals of every keyed stream, shape (n_steps, ids)."""
+    n_ids = len(ids)
+    flat = _keyed_slices([seed], ids, np.zeros(n_ids, dtype=np.intp),
+                         np.full(n_ids, n_steps, dtype=np.intp))
+    return flat.reshape(n_ids, n_steps).T
+
+
+def _keyed_slices(seeds: Sequence[int], ids: Sequence[int], first: np.ndarray,
+                  stop: np.ndarray) -> np.ndarray:
+    """Entries [first[k], stop[k]) of every stream (seed, BROWNIAN, ids[k]),
+    packed id after id into one buffer with a column per seed.
+
+    A stream is drawn up to ``stop[k]`` and its first ``first[k]`` normals
+    are dropped: entry j of a stream is the j-th normal it yields.
+    """
+    lengths = stop - first
+    out = np.empty((int(lengths.sum()), len(seeds)))
+    at = 0
+    for k in np.flatnonzero(lengths):
+        for r, seed in enumerate(seeds):
+            gen = rng.keyed_generator(seed, rng.BROWNIAN, ids[k])
+            out[at:at + lengths[k], r] = gen.standard_normal(stop[k])[first[k]:]
+        at += lengths[k]
     return out
 
 
@@ -366,28 +374,39 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
            frozen_box: Box | None = None,
            noise: np.ndarray | None = None,
            n_replicas: int | None = None) -> MarkPath:
-    ids, src, dst, dist = _phantom_edges(traj, coeffs.radius)
+    ids = traj.phantom_ids()
+    n_ids = len(ids)
+    positions = np.array([traj.phantom_positions[pid] for pid in ids],
+                         dtype=float).reshape(n_ids, traj.window.dim)
+    src, dst, dist = neighbor_pairs(traj.window, positions, coeffs.radius)
     grid = build_time_grid(traj.horizon, icfg.dt, [ev.time for ev in traj.events])
     n_steps = len(grid) - 1
-    n_ids = len(ids)
 
+    frozen_mask = np.zeros(n_ids, dtype=bool)
+    if frozen_box is not None:
+        frozen_mask = ~frozen_box.contains_many(positions)
+
+    # Noise of particle k at step j is flat[base[k] + j].  Keyed streams are
+    # stored only for the steps on which k moves: present and not frozen.
     ensemble = n_replicas is not None
     if noise is not None:
         want = (n_steps, n_ids) if not ensemble else (n_steps, n_ids, n_replicas)
         if noise.shape != want:
             raise ValueError(f"noise has shape {noise.shape}, expected {want}")
-    elif ensemble:
-        noise = np.empty((n_steps, n_ids, n_replicas))
-        for r in range(n_replicas):
-            noise[:, :, r] = _keyed_normals(rng.replica_seed(seed, r), ids, n_steps)
+        flat = np.moveaxis(noise, 0, 1).reshape((n_ids * n_steps,) + noise.shape[2:])
+        base = np.arange(n_ids) * n_steps
     else:
-        noise = _keyed_normals(seed, ids, n_steps)
-
-    frozen_mask = np.zeros(n_ids, dtype=bool)
-    if frozen_box is not None:
-        for k, pid in enumerate(ids):
-            if not frozen_box.contains(traj.phantom_positions[pid]):
-                frozen_mask[k] = True
+        births = np.array([traj.presence[pid][0] for pid in ids])
+        deaths = np.array([math.inf if traj.presence[pid][1] is None
+                           else traj.presence[pid][1] for pid in ids])
+        first = np.searchsorted(grid[:-1], births, "left")
+        stop = np.where(frozen_mask, first, np.searchsorted(grid[:-1], deaths, "left"))
+        seeds = ([rng.replica_seed(seed, r) for r in range(n_replicas)]
+                 if ensemble else [seed])
+        flat = _keyed_slices(seeds, ids, first, stop)
+        if not ensemble:
+            flat = flat[:, 0]
+        base = np.cumsum(stop - first) - stop
 
     z0 = _initial_vector(traj, ids, init, initial_marks)
     shape = (n_steps + 1, n_ids) if not ensemble else (n_steps + 1, n_ids, n_replicas)
@@ -395,8 +414,18 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
     values[0] = z0 if not ensemble else z0[:, None]
 
     # The path is constant between jumps: a segment starts at 0 and at every
-    # event time, all of which lie on the grid.  Its active indices and the
-    # edges out of them are built when it starts and dropped when it ends.
+    # event time, all of which lie on the grid.  Edge e (sorted by src, dst)
+    # is alive while src[e] moves and dst[e] is present; at a segment start
+    # only the edges incident to particles whose presence changed are
+    # re-evaluated.  ``incident[incident_ptr[k]:incident_ptr[k + 1]]`` are the
+    # edges with k as an end.
+    ends = np.concatenate((src, dst))
+    by_end = np.argsort(ends, kind="stable")
+    incident = np.concatenate((np.arange(len(src)),) * 2)[by_end]
+    incident_ptr = np.searchsorted(ends[by_end], np.arange(n_ids + 1))
+    alive = np.zeros(len(src), dtype=bool)
+    before = np.zeros(n_ids, dtype=bool)
+    local = np.zeros(n_ids, dtype=np.intp)
     segment_starts = {ev.time for ev in traj.events}
     tamed = icfg.scheme == "tamed"
 
@@ -405,26 +434,36 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
             z = values[j]
             values[j + 1] = z
             if j == 0 or grid[j] in segment_starts:
+                changed = np.flatnonzero(present != before)
+                before[:] = present
+                touched = incident[concat_ranges(incident_ptr[changed],
+                                                 incident_ptr[changed + 1])]
                 act_mask = present & ~frozen_mask
+                alive[touched] = act_mask[src[touched]] & present[dst[touched]]
                 act = np.flatnonzero(act_mask)
-                keep = act_mask[src] & present[dst]
-                esrc, edst, edist = src[keep], dst[keep], dist[keep]
+                live = np.flatnonzero(alive)
+                esrc, edst, edist = src[live], dst[live], dist[live]
+                local[act] = np.arange(act.size)
+                lsrc = local[esrc]  # position of each edge's source in act
+                noise_at = base[act]
                 if ensemble:
                     edist = edist[:, None]
             if act.size == 0:
                 continue
             h = float(grid[j + 1] - grid[j])
-            drift = np.zeros_like(z)
-            diffusion = np.zeros_like(z)
-            drift[act] = coeffs.single.func(z[act])
+            z_act = z[act]
+            drift = np.empty_like(z_act)  # own buffer: add.at accumulates into it
+            drift[...] = coeffs.single.func(z_act)
+            diffusion = np.zeros_like(z_act)
             if esrc.size:
-                np.add.at(drift, esrc, coeffs.pair.func(z[esrc], z[edst], edist))
-                np.add.at(diffusion, esrc, coeffs.diffusion.func(z[esrc], z[edst], edist))
-            incr = h * drift[act]
+                z_src, z_dst = z[esrc], z[edst]
+                np.add.at(drift, lsrc, coeffs.pair.func(z_src, z_dst, edist))
+                np.add.at(diffusion, lsrc, coeffs.diffusion.func(z_src, z_dst, edist))
+            incr = h * drift
             if tamed:
                 incr = incr / (1.0 + np.abs(incr))
-            step = incr + diffusion[act] * (math.sqrt(h) * noise[j][act])
-            new = z[act] + step
+            step = incr + diffusion * (math.sqrt(h) * flat[noise_at + j])
+            new = z_act + step
             if not np.all(np.isfinite(new)):
                 bad = np.argwhere(~np.isfinite(new))[0]
                 pid = ids[int(act[bad[0]])]
@@ -561,20 +600,12 @@ def check_drift_diffusion_bounds(coeffs: CoefficientSet, sample_size: int = 10_0
     """
     if config is None:
         window = Window(6.0, 2, "periodic")
-        config = poisson_configuration(window, 1.0, seed=seed + 1,
-                                       cell_size=coeffs.radius)
+        config = poisson_configuration(window, 1.0, seed=seed + 1)
     ids = config.ids()
     n_pts = len(ids)
     if n_pts == 0:
         return BoundsCheckReport(True, sample_size, 0, 0, None)
-    index_of = {pid: k for k, pid in enumerate(ids)}
-    src, dst, dist = [], [], []
-    for pid in ids:
-        for qid, d in config.neighbors_within(pid, coeffs.radius):
-            src.append(index_of[pid]); dst.append(index_of[qid]); dist.append(d)
-    src = np.asarray(src, dtype=np.intp)
-    dst = np.asarray(dst, dtype=np.intp)
-    dist = np.asarray(dist, dtype=float)
+    src, dst, dist = neighbor_pairs(config.window, config.positions_array(), coeffs.radius)
     deg = np.zeros(n_pts)
     if src.size:
         np.add.at(deg, src, 1.0)

@@ -12,7 +12,9 @@ from bdspin.geometry import (
     Configuration,
     TemperedWeight,
     Window,
+    cell_size_above,
     log_bound_constant,
+    neighbor_pairs,
     poisson_configuration,
     tempered_pairing,
     weighted_tail_sum,
@@ -32,6 +34,82 @@ def random_config(window, n, seed, cell_size=None):
     gen = rng.keyed_generator(seed, rng.SAMPLING)
     pts = window.side * gen.random((n, window.dim))
     return Configuration.from_positions(window, pts, cell_size=cell_size), gen
+
+
+def pairs_oracle(config, radius):
+    """(src, dst, dist) from ``neighbors_within`` per point, rows as indices
+    into the ascending id order."""
+    ids = config.ids()
+    index_of = {pid: k for k, pid in enumerate(ids)}
+    rows = [(index_of[pid], index_of[qid], d)
+            for pid in ids for qid, d in config.neighbors_within(pid, radius)]
+    src = np.array([r[0] for r in rows], dtype=np.intp)
+    dst = np.array([r[1] for r in rows], dtype=np.intp)
+    dist = np.array([r[2] for r in rows], dtype=float)
+    return src, dst, dist
+
+
+def assert_pairs_match(config, radius):
+    got = neighbor_pairs(config.window, config.positions_array(), radius)
+    want = pairs_oracle(config, radius)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+    return got
+
+
+class TestNeighborPairs:
+    # (side, radius): 7 cells per axis, exactly 3, 2 (every pair scanned),
+    # and a radius wider than the window
+    @pytest.mark.parametrize("side,radius", [(8.0, 1.0), (4.0, 1.0), (2.5, 1.0),
+                                             (1.0, 1.5)])
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_neighbors_within(self, dim, boundary, side, radius):
+        window = Window(side, dim, boundary)
+        for seed in range(2):
+            config, _ = random_config(window, 40, seed)
+            assert_pairs_match(config, radius)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cell_boundaries_and_seam(self, dim, boundary):
+        side, radius = 8.0, 1.0
+        window = Window(side, dim, boundary)
+        ncells = int(side / cell_size_above(radius))
+        cell = side / ncells
+        pts = [[k * cell] + [0.5 * side] * (dim - 1) for k in range(ncells)]
+        # a pair across the periodic seam, and one along an inner boundary
+        pts.append([0.125] + [0.0] * (dim - 1))
+        pts.append([side - 0.25] + [0.0] * (dim - 1))
+        if dim > 1:
+            pts.append([3 * cell] + [0.5 * side + cell] * (dim - 1))
+        gen = rng.keyed_generator(dim, rng.SAMPLING)
+        pts.extend(side * gen.random((30, dim)))
+        config = Configuration.from_positions(window, pts)
+        assert_pairs_match(config, radius)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_pair_at_exactly_radius_is_kept(self, boundary):
+        window = Window(8.0, 2, boundary)
+        # 0-1 lie exactly 1.0 apart, 2-3 lie 1 + 2^-40 apart
+        config = Configuration(window, [(0, [0.5, 0.5]), (1, [1.5, 0.5]),
+                                        (2, [5.0, 5.0]), (3, [5.0, 6.0 + 2.0**-40])])
+        src, dst, dist = assert_pairs_match(config, 1.0)
+        assert list(zip(src, dst)) == [(0, 1), (1, 0)]
+        assert list(dist) == [1.0, 1.0]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_empty_and_single_point(self, dim):
+        window = Window(5.0, dim, "periodic")
+        for config in (Configuration(window), Configuration(window, [(7, [1.0] * dim)])):
+            src, dst, dist = assert_pairs_match(config, 1.0)
+            assert src.size == dst.size == dist.size == 0
+            assert src.dtype == dst.dtype == np.intp and dist.dtype == float
+
+    def test_nonpositive_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            neighbor_pairs(Window(5.0, 2), np.zeros((1, 2)), 0.0)
 
 
 class TestNeighborQueries:

@@ -6,10 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from bdspin import rng
+from bdspin import rng, scales
 from bdspin.birth_death import ConstantBirthKernel, GlauberBirthKernel, simulate, step_potential
 from bdspin.geometry import Configuration, Window, poisson_configuration
 from bdspin.scales import (
+    MomentGrowthReport,
     OvsjannikovMatrix,
     ScaleParams,
     check_gronwall_inequality,
@@ -26,8 +27,11 @@ from bdspin.spin_sde import (
     InitialMarkPolicy,
     IntegratorConfig,
     constant_diffusion,
+    cubic_drift,
+    exchange_coupling,
     integrate_marks,
     linear_drift,
+    tanh_diffusion,
     zero_diffusion,
     zero_drift,
     zero_pair,
@@ -310,3 +314,109 @@ class TestMomentGrowth:
         params = ScaleParams(0.0, 1.0, 0.2, 0.7, 2.0, 0.5)
         with pytest.raises(ValueError, match="below drift growth power"):
             check_moment_growth([path], traj, coeffs, params, 1.0, 1.0)
+
+
+def reference_moment_growth(paths, traj, coeffs, params, c1, c2, series_tol=1e-12):
+    """check_moment_growth with the operator constant L recomputed from
+    per-point neighbor counts at every bisection step."""
+    phantom = traj.phantom()
+    radii = phantom.radial_norms()
+    grid = paths[0].grid
+    p = params.p
+    alive = np.array([present.copy() for present in traj.presence_masks(grid)])
+    w_beta = np.exp(-params.beta * radii)
+    w_alpha = np.exp(-params.alpha * radii)
+    lhs_sum = np.zeros(len(grid))
+    init_sum = 0.0
+    for path in paths:
+        contrib = np.abs(path.values) ** p * alive
+        lhs_sum += contrib @ w_beta
+        init_sum += float(np.sum(w_alpha * np.abs(path.values[0]) ** p))
+    measured = float(np.max(lhs_sum / len(paths)))
+    init_moment = init_sum / len(paths)
+
+    def counts():
+        return np.array([phantom.neighbor_count(pos, coeffs.radius)
+                         for _, pos in phantom.items()], dtype=float)
+
+    c2_norm = float(np.sum(w_alpha * (c2 * counts()**2) ** p) ** (1.0 / p))
+    base = init_moment + c2_norm
+
+    def bound_for(c):
+        q, a_star, a_sup, radius = params.q, params.alpha_star, params.alpha_sup, coeffs.radius
+        violates = counts() > radii ** (q / 4.0)  # n_x <= |x|^(q/2k), k = 2
+        r_cut = float(radii[violates].max()) if violates.any() else 0.0
+        n_0r = int(np.sum(radii <= r_cut)) if len(radii) else 0
+        l_value = c * math.exp(a_sup * radius) * (
+            (radius**q + n_0r) * (a_sup - a_star) ** q + (q / math.e) ** q)
+        k_t = gronwall_series_constant(params.alpha, params.beta, q, l_value,
+                                       traj.horizon, series_tol)
+        return c * k_t.value * base
+
+    bound = bound_for(c1)
+    if measured == 0.0:
+        empirical = 0.0
+    else:
+        lo, hi = 0.0, max(c1, 1e-6)
+        while bound_for(hi) < measured:
+            hi *= 2.0
+            if hi > 1e12:
+                break
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if bound_for(mid) >= measured:
+                hi = mid
+            else:
+                lo = mid
+        empirical = hi
+    return MomentGrowthReport(
+        passed=measured <= bound * (1 + 1e-9), bound_value=bound, measured_value=measured,
+        slack=bound - measured, empirical_c1=empirical,
+        constants_used={"c1": c1, "c2": c2, **params.descriptor(),
+                        "radius": coeffs.radius, "replicas": len(paths)})
+
+
+def glauber_moment_case(seed=3):
+    window = Window(6.0, 2, "periodic")
+    gamma0 = poisson_configuration(window, 0.8, seed=seed)
+    traj = simulate(gamma0, GlauberBirthKernel(2.0, step_potential(0.5, 1.0)), 1.0, 0.5, seed)
+    coeffs = CoefficientSet(cubic_drift(0.4), exchange_coupling(0.3),
+                            tanh_diffusion(0.25), radius=1.0)
+    paths = [integrate_marks(traj, coeffs, InitialMarkPolicy.constant(0.5),
+                             IntegratorConfig(dt=1 / 32), seed=s) for s in range(4)]
+    return traj, coeffs, paths
+
+
+class TestMomentGrowthReference:
+    @pytest.mark.parametrize("case", ["ou", "glauber"])
+    def test_report_equals_reference(self, case):
+        if case == "ou":
+            traj, coeffs, paths = make_two_point_ou(seeds=range(16), dt=1e-2)
+        else:
+            traj, coeffs, paths = glauber_moment_case()
+        params = ScaleParams(0.0, 1.0, 0.2, 0.7, 4.0, 0.5)
+        c1, c2 = conservative_moment_constants(coeffs, params.p, traj.horizon)
+        got = check_moment_growth(paths, traj, coeffs, params, c1, c2)
+        want = reference_moment_growth(paths, traj, coeffs, params, c1, c2)
+        assert got.empirical_c1 > 0.0
+        assert got.to_json() == want.to_json()
+
+    def test_neighbor_counts_built_once(self, monkeypatch):
+        traj, coeffs, paths = glauber_moment_case()
+        calls = []
+        real = scales.neighbor_pairs
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-point neighbor count")
+
+        monkeypatch.setattr(scales, "neighbor_pairs", counting)
+        monkeypatch.setattr(Configuration, "neighbor_count", forbidden)
+        params = ScaleParams(0.0, 1.0, 0.2, 0.7, 4.0, 0.5)
+        c1, c2 = conservative_moment_constants(coeffs, params.p, traj.horizon)
+        report = check_moment_growth(paths, traj, coeffs, params, c1, c2)
+        assert report.empirical_c1 > 0.0
+        assert len(calls) == 1

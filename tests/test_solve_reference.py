@@ -1,0 +1,239 @@
+"""The mark solve against a reference implementation of the same scheme.
+
+``reference_solve`` rebuilds every segment's active set and edge list from all
+phantom edges, finds the edges with a per-point ``neighbors_within`` loop and
+draws the keyed noise as one dense (steps x phantom) array.  The library solve
+updates only the edges of particles whose presence changed and stores each
+keyed stream only over its particle's lifetime; both must give bit-identical
+paths.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from bdspin import rng
+from bdspin.birth_death import GlauberBirthKernel, simulate, step_potential
+from bdspin.geometry import Box, Configuration, Window, cell_size_above, poisson_configuration
+from bdspin.spin_sde import (
+    CoefficientSet,
+    InitialMarkPolicy,
+    IntegrationBlowUpError,
+    IntegratorConfig,
+    MarkPath,
+    _initial_vector,
+    _keyed_normals,
+    build_time_grid,
+    constant_diffusion,
+    cubic_drift,
+    finite_volume_solve,
+    integrate_marks,
+    integrate_marks_ensemble,
+    linear_coupling,
+    linear_self_diffusion,
+    zero_pair,
+)
+
+from test_birth_death import same_time_trajectory
+from test_spin_sde import default_coeffs, make_glauber_traj, shared_noise
+
+
+def reference_edges(traj, radius):
+    """Directed in-radius pairs over the phantom, one point at a time."""
+    ids = traj.phantom_ids()
+    index_of = {pid: k for k, pid in enumerate(ids)}
+    phantom = Configuration(traj.window, dict(traj.phantom_positions),
+                            cell_size=cell_size_above(radius))
+    src, dst, dist = [], [], []
+    for pid in ids:
+        for qid, d in phantom.neighbors_within(pid, radius):
+            src.append(index_of[pid])
+            dst.append(index_of[qid])
+            dist.append(d)
+    return (ids, np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp),
+            np.asarray(dist, dtype=float))
+
+
+def reference_solve(traj, coeffs, init, icfg, seed, *, initial_marks=None,
+                    frozen_box=None, noise=None, n_replicas=None):
+    ids, src, dst, dist = reference_edges(traj, coeffs.radius)
+    grid = build_time_grid(traj.horizon, icfg.dt, [ev.time for ev in traj.events])
+    n_steps = len(grid) - 1
+    n_ids = len(ids)
+
+    ensemble = n_replicas is not None
+    if noise is None and ensemble:
+        noise = np.empty((n_steps, n_ids, n_replicas))
+        for r in range(n_replicas):
+            noise[:, :, r] = _keyed_normals(rng.replica_seed(seed, r), ids, n_steps)
+    elif noise is None:
+        noise = _keyed_normals(seed, ids, n_steps)
+
+    frozen_mask = np.zeros(n_ids, dtype=bool)
+    if frozen_box is not None:
+        for k, pid in enumerate(ids):
+            if not frozen_box.contains(traj.phantom_positions[pid]):
+                frozen_mask[k] = True
+
+    z0 = _initial_vector(traj, ids, init, initial_marks)
+    shape = (n_steps + 1, n_ids) if not ensemble else (n_steps + 1, n_ids, n_replicas)
+    values = np.empty(shape)
+    values[0] = z0 if not ensemble else z0[:, None]
+    segment_starts = {ev.time for ev in traj.events}
+    tamed = icfg.scheme == "tamed"
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, present in enumerate(traj.presence_masks(grid[:-1])):
+            z = values[j]
+            values[j + 1] = z
+            if j == 0 or grid[j] in segment_starts:
+                act_mask = present & ~frozen_mask
+                act = np.flatnonzero(act_mask)
+                keep = act_mask[src] & present[dst]
+                esrc, edst, edist = src[keep], dst[keep], dist[keep]
+                if ensemble:
+                    edist = edist[:, None]
+            if act.size == 0:
+                continue
+            h = float(grid[j + 1] - grid[j])
+            drift = np.zeros_like(z)
+            diffusion = np.zeros_like(z)
+            drift[act] = coeffs.single.func(z[act])
+            if esrc.size:
+                np.add.at(drift, esrc, coeffs.pair.func(z[esrc], z[edst], edist))
+                np.add.at(diffusion, esrc, coeffs.diffusion.func(z[esrc], z[edst], edist))
+            incr = h * drift[act]
+            if tamed:
+                incr = incr / (1.0 + np.abs(incr))
+            step = incr + diffusion[act] * (math.sqrt(h) * noise[j][act])
+            new = z[act] + step
+            if not np.all(np.isfinite(new)):
+                bad = np.argwhere(~np.isfinite(new))[0]
+                pid = ids[int(act[bad[0]])]
+                t = float(grid[j + 1])
+                raise IntegrationBlowUpError(f"blow-up at (id={pid}, t={t})", id=pid, t=t)
+            values[j + 1][act] = new
+
+    return MarkPath(grid, list(ids), values)
+
+
+def assert_same_path(got: MarkPath, want: MarkPath):
+    assert got.ids == want.ids
+    assert np.array_equal(got.grid, want.grid)
+    assert got.values.shape == want.values.shape
+    # equal bit patterns: equal values and equal sign bits
+    assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+
+
+INIT = InitialMarkPolicy.constant(0.4)
+ICFG = IntegratorConfig(dt=1 / 32)
+
+
+def glauber_cases():
+    return [make_glauber_traj(seed=1), make_glauber_traj(seed=2, side=7.0, T=1.5, m=1.5),
+            make_glauber_traj(seed=3, z=3.0, rho=1.3)]
+
+
+def open_traj(seed=4):
+    window = Window(5.0, 2, "open")
+    gamma0 = poisson_configuration(window, 0.9, seed=seed)
+    kernel = GlauberBirthKernel(2.5, step_potential(0.6, 1.0))
+    return simulate(gamma0, kernel, 1.0, 1.0, seed)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("case", range(3))
+    def test_integrate_marks(self, case):
+        traj = glauber_cases()[case]
+        for coeffs in (default_coeffs(), default_coeffs(rho=1.7, J=-0.4, kappa=0.6)):
+            assert_same_path(integrate_marks(traj, coeffs, INIT, ICFG, seed=11),
+                             reference_solve(traj, coeffs, INIT, ICFG, 11))
+
+    def test_ensemble(self):
+        traj = make_glauber_traj(seed=5)
+        coeffs = default_coeffs()
+        assert_same_path(integrate_marks_ensemble(traj, coeffs, INIT, ICFG, 7, 3),
+                         reference_solve(traj, coeffs, INIT, ICFG, 7, n_replicas=3))
+
+    @pytest.mark.parametrize("factor", [1.0, 0.6, 0.3, 0.0])
+    def test_finite_volume_nested_and_degenerate_boxes(self, factor):
+        traj = make_glauber_traj(seed=6, side=6.0)
+        coeffs = default_coeffs()
+        box = traj.window.box.scaled(factor)
+        assert_same_path(finite_volume_solve(traj, coeffs, INIT, ICFG, box, 3),
+                         reference_solve(traj, coeffs, INIT, ICFG, 3, frozen_box=box))
+
+    def test_finite_volume_empty_corner_box(self):
+        traj = make_glauber_traj(seed=6, side=6.0)
+        coeffs = default_coeffs()
+        box = Box((0.0, 0.0), (0.0, 0.0))
+        assert_same_path(finite_volume_solve(traj, coeffs, INIT, ICFG, box, 3),
+                         reference_solve(traj, coeffs, INIT, ICFG, 3, frozen_box=box))
+
+    def test_explicit_noise(self):
+        traj = make_glauber_traj(seed=7)
+        coeffs = default_coeffs()
+        noise = shared_noise(traj, ICFG, 99)
+        assert_same_path(integrate_marks(traj, coeffs, INIT, ICFG, 0, noise=noise),
+                         reference_solve(traj, coeffs, INIT, ICFG, 0, noise=noise))
+        ens = np.stack([shared_noise(traj, ICFG, s) for s in (1, 2)], axis=2)
+        assert_same_path(
+            integrate_marks_ensemble(traj, coeffs, INIT, ICFG, 0, 2, noise=ens),
+            reference_solve(traj, coeffs, INIT, ICFG, 0, noise=ens, n_replicas=2))
+
+    def test_tamed_scheme(self):
+        traj = make_glauber_traj(seed=8)
+        coeffs = CoefficientSet(cubic_drift(0.5), linear_coupling(0.4),
+                                linear_self_diffusion(0.3), radius=1.2)
+        icfg = IntegratorConfig(dt=1 / 8, scheme="tamed")
+        init = InitialMarkPolicy.constant(3.0)
+        assert_same_path(integrate_marks(traj, coeffs, init, icfg, 5),
+                         reference_solve(traj, coeffs, init, icfg, 5))
+
+    def test_restricted_horizon(self):
+        traj = make_glauber_traj(seed=9, T=1.0).restrict(0.5)
+        coeffs = default_coeffs()
+        assert_same_path(integrate_marks(traj, coeffs, INIT, ICFG, 4),
+                         reference_solve(traj, coeffs, INIT, ICFG, 4))
+
+    def test_open_boundary(self):
+        traj = open_traj()
+        coeffs = CoefficientSet(cubic_drift(0.2), zero_pair(), constant_diffusion(0.3),
+                                radius=1.0)
+        marks = {pid: 0.1 * pid - 0.5 for pid in traj.gamma0.ids()}
+        assert_same_path(integrate_marks(traj, coeffs, INIT, ICFG, 2, initial_marks=marks),
+                         reference_solve(traj, coeffs, INIT, ICFG, 2, initial_marks=marks))
+
+    def test_same_time_trajectory(self):
+        traj = same_time_trajectory()
+        coeffs = default_coeffs(rho=2.5)
+        icfg = IntegratorConfig(dt=0.125)
+        assert_same_path(integrate_marks(traj, coeffs, INIT, icfg, 1),
+                         reference_solve(traj, coeffs, INIT, icfg, 1))
+        box = Box((0.0, 0.0), (2.5, 4.0))
+        assert_same_path(finite_volume_solve(traj, coeffs, INIT, icfg, box, 1),
+                         reference_solve(traj, coeffs, INIT, icfg, 1, frozen_box=box))
+
+    def test_blow_up_witness(self):
+        traj = make_glauber_traj(seed=1)
+        coeffs = CoefficientSet(cubic_drift(0.0), zero_pair(), constant_diffusion(0.1),
+                                radius=1.0)
+        init = InitialMarkPolicy.constant(40.0)
+        icfg = IntegratorConfig(dt=0.25)
+        with pytest.raises(IntegrationBlowUpError) as got:
+            integrate_marks(traj, coeffs, init, icfg, 0)
+        with pytest.raises(IntegrationBlowUpError) as want:
+            reference_solve(traj, coeffs, init, icfg, 0)
+        assert got.value.witness == want.value.witness
+
+
+class TestNoiseContract:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_explicit_keyed_normals_equal_keyed_solve(self, seed):
+        traj = make_glauber_traj(seed=seed)
+        coeffs = default_coeffs()
+        grid = build_time_grid(traj.horizon, ICFG.dt, [ev.time for ev in traj.events])
+        noise = _keyed_normals(21, traj.phantom_ids(), len(grid) - 1)
+        assert_same_path(integrate_marks(traj, coeffs, INIT, ICFG, 21, noise=noise),
+                         integrate_marks(traj, coeffs, INIT, ICFG, 21))
