@@ -7,10 +7,12 @@ matrices that vanish beyond the coupling radius and grow at most like
 C * n_x^k map a stronger space into a weaker one with an explicit constant L,
 and iterating that map yields the series constant K_T that bounds integral
 inequalities across the scale.  These two constants are what the Gronwall and
-moment-growth checks are verified against.
+moment-growth checks are verified against.  The Gronwall check solves its
+extremal equation, e^{TC}b, exactly by a truncated Taylor series on the pairs.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -91,16 +93,20 @@ class OvsjannikovMatrix:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (n, n):
             raise ValueError(f"matrix shape {matrix.shape} does not match {n} points")
-        counts = np.array([config.neighbor_count(config.position_of(pid), radius)
-                           for pid in ids], dtype=float)
-        for i, pid in enumerate(ids):
-            allowed = {qid for qid, _ in config.ids_within(config.position_of(pid), radius)}
-            for j, qid in enumerate(ids):
-                if matrix[i, j] != 0.0 and qid not in allowed:
-                    raise ValueError(f"entry ({pid}, {qid}) violates the locality radius")
-            cap = growth_c * counts[i] ** growth_k
-            if np.any(np.abs(matrix[i]) > cap * (1 + 1e-12)):
-                raise ValueError(f"row {pid} exceeds the declared magnitude bound")
+        src, dst, counts = _neighborhoods(config, radius)
+        outside = matrix != 0.0
+        outside[src, dst] = False
+        np.fill_diagonal(outside, False)
+        # float_power rounds as C's pow does; the vectorised ** may differ in the last bit
+        caps = growth_c * np.float_power(counts, growth_k)
+        over = np.abs(matrix) > (caps * (1 + 1e-12))[:, None]
+        bad_rows = np.flatnonzero(outside.any(axis=1) | over.any(axis=1))
+        if len(bad_rows):
+            i = bad_rows[0]
+            if outside[i].any():
+                qid = ids[int(np.argmax(outside[i]))]
+                raise ValueError(f"entry ({ids[i]}, {qid}) violates the locality radius")
+            raise ValueError(f"row {ids[i]} exceeds the declared magnitude bound")
         self.config = config
         self.ids = ids
         self.matrix = matrix
@@ -115,17 +121,16 @@ class OvsjannikovMatrix:
     @classmethod
     def random(cls, config: Configuration, radius: float, growth_c: float,
                growth_k: float, seed: int) -> "OvsjannikovMatrix":
-        """Entries uniform in [-C n_x^k, C n_x^k] on in-radius pairs (diagonal included)."""
-        ids = config.ids()
-        n = len(ids)
-        index_of = {pid: i for i, pid in enumerate(ids)}
+        """Entries uniform in [-C n_x^k, C n_x^k] on in-radius pairs (diagonal
+        included), drawn row by row in ascending id order."""
+        src, dst, counts = _neighborhoods(config, radius)
+        closed = np.eye(len(config), dtype=bool)
+        closed[src, dst] = True
+        rows, cols = np.nonzero(closed)  # row-major: by row, then column
         gen = rng.keyed_generator(seed, rng.SAMPLING)
-        matrix = np.zeros((n, n))
-        for i, pid in enumerate(ids):
-            hits = config.ids_within(config.position_of(pid), radius)
-            cap = growth_c * len(hits) ** growth_k
-            for qid, _ in hits:
-                matrix[i, index_of[qid]] = cap * (2.0 * gen.random() - 1.0)
+        matrix = np.zeros(closed.shape)
+        caps = growth_c * np.float_power(counts[rows], growth_k)
+        matrix[rows, cols] = caps * (2.0 * gen.random(len(rows)) - 1.0)
         return cls(config, matrix, radius, growth_c, growth_k)
 
 
@@ -151,15 +156,17 @@ def ovsjannikov_bound_constant(config: Configuration, growth_c: float, growth_k:
     where R is any radius beyond which n_x <= |x|^{q/(2k)}; when omitted, the
     smallest such R is found by scanning the finite configuration.
     """
-    counts = _neighbor_counts(config, radius)
+    _, _, counts = _neighborhoods(config, radius)
     r_cut, n_0r = _cut_radius(config, counts, growth_k, q, alpha_star, alpha_sup, r_cut)
     return LBound(_bound_value(growth_c, q, radius, n_0r, alpha_star, alpha_sup), r_cut)
 
 
-def _neighbor_counts(config: Configuration, radius: float) -> np.ndarray:
-    """Closed in-radius count n_x of every point (ascending id order)."""
-    src, _, _ = neighbor_pairs(config.window, config.positions_array(), radius)
-    return (np.bincount(src, minlength=len(config)) + 1).astype(float)
+def _neighborhoods(config: Configuration,
+                   radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directed in-radius pairs ``(src, dst)`` of distinct points and the
+    closed in-radius count n_x of every point (ascending id order)."""
+    src, dst, _ = neighbor_pairs(config.window, config.positions_array(), radius)
+    return src, dst, (np.bincount(src, minlength=len(config)) + 1).astype(float)
 
 
 def _cut_radius(config: Configuration, counts: np.ndarray, growth_k: float, q: float,
@@ -311,7 +318,7 @@ def gronwall_series_constant(alpha: float, beta: float, q: float, bound_l: float
 
 @dataclass
 class GronwallReport:
-    """Outcome of the inequality check against the Picard-extremal solution."""
+    """Outcome of the inequality check against the exact extremal solution."""
 
     passed: bool
     bound_value: float
@@ -329,108 +336,94 @@ class GronwallReport:
         return json.dumps(self.to_json_obj())
 
 
-def _picard_extremal(coupling: np.ndarray, b_vec: np.ndarray, grid: np.ndarray,
-                     tol: float, max_iter: int = 1000) -> tuple[np.ndarray, int]:
-    """Fixed point of rho(t) = b + coupling @ int_0^t rho(s) ds (trapezoid)."""
-    n_pts, n_grid = len(b_vec), len(grid)
-    rho = np.tile(b_vec[:, None], (1, n_grid))
-    h = np.diff(grid)
-    for it in range(max_iter):
-        integrals = np.zeros_like(rho)
-        avg = 0.5 * (rho[:, 1:] + rho[:, :-1]) * h
-        integrals[:, 1:] = np.cumsum(avg, axis=1)
-        new = b_vec[:, None] + coupling @ integrals
-        delta = float(np.max(np.abs(new - rho)))
-        rho = new
-        if delta < tol:
-            return rho, it + 1
-    raise RuntimeError(f"Picard iteration did not converge within {max_iter} sweeps")
+def _extremal_solution(row: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                       b_vec: np.ndarray, horizon: float) -> tuple[np.ndarray, int, int]:
+    """rho(H) = e^{HC} b, C_xy = row_x on the closed in-radius pairs (y = x and
+    each ``(src, dst)``), row and b >= 0, by the truncated Taylor series of the
+    exponential's action (Al-Mohy & Higham, SIAM J. Sci. Comput. 2011).
+
+    s = ceil(H ||C||_inf) equal steps give h ||C||_inf <= 1.  All entries are
+    nonnegative, so the terms left out after term j sum to at most term j / j.
+    A step stops once its newest term's max is at most machine epsilon times
+    its partial sum's max.  The partial sums are the Picard iterates of
+    rho = v + hC int rho, integrated exactly.  Returns rho(H), s and the most
+    terms (Picard sweeps) of one step.
+    """
+    n = len(b_vec)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        return row * (v + np.bincount(src, weights=v[dst], minlength=n))
+
+    # C >= 0, so its row sums C 1 give ||C||_inf
+    steps = max(1, math.ceil(horizon * float(np.max(apply(np.ones(n))))))
+    h = horizon / steps
+    rho = b_vec
+    sweeps = 0
+    for _ in range(steps):
+        term = rho
+        for j in itertools.count(1):
+            term = h * apply(term) / j
+            rho = rho + term
+            # written so that a NaN (from overflow) also ends the series
+            if not term.max() > sys.float_info.epsilon * rho.max():
+                break
+        sweeps = max(sweeps, j)
+    return rho, steps, sweeps
 
 
 def check_gronwall_inequality(config: Configuration, coupling_b: float, growth_k: float,
-                              b_vec: Mapping[int, float] | np.ndarray, horizon: float,
+                              b_vec: np.ndarray, horizon: float,
                               alpha: float, beta: float, q: float, radius: float, *,
                               alpha_star: float | None = None,
-                              alpha_sup: float | None = None,
-                              grid_points: int = 256, picard_tol: float = 1e-10,
-                              agreement_tol: float = 1e-6,
-                              series_tol: float = 1e-12) -> GronwallReport:
-    """Construct the extremal solution of the integral inequality
+                              alpha_sup: float | None = None) -> GronwallReport:
+    """Solve the extremal equation of the integral inequality
 
         rho_x(t) = B n_x^k sum_{|y-x| <= radius} int_0^t rho_y(s) ds + b_x
 
-    by Picard iteration on a doubling trapezoid grid, then assert
+    exactly, rho(t) = e^{tC} b (``_extremal_solution``), then assert
 
         sum_x e^{-beta|x|} sup_t rho_x(t) <= K_T(alpha, beta) sum_x e^{-alpha|x|} b_x
 
     with K_T built from the operator constant of the coupling matrix.
-    The y-sum runs over the closed neighborhood (y = x included).
+    The y-sum runs over the closed neighborhood (y = x included).  C and b
+    are nonnegative, so rho does not decrease and sup_t rho = rho(T).
+    ``grid_info`` gives the solve's step count plus one (``points``) and the
+    most Picard sweeps of one step (``picard_iterations``).
     """
     if beta <= alpha:
         raise ValueError("beta must exceed alpha")
-    ids = config.ids()
-    if not ids:
+    if not coupling_b >= 0:
+        raise ValueError("coupling_b must be nonnegative")
+    if len(config) == 0:
         raise ValueError("empty configuration")
-    if isinstance(b_vec, Mapping):
-        b_arr = np.array([b_vec[pid] for pid in ids], dtype=float)
-    else:
-        b_arr = np.asarray(b_vec, dtype=float)
-    if b_arr.shape != (len(ids),) or np.any(b_arr < 0):
+    b_arr = np.asarray(b_vec, dtype=float)
+    if b_arr.shape != (len(config),) or not np.all(b_arr >= 0):
         raise ValueError("b_vec must be nonnegative and match the configuration")
-
-    index_of = {pid: i for i, pid in enumerate(ids)}
-    n = len(ids)
-    coupling = np.zeros((n, n))
-    counts = np.zeros(n)
-    for i, pid in enumerate(ids):
-        hits = config.ids_within(config.position_of(pid), radius)
-        counts[i] = len(hits)
-        row_val = coupling_b * len(hits) ** growth_k
-        for qid, _ in hits:
-            coupling[i, index_of[qid]] = row_val
-
-    n_grid = max(grid_points, 2)
-    grid = np.linspace(0.0, horizon, n_grid)
-    rho, iters = _picard_extremal(coupling, b_arr, grid, picard_tol)
-    refinements = 0
-    while True:
-        finer = np.linspace(0.0, horizon, 2 * (len(grid) - 1) + 1)
-        rho_fine, iters = _picard_extremal(coupling, b_arr, finer, picard_tol)
-        # relative agreement: the extremal solution grows exponentially, so an
-        # absolute tolerance would be unreachable in double precision
-        scale = max(1.0, float(np.max(np.abs(rho_fine))))
-        disagreement = float(np.max(np.abs(rho_fine[:, ::2] - rho))) / scale
-        grid, rho = finer, rho_fine
-        refinements += 1
-        if disagreement < agreement_tol:
-            break
-        if refinements > 8:
-            raise RuntimeError("grid refinement did not reach the agreement tolerance")
 
     alpha_star = alpha if alpha_star is None else alpha_star
     alpha_sup = beta if alpha_sup is None else alpha_sup
-    l_bound = ovsjannikov_bound_constant(config, coupling_b, growth_k, q, radius,
-                                         alpha_star, alpha_sup)
-    k_t = gronwall_series_constant(alpha, beta, q, l_bound.value, horizon, series_tol)
+    src, dst, counts = _neighborhoods(config, radius)
+    r_cut, n_0r = _cut_radius(config, counts, growth_k, q, alpha_star, alpha_sup, None)
+    l_value = _bound_value(coupling_b, q, radius, n_0r, alpha_star, alpha_sup)
+    k_t = gronwall_series_constant(alpha, beta, q, l_value, horizon)
+    rho, steps, sweeps = _extremal_solution(coupling_b * counts**growth_k, src, dst,
+                                            b_arr, horizon)
 
     radii = config.radial_norms()
-    measured = float(np.sum(np.exp(-beta * radii) * rho.max(axis=1)))
+    measured = float(np.sum(np.exp(-beta * radii) * rho))
     bound = k_t.value * float(np.sum(np.exp(-alpha * radii) * b_arr))
-    slack = bound - measured
     return GronwallReport(
         passed=measured <= bound * (1 + 1e-9),
         bound_value=bound,
         measured_value=measured,
-        slack=slack,
+        slack=bound - measured,
         constants_used={
             "B": coupling_b, "k": growth_k, "q": q, "radius": radius,
             "alpha": alpha, "beta": beta, "alpha_star": alpha_star,
-            "alpha_sup": alpha_sup, "L": l_bound.value, "r_cut": l_bound.r_cut,
+            "alpha_sup": alpha_sup, "L": l_value, "r_cut": r_cut,
             "K_T": k_t.value, "K_T_tail_bound": k_t.tail_bound,
         },
-        grid_info={"points": len(grid), "refinements": refinements,
-                   "picard_iterations": iters, "picard_tol": picard_tol,
-                   "agreement_tol": agreement_tol},
+        grid_info={"points": steps + 1, "picard_iterations": sweeps},
     )
 
 
@@ -518,7 +511,7 @@ def check_moment_growth(paths: Sequence[MarkPath], traj, coeffs: CoefficientSet,
 
     # the counts and the cut radius do not depend on the prefactor c, so the
     # bisection below evaluates only L(c) and K_T afresh
-    counts = _neighbor_counts(phantom, coeffs.radius)
+    _, _, counts = _neighborhoods(phantom, coeffs.radius)
     c2_norm = float(np.sum(w_alpha * (c2 * counts**2) ** p) ** (1.0 / p))
     base = init_moment + c2_norm
     _, n_0r = _cut_radius(phantom, counts, 2.0, params.q, params.alpha_star,

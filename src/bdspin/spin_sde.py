@@ -698,6 +698,16 @@ class CutoffStudyReport:
         }
 
 
+def _spearman(x, y) -> float:
+    """Spearman rank correlation: Pearson's r of the average ranks (tied
+    values share the mean of their ranks).  Quadratic in the length."""
+    def ranks(v):
+        v = np.asarray(v, dtype=float)
+        return ((v[:, None] > v).sum(axis=1) + (v[:, None] >= v).sum(axis=1) + 1) / 2.0
+
+    return float(np.corrcoef(np.column_stack((ranks(x), ranks(y))), rowvar=False)[1, 0])
+
+
 def cutoff_convergence_study(traj: Trajectory, coeffs: CoefficientSet,
                              init: InitialMarkPolicy, icfg: IntegratorConfig,
                              boxes: Sequence[Box], alpha: float, beta: float,
@@ -722,12 +732,7 @@ def cutoff_convergence_study(traj: Trajectory, coeffs: CoefficientSet,
             norms = diff @ weights  # per grid time: sum_x e^{-beta|x|} |diff|^p
             per_box_means[i] = norms if per_box_means[i] is None else per_box_means[i] + norms
     estimates = [float(np.max(acc / len(seeds))) for acc in per_box_means]
-    if len(set(estimates)) > 1:
-        from scipy import stats  # imported here: it is slow to load and used only here
-
-        rho = float(stats.spearmanr(np.arange(len(boxes)), estimates).statistic)
-    else:
-        rho = 0.0
+    rho = _spearman(np.arange(len(boxes)), estimates) if len(set(estimates)) > 1 else 0.0
     nonincr = all(a >= b - 1e-15 for a, b in zip(estimates, estimates[1:]))
     return CutoffStudyReport(list(boxes), estimates, rho, nonincr)
 

@@ -33,7 +33,7 @@ from bdspin.scales import (
     gronwall_series_constant,
     ovsjannikov_bound_constant,
     weighted_lp_norm_from_radii,
-    _picard_extremal,
+    _extremal_solution,
 )
 from bdspin.spin_sde import (
     CoefficientSet,
@@ -57,6 +57,7 @@ from bdspin.spin_sde import (
     zero_drift,
     zero_pair,
 )
+from test_scales import dense_coupling, expm_measurement, picard_extremal, picard_measurement
 
 
 @contextmanager
@@ -212,13 +213,20 @@ def test_criterion_08_cutoff_convergence():
 
 
 def test_criterion_09a_gronwall_single_point_closed_form():
-    with criterion("criterion 9a: Picard matches b e^{Bt} within 1e-6"):
+    with criterion("criterion 9a: extremal solve and Picard match b e^{Bt} within 1e-6"):
         coupling_b, b0, horizon = 1.3, 0.8, 1.0
         grid = np.linspace(0.0, horizon, 2049)
-        rho, _ = _picard_extremal(np.array([[coupling_b]]), np.array([b0]), grid,
-                                  tol=1e-12)
         closed = b0 * np.exp(coupling_b * grid)
+        rho, _ = picard_extremal(np.array([[coupling_b]]), np.array([b0]), grid,
+                                 tol=1e-12)
         assert float(np.max(np.abs(rho[0] - closed))) < 1e-6
+        no_pairs = np.zeros(0, dtype=np.intp)
+        exact = np.array([
+            _extremal_solution(np.array([coupling_b]), no_pairs, no_pairs,
+                               np.array([b0]), t)[0][0]
+            for t in grid
+        ])
+        assert float(np.max(np.abs(exact - closed))) < 1e-6
 
 
 def test_criterion_09b_gronwall_random_instances():
@@ -233,6 +241,13 @@ def test_criterion_09b_gronwall_random_instances():
                 alpha=0.1, beta=0.6, q=0.5, radius=1.0)
             assert report.passed, (seed, report.to_json_obj())
             assert math.isfinite(report.bound_value), seed
+            # the exact solve against two independent oracles on the dense coupling
+            coupling = dense_coupling(config, 0.2, 1.0, 1.0)
+            got = report.measured_value
+            picard = picard_measurement(config, coupling, b_vec, 0.5, 0.6)
+            assert abs(got - picard) <= 1e-6 * picard, seed
+            expm = expm_measurement(config, coupling, b_vec, 0.5, 0.6)
+            assert abs(got - expm) <= 1e-12 * expm, seed
 
 
 def test_criterion_09c_series_constant_oracle():

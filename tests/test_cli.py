@@ -162,14 +162,24 @@ class TestFailureContract:
         assert code == 3
         assert single_witness_line(capsys.readouterr().err)["error"] == "BoundViolationError"
 
-    def test_cli_import_does_not_load_scipy(self):
+    def test_cli_import_does_not_load_scipy(self, tmp_path):
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        probe = ("import sys, bdspin.cli; "
-                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        scipy_modules = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+        probe = f"import sys, bdspin.cli; print({scipy_modules})"
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "[]"
+        # the cutoff suite's rank correlation needs no scipy either
+        cfg, out = write_config(tmp_path), tmp_path / "rep"
+        probe = ("import sys; from bdspin.cli import main; "
+                 f"code = main(['verify', '--config', {str(cfg)!r}, '--out', {str(out)!r}, "
+                 f"'--suite', 'cutoff']); print(code, {scipy_modules})")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip().splitlines()[-1] == "0 []"
+        report = json.loads((out / "cutoff_report.json").read_text())
+        assert len(set(report["estimates"])) > 1  # the correlation was computed
 
 
 class TestVerify:

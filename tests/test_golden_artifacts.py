@@ -2,9 +2,8 @@
 
 Each config below is run through the CLI and the SHA-256 of every artifact
 is compared against a recorded value.  A mismatch means the event log, the
-mark path, the snapshots, the manifest, the plot data or the cadlag suite's
-report changed; that is
-only acceptable together with a deliberate schema bump, in which case the
+mark path, the snapshots, the manifest, the plot data or a verify suite's
+report changed; that is only acceptable together with a deliberate schema bump, in which case the
 hashes are re-recorded by running this module's ``_record`` helper:
 
     PYTHONPATH=src python -c "import tests.test_golden_artifacts as g; g._record()"
@@ -106,12 +105,36 @@ GOLDEN = {
         "marks_mid.csv": "f023085f7501211d591f7e2801b2b9435c44b42a4aca9aaae11294e990f72b40",
         "marks_mid_aggregate.csv": "55f48fbc4a64562e49beef9222710bfe88fce7b3b0fc17aeed5276205c6d5878",
     },
-    # ``bdspin verify --suite cadlag`` on the two run configs
-    "cadlag": {
-        "readme": "84a0e99e23ca28860ac83a5641c37d0be4cc8eadfa526cb7721b4a7a53f0039d",
-        "open": "b933658de5108a856c276b092b2a45f897c9e88a35dd03ccd34709166ae12854",
+    # ``bdspin verify --suite <suite>`` on the two run configs
+    "reports": {
+        "domination": {
+            "readme": "361fc484610cb79a1993dc8269697da4a08d034c6b53d124135ba3b1dd10302e",
+            "open": "361fc484610cb79a1993dc8269697da4a08d034c6b53d124135ba3b1dd10302e",
+        },
+        "gronwall": {
+            "readme": "834e190b0c4560f644b378ce44584c9ce0ecd85ee424a02bda82599081758b26",
+            "open": "d283a9c5db6a10dadac483000644690ee647dff5442b6d91e4639ee3045ca4fd",
+        },
+        "cutoff": {
+            "readme": "78814ef8b169f90ca38d4fe6087ea3561f08511712bc2d3e7bfcf5522bbd8790",
+            "open": "0bc3399a0508f421c457b4f1f6b9256874f88d7dcbde4d85e0214d7b6440408f",
+        },
+        "moments": {
+            "readme": "2acc41c5ebea7d1e2b50cf1245c0a4d345a069f46e0318ea237295a0e4f6601f",
+            "open": "70d259104952e2aaa21a9cf1dd4d54cfd23426c2b8324b5e802c39919f400e5b",
+        },
+        "cadlag": {
+            "readme": "84a0e99e23ca28860ac83a5641c37d0be4cc8eadfa526cb7721b4a7a53f0039d",
+            "open": "b933658de5108a856c276b092b2a45f897c9e88a35dd03ccd34709166ae12854",
+        },
+        "bounds": {
+            "readme": "dd986b61375fa6cec9a6ed355d06225924b31c33156126b671017c7f39e648dc",
+            "open": "bdb88a9a00c64c00c0c5e017509a742471da5dbf7cc48bbe93a88934c4250564",
+        },
     },
 }
+
+RUN_CONFIGS = [("readme", README_CONFIG), ("open", OPEN_CONFIG)]
 
 
 def _sha256(path: Path) -> str:
@@ -148,11 +171,11 @@ def _plot_hashes(tmp: Path) -> dict[str, str]:
     return {p.name: _sha256(p) for p in sorted(plots.iterdir())}
 
 
-def _cadlag_hash(tmp: Path, name: str, config: dict) -> str:
-    out = tmp / f"{name}_verify"
+def _report_hash(tmp: Path, name: str, config: dict, suite: str) -> str:
+    out = tmp / f"{name}_{suite}"
     assert main(["verify", "--config", str(_write_config(tmp, name, config)),
-                 "--suite", "cadlag", "--out", str(out)]) == 0
-    return _sha256(out / "cadlag_report.json")
+                 "--suite", suite, "--out", str(out)]) == 0
+    return _sha256(out / f"{suite}_report.json")
 
 
 def _record() -> None:
@@ -163,13 +186,14 @@ def _record() -> None:
             "readme": _run_hashes(tmp, "readme", README_CONFIG),
             "open": _run_hashes(tmp, "open", OPEN_CONFIG),
             "plot": _plot_hashes(tmp),
-            "cadlag": {name: _cadlag_hash(tmp, name, config)
-                       for name, config in (("readme", README_CONFIG), ("open", OPEN_CONFIG))},
+            "reports": {suite: {name: _report_hash(tmp, name, config, suite)
+                                for name, config in RUN_CONFIGS}
+                        for suite in GOLDEN["reports"]},
         }
     print(json.dumps(current, indent=4))
 
 
-@pytest.mark.parametrize("name,config", [("readme", README_CONFIG), ("open", OPEN_CONFIG)])
+@pytest.mark.parametrize("name,config", RUN_CONFIGS)
 def test_run_artifacts_match_golden_hashes(tmp_path, name, config):
     assert _run_hashes(tmp_path, name, config) == GOLDEN[name]
 
@@ -178,6 +202,12 @@ def test_plot_data_matches_golden_hashes(tmp_path):
     assert _plot_hashes(tmp_path) == GOLDEN["plot"]
 
 
-@pytest.mark.parametrize("name,config", [("readme", README_CONFIG), ("open", OPEN_CONFIG)])
+@pytest.mark.parametrize("name,config", RUN_CONFIGS)
 def test_cadlag_report_matches_golden_hash(tmp_path, name, config):
-    assert _cadlag_hash(tmp_path, name, config) == GOLDEN["cadlag"][name]
+    assert _report_hash(tmp_path, name, config, "cadlag") == GOLDEN["reports"]["cadlag"][name]
+
+
+@pytest.mark.parametrize("suite", [s for s in GOLDEN["reports"] if s != "cadlag"])
+@pytest.mark.parametrize("name,config", RUN_CONFIGS)
+def test_suite_report_matches_golden_hash(tmp_path, name, config, suite):
+    assert _report_hash(tmp_path, name, config, suite) == GOLDEN["reports"][suite][name]

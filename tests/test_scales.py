@@ -146,6 +146,57 @@ class TestOperatorBound:
         with pytest.raises(ValueError, match="locality"):
             OvsjannikovMatrix(config, dense, radius=0.5, growth_c=100.0, growth_k=1.0)
 
+    @pytest.mark.parametrize("boundary,radius,growth_k", [
+        ("periodic", 1.0, 1.5), ("open", 0.7, 1.0), ("periodic", 1.3, 2.5)])
+    def test_random_and_validation_match_per_point_reference(self, boundary, radius,
+                                                              growth_k):
+        for seed in range(4):
+            config = poisson_configuration(Window(6.0, 2, boundary), 1.2, seed=seed)
+            got = OvsjannikovMatrix.random(config, radius, 0.8, growth_k, seed)
+            want = reference_random_matrix(config, radius, 0.8, growth_k, seed)
+            assert got.matrix.tobytes() == want.tobytes()
+            gen = np.random.default_rng(seed)
+            for _ in range(20):
+                bad = want.copy()
+                i, j = gen.integers(0, len(config), 2)
+                bad[i, j] = gen.choice([1.0, 2.0 * bad[i, j], 100.0])
+                expected = reference_validation_error(config, bad, radius, 0.8, growth_k)
+                try:
+                    OvsjannikovMatrix(config, bad, radius, 0.8, growth_k)
+                    message = None
+                except ValueError as err:
+                    message = str(err)
+                assert message == expected
+
+
+def reference_random_matrix(config, radius, growth_c, growth_k, seed):
+    """``OvsjannikovMatrix.random`` drawn point by point from ``ids_within``."""
+    ids = config.ids()
+    index_of = {pid: i for i, pid in enumerate(ids)}
+    gen = rng.keyed_generator(seed, rng.SAMPLING)
+    matrix = np.zeros((len(ids), len(ids)))
+    for i, pid in enumerate(ids):
+        hits = config.ids_within(config.position_of(pid), radius)
+        cap = growth_c * len(hits) ** growth_k
+        for qid, _ in hits:
+            matrix[i, index_of[qid]] = cap * (2.0 * gen.random() - 1.0)
+    return matrix
+
+
+def reference_validation_error(config, matrix, radius, growth_c, growth_k):
+    """First error the point-by-point locality and magnitude checks raise."""
+    ids = config.ids()
+    for i, pid in enumerate(ids):
+        hits = config.ids_within(config.position_of(pid), radius)
+        allowed = {qid for qid, _ in hits}
+        for j, qid in enumerate(ids):
+            if matrix[i, j] != 0.0 and qid not in allowed:
+                return f"entry ({pid}, {qid}) violates the locality radius"
+        cap = growth_c * np.float64(len(hits)) ** growth_k
+        if np.any(np.abs(matrix[i]) > cap * (1 + 1e-12)):
+            return f"row {pid} exceeds the declared magnitude bound"
+    return None
+
 
 class TestSeriesConstant:
     def test_trivial_cases(self):
@@ -209,6 +260,62 @@ class TestSeriesConstant:
         assert math.isinf(got.value)
 
 
+def dense_coupling(config, coupling_b, growth_k, radius):
+    """C_xy = B n_x^k on the closed in-radius pairs, built point by point."""
+    ids = config.ids()
+    index_of = {pid: i for i, pid in enumerate(ids)}
+    coupling = np.zeros((len(ids), len(ids)))
+    for i, pid in enumerate(ids):
+        hits = config.ids_within(config.position_of(pid), radius)
+        for qid, _ in hits:
+            coupling[i, index_of[qid]] = coupling_b * len(hits) ** growth_k
+    return coupling
+
+
+def picard_extremal(coupling, b_vec, grid, tol, max_iter=1000):
+    """Fixed point of rho(t) = b + coupling @ int_0^t rho(s) ds (trapezoid)."""
+    n_grid = len(grid)
+    rho = np.tile(b_vec[:, None], (1, n_grid))
+    h = np.diff(grid)
+    for it in range(max_iter):
+        integrals = np.zeros_like(rho)
+        avg = 0.5 * (rho[:, 1:] + rho[:, :-1]) * h
+        integrals[:, 1:] = np.cumsum(avg, axis=1)
+        new = b_vec[:, None] + coupling @ integrals
+        delta = float(np.max(np.abs(new - rho)))
+        rho = new
+        if delta < tol:
+            return rho, it + 1
+    raise RuntimeError(f"Picard iteration did not converge within {max_iter} sweeps")
+
+
+def picard_measurement(config, coupling, b_vec, horizon, beta, grid_points=256,
+                       picard_tol=1e-10, agreement_tol=1e-6):
+    """sum_x e^{-beta|x|} sup_t rho_x(t) from Picard fixed points on a
+    trapezoid grid that doubles until two grids agree (relative to max rho)."""
+    grid = np.linspace(0.0, horizon, grid_points)
+    rho, _ = picard_extremal(coupling, b_vec, grid, picard_tol)
+    for _ in range(9):
+        finer = np.linspace(0.0, horizon, 2 * (len(grid) - 1) + 1)
+        rho_fine, _ = picard_extremal(coupling, b_vec, finer, picard_tol)
+        scale = max(1.0, float(np.max(np.abs(rho_fine))))
+        disagreement = float(np.max(np.abs(rho_fine[:, ::2] - rho))) / scale
+        grid, rho = finer, rho_fine
+        if disagreement < agreement_tol:
+            radii = config.radial_norms()
+            return float(np.sum(np.exp(-beta * radii) * rho.max(axis=1)))
+    raise RuntimeError("grid refinement did not reach the agreement tolerance")
+
+
+def expm_measurement(config, coupling, b_vec, horizon, beta):
+    """sum_x e^{-beta|x|} (e^{HC} b)_x from scipy's sparse expm action."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import expm_multiply
+
+    rho = expm_multiply(horizon * csr_matrix(coupling), b_vec)
+    return float(np.sum(np.exp(-beta * config.radial_norms()) * rho))
+
+
 class TestGronwallInequality:
     def test_zero_coupling_reduces_to_monotonicity(self):
         window = Window(6.0, 2, "open")
@@ -243,6 +350,63 @@ class TestGronwallInequality:
         assert report.passed
         assert math.isfinite(report.bound_value)
         assert report.slack >= 0
+
+    @pytest.mark.parametrize("boundary,coupling_b,growth_k,horizon", [
+        ("periodic", 0.2, 1.0, 0.5),
+        ("periodic", 0.05, 2.0, 1.0),
+        ("open", 0.5, 1.5, 2.0),
+    ])
+    def test_matches_picard_and_expm_oracles(self, boundary, coupling_b, growth_k, horizon):
+        config = poisson_configuration(Window(5.0, 2, boundary), 1.2, seed=9)
+        b = np.abs(rng.keyed_generator(9, rng.SAMPLING).standard_normal(len(config)))
+        report = check_gronwall_inequality(config, coupling_b, growth_k, b, horizon,
+                                           0.1, 0.6, 0.5, 1.0)
+        coupling = dense_coupling(config, coupling_b, growth_k, 1.0)
+        got = report.measured_value
+        assert got == pytest.approx(expm_measurement(config, coupling, b, horizon, 0.6),
+                                    rel=1e-12)
+        assert got == pytest.approx(picard_measurement(config, coupling, b, horizon, 0.6),
+                                    rel=1e-6)
+        # h ||C||_inf <= 1 on each of the report's steps
+        steps = report.grid_info["points"] - 1
+        assert horizon * np.abs(coupling).sum(axis=1).max() <= steps
+        assert horizon * np.abs(coupling).sum(axis=1).max() > steps - 1
+
+    def test_grid_info_and_zero_data(self):
+        config = poisson_configuration(Window(6.0, 2, "open"), 1.0, seed=4)
+        report = check_gronwall_inequality(config, 0.2, 1.0, np.zeros(len(config)),
+                                           0.5, 0.1, 0.6, 0.5, 1.0)
+        assert report.measured_value == 0.0
+        assert report.grid_info["picard_iterations"] == 1
+        assert set(report.grid_info) == {"points", "picard_iterations"}
+
+    def test_rejects_invalid_data(self):
+        config = poisson_configuration(Window(6.0, 2, "open"), 1.0, seed=4)
+        b = np.ones(len(config))
+        for bad in (b[1:], -b, np.where(np.arange(len(b)) == 0, np.nan, b)):
+            with pytest.raises(ValueError, match="b_vec"):
+                check_gronwall_inequality(config, 0.2, 1.0, bad, 0.5, 0.1, 0.6, 0.5, 1.0)
+        with pytest.raises(ValueError, match="coupling_b"):
+            check_gronwall_inequality(config, -0.2, 1.0, b, 0.5, 0.1, 0.6, 0.5, 1.0)
+
+    def test_pairs_built_once(self, monkeypatch):
+        config = poisson_configuration(Window(8.0, 2, "open"), 0.8, seed=2)
+        b = np.abs(rng.keyed_generator(2, rng.SAMPLING).standard_normal(len(config)))
+        calls = []
+        real = scales.neighbor_pairs
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-point neighborhood query")
+
+        monkeypatch.setattr(scales, "neighbor_pairs", counting)
+        monkeypatch.setattr(Configuration, "ids_within", forbidden)
+        report = check_gronwall_inequality(config, 0.2, 1.0, b, 0.5, 0.1, 0.6, 0.5, 1.0)
+        assert report.passed
+        assert len(calls) == 1
 
 
 def make_two_point_ou(kappa=0.5, lam=1.0, x0=2.0, T=1.0, dt=1e-3, seeds=range(64)):

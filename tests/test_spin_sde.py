@@ -1,5 +1,6 @@
 """Spin SDE integrator: assembly oracles, frozen marks, cutoffs, projections."""
 
+import itertools
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from bdspin.spin_sde import (
     zero_diffusion,
     zero_drift,
     zero_pair,
+    _spearman,
 )
 from bdspin.spin_sde import _projection_mismatch
 import dataclasses
@@ -309,6 +311,23 @@ class TestFiniteVolume:
                                        traj.window.box.scaled(f), seed=4)
             sups.append(float(np.max(np.abs(part.values[:, deep] - full.values[:, deep]))))
         assert sups[0] >= sups[1] >= sups[2]
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_spearman_bit_equal_to_scipy(self, n):
+        from scipy import stats
+
+        # every non-constant pattern of n values drawn from n levels, against
+        # the box index and, with ties on both sides, against its own reversal
+        for pattern in itertools.product(range(n), repeat=n):
+            if len(set(pattern)) == 1:
+                continue
+            y = np.array(pattern, dtype=float)
+            for x in (np.arange(n), y[::-1]):
+                if len(set(x)) == 1:
+                    continue
+                got = np.float64(_spearman(x, y)).view(np.int64)
+                want = np.float64(stats.spearmanr(x, y).statistic).view(np.int64)
+                assert got == want, (x, y)
 
     def test_scale_order_violation_rejected(self):
         traj = make_glauber_traj(seed=29)
