@@ -20,12 +20,8 @@ from .birth_death import (
 from .geometry import (
     Box,
     Configuration,
-    TemperedWeight,
     Window,
-    log_bound_constant,
     poisson_configuration,
-    tempered_pairing,
-    weighted_tail_sum,
 )
 from .marked_process import (
     MarkedTrajectory,
@@ -36,29 +32,22 @@ from .marked_process import (
     mark_sum_observable,
 )
 from .scales import (
-    OvsjannikovMatrix,
     ScaleParams,
     check_gronwall_inequality,
     check_moment_growth,
-    check_operator_bound,
     gronwall_series_constant,
-    ovsjannikov_bound_constant,
-    weighted_lp_norm,
 )
 from .spin_sde import (
     CoefficientSet,
     InitialMarkPolicy,
     IntegratorConfig,
     MarkPath,
-    assemble_diffusion,
-    assemble_drift,
     check_drift_diffusion_bounds,
     cutoff_convergence_study,
     finite_volume_solve,
     integrate_marks,
     integrate_marks_ensemble,
     projection_consistency,
-    strong_order_study,
 )
 
 __version__ = "0.1.0"

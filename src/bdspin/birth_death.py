@@ -14,7 +14,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -399,21 +399,6 @@ class Trajectory:
             cell_size=cell_size,
         )
 
-    def event_count_in(self, box: Box, t0: float, t1: float) -> int:
-        """Events with position in ``box`` and time in the closed [t0, t1]."""
-        if t1 < t0:
-            return 0
-        return sum(
-            1 for ev in self.events
-            if t0 <= ev.time <= t1 and box.contains(ev.position)
-        )
-
-    def birth_events(self) -> list[Event]:
-        return [ev for ev in self.events if ev.kind == "birth"]
-
-    def death_events(self) -> list[Event]:
-        return [ev for ev in self.events if ev.kind == "death"]
-
     def restrict(self, horizon: float) -> "Trajectory":
         """The same path observed only on [0, horizon]; ids are unchanged."""
         if not 0.0 < horizon <= self.horizon:
@@ -565,14 +550,14 @@ class DominationReport:
         }
 
 
-def verify_domination(traj: Trajectory, n_times: int = 8, n_boxes: int = 8,
-                      seed: int = 0) -> DominationReport:
+def verify_domination(traj: Trajectory) -> DominationReport:
     """Check the path against its dominating free-birth process.
 
-    For a grid of times t and random sub-boxes L: the phantom up to t
-    restricted to L never exceeds (driving candidates with s <= t in L) plus
-    the initial points in L; every born point's (s, x) must appear among the
-    candidates; and the event log must be reproducible by replay.
+    At 8 times t and in 8 boxes L (the window, then random ones): the
+    phantom up to t restricted to L never exceeds (driving candidates with
+    s <= t in L) plus the initial points in L; every born point's (s, x) must
+    appear among the candidates; and the event log must be reproducible by
+    replay.
     """
     if traj.driving is None:
         raise ValueError("trajectory did not retain its driving process")
@@ -587,12 +572,12 @@ def verify_domination(traj: Trajectory, n_times: int = 8, n_boxes: int = 8,
         if (ev.time, ev.position) not in candidate_keys:
             violations.append({"kind": "missing_candidate", "id": pid, "t": ev.time})
 
-    gen = rng.keyed_generator(seed, rng.SAMPLING)
-    times = np.linspace(0.0, traj.horizon, n_times + 1)[1:]
+    gen = rng.keyed_generator(0, rng.SAMPLING)
+    times = np.linspace(0.0, traj.horizon, 9)[1:]
     side = traj.window.side
     dim = traj.window.dim
     boxes = [traj.window.box]
-    for _ in range(n_boxes - 1):
+    for _ in range(7):
         lo = side * gen.random(dim) * 0.5
         hi = np.minimum(lo + side * (0.25 + 0.75 * gen.random(dim)) * 0.5, side)
         boxes.append(Box(tuple(float(v) for v in lo), tuple(float(v) for v in hi)))
@@ -628,48 +613,49 @@ def verify_domination(traj: Trajectory, n_times: int = 8, n_boxes: int = 8,
     return DominationReport(passed, checks, violations, replay_consistent)
 
 
-def verify_counting_identity(traj: Trajectory, n_times: int = 6, n_boxes: int = 6,
-                             seed: int = 1) -> bool:
+def verify_counting_identity(traj: Trajectory) -> bool:
     """Replay the counting identity behind the path construction.
 
-    gamma_t(L) computed from presence intervals must equal the direct count
-    over driving candidates (accepted, survival mark beyond m(t-s)) plus
-    surviving initial points.  The acceptance decisions are recomputed by a
-    fresh replay sweep, not read from the event log.
+    At 6 times t and in 6 boxes L (the window, then random ones), gamma_t(L)
+    from the presence sweep must equal the direct count over driving
+    candidates (accepted, survival mark beyond m(t-s)) plus surviving initial
+    points.  The acceptance decisions are recomputed by a fresh replay
+    sweep, not read from the event log.
     """
     if traj.driving is None:
         raise ValueError("trajectory did not retain its driving process")
     fresh = simulate(traj.gamma0, traj.kernel, traj.death_rate, traj.horizon,
                      traj.seed, keep_driving=False)
-    accepted = {}
-    for ev in fresh.events:
-        if ev.kind == "birth":
-            accepted[(ev.time, ev.position)] = ev
+    accepted = {(ev.time, ev.position) for ev in fresh.events if ev.kind == "birth"}
     m = traj.death_rate
 
-    gen = rng.keyed_generator(seed, rng.SAMPLING)
-    times = np.linspace(0.0, traj.horizon, n_times + 1)[1:]
+    gen = rng.keyed_generator(1, rng.SAMPLING)
+    times = np.linspace(0.0, traj.horizon, 7)[1:]
     side = traj.window.side
     dim = traj.window.dim
     boxes = [traj.window.box]
-    for _ in range(n_boxes - 1):
+    for _ in range(5):
         lo = side * gen.random(dim) * 0.5
         hi = np.minimum(lo + side * 0.5 * gen.random(dim), side)
         boxes.append(Box(tuple(float(v) for v in lo), tuple(float(v) for v in hi)))
 
-    for t in times:
-        cfg = traj.config_at(t)
-        for box in boxes:
-            direct = 0
-            for dp in traj.driving:
-                if (dp.s, dp.x) not in accepted:
-                    continue
-                if dp.s <= t and box.contains(dp.x) and dp.r > m * (t - dp.s):
-                    direct += 1
-            for pid, pos in traj.gamma0.items():
-                if box.contains(pos) and traj.initial_lifetimes[pid] > m * t:
-                    direct += 1
-            if direct != cfg.count_in(box):
+    born = np.array([(dp.s, dp.x) in accepted for dp in traj.driving], dtype=bool)
+    s = np.array([dp.s for dp in traj.driving])
+    r = np.array([dp.r for dp in traj.driving])
+    x = np.array([dp.x for dp in traj.driving]).reshape(-1, dim)
+    lifetimes = np.array([traj.initial_lifetimes[pid] for pid in traj.gamma0.ids()])
+    x0 = traj.gamma0.positions_array()
+    phantom = np.array([traj.phantom_positions[pid]
+                        for pid in traj.phantom_ids()]).reshape(-1, dim)
+    inside = [(box.contains_many(x), box.contains_many(x0), box.contains_many(phantom))
+              for box in boxes]
+
+    for t, present in zip(times, traj.presence_masks(times)):
+        alive = born & (s <= t) & (r > m * (t - s))
+        alive0 = lifetimes > m * t
+        for in_x, in_x0, in_phantom in inside:
+            direct = np.count_nonzero(alive & in_x) + np.count_nonzero(alive0 & in_x0)
+            if direct != np.count_nonzero(present & in_phantom):
                 return False
     return True
 
@@ -715,31 +701,3 @@ def read_event_log(path) -> tuple[dict, list[Event]]:
             events.append(Event(rec["t"], rec["kind"], rec["id"], tuple(rec["position"])))
     return header, events
 
-
-def check_rate_perturbation_bound(kernel: GlauberBirthKernel, window: Window,
-                                  bound_B: float, weight, n_samples: int,
-                                  seed: int) -> dict:
-    """Sample |b(x, gamma + y) - b(x, gamma)| <= z * B * G(x - y) for Glauber.
-
-    Valid whenever phi <= B * G pointwise; uses z(1 - e^{-phi}) <= z phi.
-    Returns a report dict with the worst observed slack.
-    """
-    gen = rng.keyed_generator(seed, rng.SAMPLING)
-    worst = -math.inf
-    violations = 0
-    for _ in range(n_samples):
-        n = int(gen.integers(0, 30))
-        pts = window.side * gen.random((n, window.dim))
-        config = Configuration.from_positions(window, pts,
-                                              cell_size=max(kernel.phi.range, 0.5))
-        x = window.side * gen.random(window.dim)
-        y = window.side * gen.random(window.dim)
-        base = kernel.evaluate(x, config)
-        config.insert(10_000, y)
-        perturbed = kernel.evaluate(x, config)
-        lhs = abs(perturbed - base)
-        rhs = kernel.z * bound_B * weight.pair(window, x, y)
-        worst = max(worst, lhs - rhs)
-        if lhs > rhs * (1 + 1e-9) + 1e-12:
-            violations += 1
-    return {"passed": violations == 0, "violations": violations, "worst_excess": worst}

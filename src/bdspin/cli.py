@@ -326,9 +326,6 @@ def _simulate_into(args, cfg: RunConfig, out: Path) -> None:
         print(f"wrote artifacts to {out}")
         return
     jobs = args.jobs or os.cpu_count() or 1
-    env_jobs = os.environ.get("SIM_THREADS")
-    if env_jobs:
-        jobs = max(1, int(env_jobs))
     dirs = [(r, str(out / f"replica_{r:04d}")) for r in range(cfg.replicas)]
     if jobs == 1:
         for r, d in dirs:
@@ -347,8 +344,8 @@ def _simulate_into(args, cfg: RunConfig, out: Path) -> None:
 # -- verify ---------------------------------------------------------------------
 
 
-def _nested_boxes(window: Window, n: int = 4) -> list[Box]:
-    fractions = np.linspace(0.3, 1.0, n)
+def _nested_boxes(window: Window) -> list[Box]:
+    fractions = np.linspace(0.3, 1.0, 4)
     return [window.box.scaled(float(f)) for f in fractions]
 
 
@@ -572,6 +569,13 @@ def cmd_emit_plotdata(args) -> int:
 # -- entry point -----------------------------------------------------------------
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bdspin",
@@ -584,8 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--replicas", type=int, default=None)
     sim.add_argument("--out", required=True)
-    sim.add_argument("--jobs", type=int, default=None,
-                     help="replica parallelism (default: cores; SIM_THREADS overrides)")
+    sim.add_argument("--jobs", type=_jobs, default=None,
+                     help="replica worker processes, at least 1 (default: cores)")
     sim.set_defaults(func=cmd_simulate)
 
     ver = sub.add_parser("verify", help="run verification suites")

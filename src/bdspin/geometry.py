@@ -1,9 +1,9 @@
 """Finite point configurations on a bounded window of R^d.
 
 Provides the simulation window (periodic torus or open box), a uniform-grid
-spatial index for radius-limited neighbor queries, and the counting and
-weighting functionals the verification suite is built on (log-regularity
-constant, tempered pairings, weighted tail sums).
+spatial index for radius-limited neighbor queries, one vectorised pass that
+finds every in-radius pair of a position array (``neighbor_pairs``), and the
+Poisson sample of an initial configuration.
 
 Configurations are mutable while a simulation sweep builds them, but queries
 never mutate; concurrent read-only use is safe once building is done.
@@ -11,10 +11,8 @@ never mutate; concurrent read-only use is safe once building is done.
 from __future__ import annotations
 
 import itertools
-import json
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -148,27 +146,6 @@ class Window:
     @classmethod
     def from_descriptor(cls, d: dict) -> "Window":
         return cls(d["side"], d["dim"], d["boundary"], tuple(d["norm_origin"]))
-
-
-@dataclass(frozen=True)
-class TemperedWeight:
-    """Integrable weight (1+r)^(-dim-epsilon), equal to 1 at r=0."""
-
-    epsilon: float
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-
-    def value(self, r) -> float | np.ndarray:
-        return (1.0 + r) ** (-(self.dim + self.epsilon))
-
-    def at(self, window: Window, x) -> float:
-        return float(self.value(window.radial_norm(x)))
-
-    def pair(self, window: Window, x, y) -> float:
-        return float(self.value(window.distance(x, y)))
 
 
 class Configuration:
@@ -356,17 +333,10 @@ class Configuration:
     def to_json_obj(self) -> list[dict]:
         return [{"id": pid, "position": [float(c) for c in pos]} for pid, pos in self.items()]
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj())
-
     @classmethod
     def from_json_obj(cls, window: Window, obj: list[dict],
                       cell_size: float | None = None) -> "Configuration":
         return cls(window, [(rec["id"], rec["position"]) for rec in obj], cell_size=cell_size)
-
-    @classmethod
-    def loads(cls, window: Window, s: str, cell_size: float | None = None) -> "Configuration":
-        return cls.from_json_obj(window, json.loads(s), cell_size=cell_size)
 
 
 def cell_size_above(radius: float) -> float:
@@ -430,50 +400,12 @@ def neighbor_pairs(window: Window, positions: np.ndarray,
     return src[order], dst[order], dist[order]
 
 
-def log_bound_constant(config: Configuration, radius: float) -> float:
-    """Smallest a with n_{x,R}(gamma) <= a * (1 + log(1 + |x|)) over the points.
-
-    |x| is the radial norm from the window anchor.  Raises on an empty
-    configuration (the bound is vacuous there).
-    """
-    if len(config) == 0:
-        raise ValueError("empty configuration")
-    best = 0.0
-    norms = config.radial_norms()
-    for (pid, pos), r in zip(config.items(), norms):
-        n = config.neighbor_count(pos, radius)
-        best = max(best, n / (1.0 + math.log1p(r)))
-    return best
-
-
-def tempered_pairing(config: Configuration, f: Callable[[np.ndarray], float]) -> float:
-    """Sum of f over the point positions (id order, deterministic)."""
-    return float(sum(f(pos) for _, pos in config.items()))
-
-
-def weighted_tail_sum(config: Configuration, alpha: float, k: int, radius: float) -> float:
-    """Sum over points of exp(-alpha |x|) * n_{x,R}(gamma)^k."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    total = 0.0
-    norms = config.radial_norms()
-    for (pid, pos), r in zip(config.items(), norms):
-        n = config.neighbor_count(pos, radius)
-        total += math.exp(-alpha * r) * n**k
-    return total
-
-
 def poisson_configuration(window: Window, intensity: float, seed: int,
-                          namespace: tuple[int, ...] = (),
                           cell_size: float | None = None) -> Configuration:
     """Homogeneous Poisson sample on the window, ids 0..n-1 in draw order."""
     from . import rng
 
-    gen = rng.keyed_generator(seed, rng.INITIAL_CONFIG, *namespace)
+    gen = rng.keyed_generator(seed, rng.INITIAL_CONFIG)
     n = gen.poisson(intensity * window.volume())
     pts = window.side * gen.random((n, window.dim))
     return Configuration.from_positions(window, pts, cell_size=cell_size)

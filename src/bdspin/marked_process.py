@@ -119,13 +119,13 @@ class CadlagReport:
 
 
 def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
-                 atol: float = 1e-9, left_points: int = 4) -> CadlagReport:
+                 atol: float = 1e-9) -> CadlagReport:
     """Check the observable path t -> <g, state_t> at every event in g's support.
 
     Right continuity: the value drift over the first grid step after the event
     is bounded by spin_lipschitz * (particles in support) * (mark modulus over
-    that step).  Left limit: pairings at grid points approaching the event
-    from below converge (non-expanding deviations) to the pairing of the
+    that step).  Left limit: pairings at up to 4 grid points approaching the
+    event from below converge (non-expanding deviations) to the pairing of the
     pre-jump configuration with the marks at the event time.  All quantities
     live on the integrator grid; ``eps_t`` caps how far right of the event the
     stability point may be taken.
@@ -179,7 +179,7 @@ def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
         # fluctuate, so the deviations themselves need not be monotone)
         e = bisect.bisect_left(event_times, t)
         seg_lo = event_times[e - 1] if e else 0.0
-        i_lo = max(0, j - left_points, int(np.searchsorted(grid, seg_lo)))
+        i_lo = max(0, j - 4, int(np.searchsorted(grid, seg_lo)))
         for ev in support_events[t]:
             checked += 1
 

@@ -1,4 +1,4 @@
-"""Weighted sequence-space norms and the quantitative growth constants.
+"""The quantitative growth constants and the Gronwall and moment checks.
 
 Marks over a configuration are measured in exponentially weighted p-norms
 ||z||_{alpha,p} = (sum_x e^{-alpha|x|} |z_x|^p)^{1/p}; larger alpha means a
@@ -9,19 +9,19 @@ and iterating that map yields the series constant K_T that bounds integral
 inequalities across the scale.  These two constants are what the Gronwall and
 moment-growth checks are verified against.  The Gronwall check solves its
 extremal equation, e^{TC}b, exactly by a truncated Taylor series on the pairs.
+The norms themselves, the interaction matrices and the sampled operator-bound
+check are test oracles; they compute L with the functions below.
 """
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import rng
 from .geometry import Configuration, neighbor_pairs
 from .spin_sde import CoefficientSet, MarkPath
 
@@ -50,115 +50,7 @@ class ScaleParams:
                 "alpha": self.alpha, "beta": self.beta, "p": self.p, "q": self.q}
 
 
-def weighted_lp_norm_from_radii(radii: np.ndarray, values: np.ndarray,
-                                alpha: float, p: float) -> float:
-    """(sum_x e^{-alpha r_x} |z_x|^p)^{1/p} for pre-computed radial norms."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if len(radii) == 0:
-        return 0.0
-    return float(np.sum(np.exp(-alpha * radii) * np.abs(values) ** p) ** (1.0 / p))
-
-
-def weighted_lp_norm(config: Configuration, marks: Mapping[int, float] | np.ndarray,
-                     alpha: float, p: float) -> float:
-    """Weighted p-norm of marks over a configuration.
-
-    ``marks`` is a mapping id -> value or an array aligned with the ascending
-    id order.  |x| is the radial norm from the window anchor.
-    """
-    ids = config.ids()
-    if isinstance(marks, Mapping):
-        values = np.array([marks[pid] for pid in ids], dtype=float)
-    else:
-        values = np.asarray(marks, dtype=float)
-        if values.shape != (len(ids),):
-            raise ValueError("marks array does not match the configuration size")
-    return weighted_lp_norm_from_radii(config.radial_norms(), values, alpha, p)
-
-
-# -- interaction matrices and the operator bound --------------------------------
-
-
-class OvsjannikovMatrix:
-    """Interaction matrix over a configuration: zero beyond ``radius`` and
-    |Q[x, y]| <= growth_c * n_x^k, with n_x the closed in-radius count."""
-
-    def __init__(self, config: Configuration, matrix: np.ndarray, radius: float,
-                 growth_c: float, growth_k: float):
-        ids = config.ids()
-        n = len(ids)
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (n, n):
-            raise ValueError(f"matrix shape {matrix.shape} does not match {n} points")
-        src, dst, counts = _neighborhoods(config, radius)
-        outside = matrix != 0.0
-        outside[src, dst] = False
-        np.fill_diagonal(outside, False)
-        # float_power rounds as C's pow does; the vectorised ** may differ in the last bit
-        caps = growth_c * np.float_power(counts, growth_k)
-        over = np.abs(matrix) > (caps * (1 + 1e-12))[:, None]
-        bad_rows = np.flatnonzero(outside.any(axis=1) | over.any(axis=1))
-        if len(bad_rows):
-            i = bad_rows[0]
-            if outside[i].any():
-                qid = ids[int(np.argmax(outside[i]))]
-                raise ValueError(f"entry ({ids[i]}, {qid}) violates the locality radius")
-            raise ValueError(f"row {ids[i]} exceeds the declared magnitude bound")
-        self.config = config
-        self.ids = ids
-        self.matrix = matrix
-        self.radius = radius
-        self.growth_c = growth_c
-        self.growth_k = growth_k
-        self.neighbor_counts = counts
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(z, dtype=float)
-
-    @classmethod
-    def random(cls, config: Configuration, radius: float, growth_c: float,
-               growth_k: float, seed: int) -> "OvsjannikovMatrix":
-        """Entries uniform in [-C n_x^k, C n_x^k] on in-radius pairs (diagonal
-        included), drawn row by row in ascending id order."""
-        src, dst, counts = _neighborhoods(config, radius)
-        closed = np.eye(len(config), dtype=bool)
-        closed[src, dst] = True
-        rows, cols = np.nonzero(closed)  # row-major: by row, then column
-        gen = rng.keyed_generator(seed, rng.SAMPLING)
-        matrix = np.zeros(closed.shape)
-        caps = growth_c * np.float_power(counts[rows], growth_k)
-        matrix[rows, cols] = caps * (2.0 * gen.random(len(rows)) - 1.0)
-        return cls(config, matrix, radius, growth_c, growth_k)
-
-
-class LBound(NamedTuple):
-    """Operator-norm constant together with the cut radius it was computed with."""
-
-    value: float
-    r_cut: float
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def ovsjannikov_bound_constant(config: Configuration, growth_c: float, growth_k: float,
-                               q: float, radius: float, alpha_star: float,
-                               alpha_sup: float, r_cut: float | None = None) -> LBound:
-    """Constant L with ||Q z||_beta <= L / (beta-alpha)^q ||z||_alpha for every
-    in-scale alpha < beta and every matrix with the declared locality/growth.
-
-    L = C e^{alpha_sup * rho} [ (rho^q + n_{0,R}) (alpha_sup - alpha_star)^q
-                                + (q/e)^q ],
-
-    where R is any radius beyond which n_x <= |x|^{q/(2k)}; when omitted, the
-    smallest such R is found by scanning the finite configuration.
-    """
-    _, _, counts = _neighborhoods(config, radius)
-    r_cut, n_0r = _cut_radius(config, counts, growth_k, q, alpha_star, alpha_sup, r_cut)
-    return LBound(_bound_value(growth_c, q, radius, n_0r, alpha_star, alpha_sup), r_cut)
+# -- the operator constant L -------------------------------------------------------
 
 
 def _neighborhoods(config: Configuration,
@@ -209,33 +101,6 @@ def _bound_value(growth_c: float, q: float, radius: float, n_0r: int,
     )
 
 
-def check_operator_bound(matrix: OvsjannikovMatrix, bound: float, alpha: float,
-                         beta: float, q: float, n_vectors: int, seed: int) -> dict:
-    """Sample ||Qz||_beta <= bound/(beta-alpha)^q ||z||_alpha on random vectors.
-
-    Norms are the p = 1 members of the scale, which is the scale the operator
-    bound lives on.
-    """
-    if beta <= alpha:
-        raise ValueError("beta must exceed alpha")
-    radii = matrix.config.radial_norms()
-    gen = rng.keyed_generator(seed, rng.SAMPLING)
-    factor = bound / (beta - alpha) ** q
-    violations = 0
-    worst_ratio = 0.0
-    for _ in range(n_vectors):
-        scale = 10.0 ** gen.uniform(-1, 2)
-        z = scale * gen.standard_normal(len(matrix.ids))
-        lhs = weighted_lp_norm_from_radii(radii, matrix.apply(z), beta, 1.0)
-        rhs = factor * weighted_lp_norm_from_radii(radii, z, alpha, 1.0)
-        if rhs > 0:
-            worst_ratio = max(worst_ratio, lhs / rhs)
-        if lhs > rhs * (1 + 1e-9):
-            violations += 1
-    return {"passed": violations == 0, "violations": violations,
-            "worst_ratio": worst_ratio, "vectors": n_vectors}
-
-
 # -- the series constant K_T ------------------------------------------------------
 
 
@@ -246,9 +111,6 @@ class KTEstimate(NamedTuple):
     value: float
     tail_bound: float
     terms: int
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # ln of the largest double, rounded down: exp of any log up to it is finite,
@@ -331,9 +193,6 @@ class GronwallReport:
         return {"passed": self.passed, "bound_value": self.bound_value,
                 "measured_value": self.measured_value, "slack": self.slack,
                 "constants_used": self.constants_used, "grid_info": self.grid_info}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 def _extremal_solution(row: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -447,9 +306,6 @@ class MomentGrowthReport:
                 "empirical_c1": self.empirical_c1,
                 "constants_used": self.constants_used}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
 
 def conservative_moment_constants(coeffs: CoefficientSet, p: float,
                                   horizon: float) -> tuple[float, float]:
@@ -470,8 +326,7 @@ def conservative_moment_constants(coeffs: CoefficientSet, p: float,
 
 
 def check_moment_growth(paths: Sequence[MarkPath], traj, coeffs: CoefficientSet,
-                        params: ScaleParams, c1: float, c2: float, *,
-                        series_tol: float = 1e-12) -> MomentGrowthReport:
+                        params: ScaleParams, c1: float, c2: float) -> MomentGrowthReport:
     """Assert sup_t E||marks_t||^p_{beta, present} against the growth bound
 
         c1 * K_T * ( E||marks_0||^p_{alpha, phantom} + ||c2 n^2||_{alpha, p} ),
@@ -521,7 +376,7 @@ def check_moment_growth(paths: Sequence[MarkPath], traj, coeffs: CoefficientSet,
         l_value = _bound_value(c, params.q, coeffs.radius, n_0r, params.alpha_star,
                                params.alpha_sup)
         k_t = gronwall_series_constant(params.alpha, params.beta, params.q,
-                                       l_value, traj.horizon, series_tol)
+                                       l_value, traj.horizon, 1e-12)
         return c * k_t.value * base
 
     bound = bound_for(c1)

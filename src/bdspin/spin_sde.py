@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -277,10 +277,6 @@ class MarkPath:
             raise ValueError(f"time {t} is not on the integration grid")
         return j
 
-    def series(self, pid: int, replica: int = 0) -> np.ndarray:
-        k = self.ids.index(pid)
-        return self.values[:, k] if self.values.ndim == 2 else self.values[:, k, replica]
-
     def to_csv(self, path, stride: int = 1) -> None:
         """CSV columns (t, id, value); rows grouped by time, id-ascending."""
         if self.values.ndim != 2:
@@ -328,14 +324,6 @@ def build_time_grid(horizon: float, dt: float, event_times: Iterable[float]) -> 
     if ev.size:
         pieces.append(ev)
     return np.unique(np.concatenate(pieces))
-
-
-def _keyed_normals(seed: int, ids: Sequence[int], n_steps: int) -> np.ndarray:
-    """The first ``n_steps`` normals of every keyed stream, shape (n_steps, ids)."""
-    n_ids = len(ids)
-    flat = _keyed_slices([seed], ids, np.zeros(n_ids, dtype=np.intp),
-                         np.full(n_ids, n_steps, dtype=np.intp))
-    return flat.reshape(n_ids, n_steps).T
 
 
 def _keyed_slices(seeds: Sequence[int], ids: Sequence[int], first: np.ndarray,
@@ -518,39 +506,6 @@ def finite_volume_solve(traj: Trajectory, coeffs: CoefficientSet,
                   frozen_box=box)
 
 
-def assemble_drift(pid: int, t: float, marks: Mapping[int, float],
-                   traj: Trajectory, coeffs: CoefficientSet) -> float:
-    """Drift of one mark at one time: 0 when the particle is absent, else the
-    single-site term plus the pair sum over current in-radius neighbors."""
-    if pid not in traj.phantom_positions:
-        raise KeyError(f"unknown id {pid}")
-    if pid not in traj.present_ids(t, "right"):
-        return 0.0
-    cfg = traj.config_at(t, cell_size=coeffs.radius)
-    z_x = marks[pid]
-    total = float(coeffs.single.func(np.float64(z_x)))
-    for qid, d in cfg.neighbors_within(pid, coeffs.radius):
-        total += float(coeffs.pair.func(np.float64(z_x), np.float64(marks[qid]),
-                                        np.float64(d)))
-    return total
-
-
-def assemble_diffusion(pid: int, t: float, marks: Mapping[int, float],
-                       traj: Trajectory, coeffs: CoefficientSet) -> float:
-    """Diffusion of one mark at one time; 0 when absent, no single-site term."""
-    if pid not in traj.phantom_positions:
-        raise KeyError(f"unknown id {pid}")
-    if pid not in traj.present_ids(t, "right"):
-        return 0.0
-    cfg = traj.config_at(t, cell_size=coeffs.radius)
-    z_x = marks[pid]
-    total = 0.0
-    for qid, d in cfg.neighbors_within(pid, coeffs.radius):
-        total += float(coeffs.diffusion.func(np.float64(z_x), np.float64(marks[qid]),
-                                             np.float64(d)))
-    return total
-
-
 def frozen_mark_deviation(path: MarkPath, traj: Trajectory) -> float:
     """Largest change of any mark over a step on which its particle is absent.
 
@@ -589,8 +544,8 @@ class BoundsCheckReport:
 
 
 def check_drift_diffusion_bounds(coeffs: CoefficientSet, sample_size: int = 10_000,
-                                 seed: int = 0, config: Configuration | None = None,
-                                 rtol: float = 1e-9) -> BoundsCheckReport:
+                                 seed: int = 0,
+                                 config: Configuration | None = None) -> BoundsCheckReport:
     """Sample random mark states and assert the envelope inequalities implied
     by the declared constants (Lipschitz/growth of the pair terms, growth and
     one-sided dissipativity of the single-site term).
@@ -667,7 +622,7 @@ def check_drift_diffusion_bounds(coeffs: CoefficientSet, sample_size: int = 10_0
     worst = None
     worst_excess = 0.0
     for name, lhs, rhs in lhs_rhs:
-        bad = lhs > rhs + rtol * (1.0 + np.abs(rhs))
+        bad = lhs > rhs + 1e-9 * (1.0 + np.abs(rhs))
         count = int(bad.sum())
         violations += count
         if count:
@@ -765,71 +720,6 @@ def _projection_mismatch(full: MarkPath, short: MarkPath) -> tuple[int, float] |
             j = int(np.argmax(neq))
             return pid, float(short.grid[j])
     return None
-
-
-@dataclass
-class StrongOrderReport:
-    dts: list[float]
-    errors: list[float]
-    slope: float
-    monotone: bool
-
-    def to_json_obj(self) -> dict:
-        return {"dts": self.dts, "errors": self.errors, "slope": self.slope,
-                "monotone": self.monotone}
-
-
-def strong_order_study(seed: int, *, n_paths: int = 400,
-                       levels: Sequence[int] = tuple(range(4, 11)),
-                       drift_rate: float = -1.0, noise_scale: float = 0.5,
-                       horizon: float = 1.0, initial_value: float = 1.0) -> StrongOrderReport:
-    """Strong convergence of the integrator on an exactly solvable system.
-
-    Two static mutual neighbors with linear drift a*s and multiplicative
-    per-neighbor diffusion kappa*sigma make each mark a geometric diffusion
-    with the exact solution x0*exp((a - kappa^2/2)t + kappa*W_t).  Brownian
-    paths are fixed on the finest lattice and aggregated to the coarser ones,
-    so the levels see the same driving noise.
-    """
-    from .birth_death import ConstantBirthKernel, simulate
-
-    window = Window(2.0, 2, "open")
-    gamma0 = Configuration(window, [(0, [0.5, 1.0]), (1, [1.3, 1.0])])
-    traj = simulate(gamma0, ConstantBirthKernel(0.0), 0.0, horizon, seed=seed)
-    coeffs = CoefficientSet(linear_drift(drift_rate), zero_pair(),
-                            linear_self_diffusion(noise_scale), radius=1.0)
-    init = InitialMarkPolicy.constant(initial_value)
-
-    levels = sorted(levels)
-    finest = levels[-1]
-    n_fine = 2**finest
-    dt_fine = horizon / n_fine
-    z_fine = np.empty((n_fine, 2, n_paths))
-    for r in range(n_paths):
-        z_fine[:, :, r] = _keyed_normals(rng.replica_seed(seed, r), traj.phantom_ids(), n_fine)
-    dw_fine = math.sqrt(dt_fine) * z_fine
-    w_final = dw_fine.sum(axis=0)
-    exact = initial_value * np.exp(
-        (drift_rate - 0.5 * noise_scale**2) * horizon + noise_scale * w_final
-    )
-
-    dts, errors = [], []
-    for lev in levels:
-        n_steps = 2**lev
-        block = n_fine // n_steps
-        dt = horizon / n_steps
-        dw = dw_fine.reshape(n_steps, block, 2, n_paths).sum(axis=1)
-        noise = dw / math.sqrt(dt)
-        icfg = IntegratorConfig(dt=dt)
-        path = integrate_marks_ensemble(traj, coeffs, init, icfg, seed, n_paths,
-                                        noise=noise)
-        em_final = path.values[-1]
-        err = math.sqrt(float(np.mean((em_final - exact) ** 2)))
-        dts.append(dt)
-        errors.append(err)
-    slope = float(np.polyfit(np.log2(dts), np.log2(errors), 1)[0])
-    monotone = all(a > b for a, b in zip(errors, errors[1:]))  # errors listed coarse->fine
-    return StrongOrderReport(dts, errors, slope, monotone)
 
 
 def run_manifest(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,

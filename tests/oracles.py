@@ -1,0 +1,381 @@
+"""Test-only functionals, oracles and studies.
+
+Nothing in the CLI runs these; the tests import them as a plain module (the
+way ``test_acceptance`` imports ``test_scales``).  They build on the library's
+own pieces: ``ovsjannikov_bound_constant`` computes its L with the same
+``scales._cut_radius`` and ``scales._bound_value`` as the ``gronwall`` and
+``moments`` reports, and ``strong_order_study`` solves with
+``integrate_marks_ensemble`` on explicit keyed noise.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Mapping, NamedTuple, Sequence
+
+import numpy as np
+
+from bdspin import rng
+from bdspin.birth_death import (ConstantBirthKernel, Event, GlauberBirthKernel, Trajectory,
+                                simulate)
+from bdspin.geometry import Box, Configuration, Window
+from bdspin.scales import _bound_value, _cut_radius, _neighborhoods
+from bdspin.spin_sde import (CoefficientSet, InitialMarkPolicy, IntegratorConfig,
+                             _keyed_slices, integrate_marks_ensemble, linear_drift,
+                             linear_self_diffusion, zero_pair)
+
+
+# -- geometry functionals --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TemperedWeight:
+    """Integrable weight (1+r)^(-dim-epsilon), equal to 1 at r=0."""
+
+    epsilon: float
+    dim: int
+
+    def __post_init__(self) -> None:
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+
+    def value(self, r) -> float | np.ndarray:
+        return (1.0 + r) ** (-(self.dim + self.epsilon))
+
+    def at(self, window: Window, x) -> float:
+        return float(self.value(window.radial_norm(x)))
+
+    def pair(self, window: Window, x, y) -> float:
+        return float(self.value(window.distance(x, y)))
+
+
+def log_bound_constant(config: Configuration, radius: float) -> float:
+    """Smallest a with n_{x,R}(gamma) <= a * (1 + log(1 + |x|)) over the points.
+
+    |x| is the radial norm from the window anchor.  Raises on an empty
+    configuration (the bound is vacuous there).
+    """
+    if len(config) == 0:
+        raise ValueError("empty configuration")
+    best = 0.0
+    norms = config.radial_norms()
+    for (pid, pos), r in zip(config.items(), norms):
+        n = config.neighbor_count(pos, radius)
+        best = max(best, n / (1.0 + math.log1p(r)))
+    return best
+
+
+def tempered_pairing(config: Configuration, f: Callable[[np.ndarray], float]) -> float:
+    """Sum of f over the point positions (id order, deterministic)."""
+    return float(sum(f(pos) for _, pos in config.items()))
+
+
+def weighted_tail_sum(config: Configuration, alpha: float, k: int, radius: float) -> float:
+    """Sum over points of exp(-alpha |x|) * n_{x,R}(gamma)^k."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    total = 0.0
+    norms = config.radial_norms()
+    for (pid, pos), r in zip(config.items(), norms):
+        n = config.neighbor_count(pos, radius)
+        total += math.exp(-alpha * r) * n**k
+    return total
+
+
+# -- event-log functionals and the rate perturbation bound -------------------------
+
+
+def event_count_in(traj: Trajectory, box: Box, t0: float, t1: float) -> int:
+    """Events with position in ``box`` and time in the closed [t0, t1]."""
+    if t1 < t0:
+        return 0
+    return sum(
+        1 for ev in traj.events
+        if t0 <= ev.time <= t1 and box.contains(ev.position)
+    )
+
+
+def birth_events(traj: Trajectory) -> list[Event]:
+    return [ev for ev in traj.events if ev.kind == "birth"]
+
+
+def death_events(traj: Trajectory) -> list[Event]:
+    return [ev for ev in traj.events if ev.kind == "death"]
+
+
+def check_rate_perturbation_bound(kernel: GlauberBirthKernel, window: Window,
+                                  bound_B: float, weight, n_samples: int,
+                                  seed: int) -> dict:
+    """Sample |b(x, gamma + y) - b(x, gamma)| <= z * B * G(x - y) for Glauber.
+
+    Valid whenever phi <= B * G pointwise; uses z(1 - e^{-phi}) <= z phi.
+    Returns a report dict with the worst observed slack.
+    """
+    gen = rng.keyed_generator(seed, rng.SAMPLING)
+    worst = -math.inf
+    violations = 0
+    for _ in range(n_samples):
+        n = int(gen.integers(0, 30))
+        pts = window.side * gen.random((n, window.dim))
+        config = Configuration.from_positions(window, pts,
+                                              cell_size=max(kernel.phi.range, 0.5))
+        x = window.side * gen.random(window.dim)
+        y = window.side * gen.random(window.dim)
+        base = kernel.evaluate(x, config)
+        config.insert(10_000, y)
+        perturbed = kernel.evaluate(x, config)
+        lhs = abs(perturbed - base)
+        rhs = kernel.z * bound_B * weight.pair(window, x, y)
+        worst = max(worst, lhs - rhs)
+        if lhs > rhs * (1 + 1e-9) + 1e-12:
+            violations += 1
+    return {"passed": violations == 0, "violations": violations, "worst_excess": worst}
+
+
+# -- weighted norms and the operator bound -------------------------------------------
+
+
+def weighted_lp_norm_from_radii(radii: np.ndarray, values: np.ndarray,
+                                alpha: float, p: float) -> float:
+    """(sum_x e^{-alpha r_x} |z_x|^p)^{1/p} for pre-computed radial norms."""
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if len(radii) == 0:
+        return 0.0
+    return float(np.sum(np.exp(-alpha * radii) * np.abs(values) ** p) ** (1.0 / p))
+
+
+def weighted_lp_norm(config: Configuration, marks: Mapping[int, float] | np.ndarray,
+                     alpha: float, p: float) -> float:
+    """Weighted p-norm of marks over a configuration.
+
+    ``marks`` is a mapping id -> value or an array aligned with the ascending
+    id order.  |x| is the radial norm from the window anchor.
+    """
+    ids = config.ids()
+    if isinstance(marks, Mapping):
+        values = np.array([marks[pid] for pid in ids], dtype=float)
+    else:
+        values = np.asarray(marks, dtype=float)
+        if values.shape != (len(ids),):
+            raise ValueError("marks array does not match the configuration size")
+    return weighted_lp_norm_from_radii(config.radial_norms(), values, alpha, p)
+
+
+class OvsjannikovMatrix:
+    """Interaction matrix over a configuration: zero beyond ``radius`` and
+    |Q[x, y]| <= growth_c * n_x^k, with n_x the closed in-radius count."""
+
+    def __init__(self, config: Configuration, matrix: np.ndarray, radius: float,
+                 growth_c: float, growth_k: float):
+        ids = config.ids()
+        n = len(ids)
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.shape != (n, n):
+            raise ValueError(f"matrix shape {matrix.shape} does not match {n} points")
+        src, dst, counts = _neighborhoods(config, radius)
+        outside = matrix != 0.0
+        outside[src, dst] = False
+        np.fill_diagonal(outside, False)
+        # float_power rounds as C's pow does; the vectorised ** may differ in the last bit
+        caps = growth_c * np.float_power(counts, growth_k)
+        over = np.abs(matrix) > (caps * (1 + 1e-12))[:, None]
+        bad_rows = np.flatnonzero(outside.any(axis=1) | over.any(axis=1))
+        if len(bad_rows):
+            i = bad_rows[0]
+            if outside[i].any():
+                qid = ids[int(np.argmax(outside[i]))]
+                raise ValueError(f"entry ({ids[i]}, {qid}) violates the locality radius")
+            raise ValueError(f"row {ids[i]} exceeds the declared magnitude bound")
+        self.config = config
+        self.ids = ids
+        self.matrix = matrix
+        self.radius = radius
+        self.growth_c = growth_c
+        self.growth_k = growth_k
+        self.neighbor_counts = counts
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        return self.matrix @ np.asarray(z, dtype=float)
+
+    @classmethod
+    def random(cls, config: Configuration, radius: float, growth_c: float,
+               growth_k: float, seed: int) -> "OvsjannikovMatrix":
+        """Entries uniform in [-C n_x^k, C n_x^k] on in-radius pairs (diagonal
+        included), drawn row by row in ascending id order."""
+        src, dst, counts = _neighborhoods(config, radius)
+        closed = np.eye(len(config), dtype=bool)
+        closed[src, dst] = True
+        rows, cols = np.nonzero(closed)  # row-major: by row, then column
+        gen = rng.keyed_generator(seed, rng.SAMPLING)
+        matrix = np.zeros(closed.shape)
+        caps = growth_c * np.float_power(counts[rows], growth_k)
+        matrix[rows, cols] = caps * (2.0 * gen.random(len(rows)) - 1.0)
+        return cls(config, matrix, radius, growth_c, growth_k)
+
+
+class LBound(NamedTuple):
+    """Operator-norm constant together with the cut radius it was computed with."""
+
+    value: float
+    r_cut: float
+
+
+def ovsjannikov_bound_constant(config: Configuration, growth_c: float, growth_k: float,
+                               q: float, radius: float, alpha_star: float,
+                               alpha_sup: float, r_cut: float | None = None) -> LBound:
+    """Constant L with ||Q z||_beta <= L / (beta-alpha)^q ||z||_alpha for every
+    in-scale alpha < beta and every matrix with the declared locality/growth.
+
+    L = C e^{alpha_sup * rho} [ (rho^q + n_{0,R}) (alpha_sup - alpha_star)^q
+                                + (q/e)^q ],
+
+    where R is any radius beyond which n_x <= |x|^{q/(2k)}; when omitted, the
+    smallest such R is found by scanning the finite configuration.
+    """
+    _, _, counts = _neighborhoods(config, radius)
+    r_cut, n_0r = _cut_radius(config, counts, growth_k, q, alpha_star, alpha_sup, r_cut)
+    return LBound(_bound_value(growth_c, q, radius, n_0r, alpha_star, alpha_sup), r_cut)
+
+
+def check_operator_bound(matrix: OvsjannikovMatrix, bound: float, alpha: float,
+                         beta: float, q: float, n_vectors: int, seed: int) -> dict:
+    """Sample ||Qz||_beta <= bound/(beta-alpha)^q ||z||_alpha on random vectors.
+
+    Norms are the p = 1 members of the scale, which is the scale the operator
+    bound lives on.
+    """
+    if beta <= alpha:
+        raise ValueError("beta must exceed alpha")
+    radii = matrix.config.radial_norms()
+    gen = rng.keyed_generator(seed, rng.SAMPLING)
+    factor = bound / (beta - alpha) ** q
+    violations = 0
+    worst_ratio = 0.0
+    for _ in range(n_vectors):
+        scale = 10.0 ** gen.uniform(-1, 2)
+        z = scale * gen.standard_normal(len(matrix.ids))
+        lhs = weighted_lp_norm_from_radii(radii, matrix.apply(z), beta, 1.0)
+        rhs = factor * weighted_lp_norm_from_radii(radii, z, alpha, 1.0)
+        if rhs > 0:
+            worst_ratio = max(worst_ratio, lhs / rhs)
+        if lhs > rhs * (1 + 1e-9):
+            violations += 1
+    return {"passed": violations == 0, "violations": violations,
+            "worst_ratio": worst_ratio, "vectors": n_vectors}
+
+
+# -- per-point assembly of the mark dynamics -------------------------------------------
+
+
+def assemble_drift(pid: int, t: float, marks: Mapping[int, float],
+                   traj: Trajectory, coeffs: CoefficientSet) -> float:
+    """Drift of one mark at one time: 0 when the particle is absent, else the
+    single-site term plus the pair sum over current in-radius neighbors."""
+    if pid not in traj.phantom_positions:
+        raise KeyError(f"unknown id {pid}")
+    if pid not in traj.present_ids(t, "right"):
+        return 0.0
+    cfg = traj.config_at(t, cell_size=coeffs.radius)
+    z_x = marks[pid]
+    total = float(coeffs.single.func(np.float64(z_x)))
+    for qid, d in cfg.neighbors_within(pid, coeffs.radius):
+        total += float(coeffs.pair.func(np.float64(z_x), np.float64(marks[qid]),
+                                        np.float64(d)))
+    return total
+
+
+def assemble_diffusion(pid: int, t: float, marks: Mapping[int, float],
+                       traj: Trajectory, coeffs: CoefficientSet) -> float:
+    """Diffusion of one mark at one time; 0 when absent, no single-site term."""
+    if pid not in traj.phantom_positions:
+        raise KeyError(f"unknown id {pid}")
+    if pid not in traj.present_ids(t, "right"):
+        return 0.0
+    cfg = traj.config_at(t, cell_size=coeffs.radius)
+    z_x = marks[pid]
+    total = 0.0
+    for qid, d in cfg.neighbors_within(pid, coeffs.radius):
+        total += float(coeffs.diffusion.func(np.float64(z_x), np.float64(marks[qid]),
+                                             np.float64(d)))
+    return total
+
+
+# -- strong order of the integrator -----------------------------------------------------
+
+
+def _keyed_normals(seed: int, ids: Sequence[int], n_steps: int) -> np.ndarray:
+    """The first ``n_steps`` normals of every keyed stream, shape (n_steps, ids)."""
+    n_ids = len(ids)
+    flat = _keyed_slices([seed], ids, np.zeros(n_ids, dtype=np.intp),
+                         np.full(n_ids, n_steps, dtype=np.intp))
+    return flat.reshape(n_ids, n_steps).T
+
+
+@dataclass
+class StrongOrderReport:
+    dts: list[float]
+    errors: list[float]
+    slope: float
+    monotone: bool
+
+    def to_json_obj(self) -> dict:
+        return {"dts": self.dts, "errors": self.errors, "slope": self.slope,
+                "monotone": self.monotone}
+
+
+def strong_order_study(seed: int, *, n_paths: int = 400,
+                       levels: Sequence[int] = tuple(range(4, 11)),
+                       drift_rate: float = -1.0, noise_scale: float = 0.5,
+                       horizon: float = 1.0, initial_value: float = 1.0) -> StrongOrderReport:
+    """Strong convergence of the integrator on an exactly solvable system.
+
+    Two static mutual neighbors with linear drift a*s and multiplicative
+    per-neighbor diffusion kappa*sigma make each mark a geometric diffusion
+    with the exact solution x0*exp((a - kappa^2/2)t + kappa*W_t).  Brownian
+    paths are fixed on the finest lattice and aggregated to the coarser ones,
+    so the levels see the same driving noise.
+    """
+    window = Window(2.0, 2, "open")
+    gamma0 = Configuration(window, [(0, [0.5, 1.0]), (1, [1.3, 1.0])])
+    traj = simulate(gamma0, ConstantBirthKernel(0.0), 0.0, horizon, seed=seed)
+    coeffs = CoefficientSet(linear_drift(drift_rate), zero_pair(),
+                            linear_self_diffusion(noise_scale), radius=1.0)
+    init = InitialMarkPolicy.constant(initial_value)
+
+    levels = sorted(levels)
+    finest = levels[-1]
+    n_fine = 2**finest
+    dt_fine = horizon / n_fine
+    z_fine = np.empty((n_fine, 2, n_paths))
+    for r in range(n_paths):
+        z_fine[:, :, r] = _keyed_normals(rng.replica_seed(seed, r), traj.phantom_ids(), n_fine)
+    dw_fine = math.sqrt(dt_fine) * z_fine
+    w_final = dw_fine.sum(axis=0)
+    exact = initial_value * np.exp(
+        (drift_rate - 0.5 * noise_scale**2) * horizon + noise_scale * w_final
+    )
+
+    dts, errors = [], []
+    for lev in levels:
+        n_steps = 2**lev
+        block = n_fine // n_steps
+        dt = horizon / n_steps
+        dw = dw_fine.reshape(n_steps, block, 2, n_paths).sum(axis=1)
+        noise = dw / math.sqrt(dt)
+        icfg = IntegratorConfig(dt=dt)
+        path = integrate_marks_ensemble(traj, coeffs, init, icfg, seed, n_paths,
+                                        noise=noise)
+        em_final = path.values[-1]
+        err = math.sqrt(float(np.mean((em_final - exact) ** 2)))
+        dts.append(dt)
+        errors.append(err)
+    slope = float(np.polyfit(np.log2(dts), np.log2(errors), 1)[0])
+    monotone = all(a > b for a, b in zip(errors, errors[1:]))  # errors listed coarse->fine
+    return StrongOrderReport(dts, errors, slope, monotone)

@@ -27,12 +27,8 @@ from bdspin.cli import main
 from bdspin.geometry import Box, Configuration, Window, poisson_configuration
 from bdspin.marked_process import cadlag_check, combine
 from bdspin.scales import (
-    OvsjannikovMatrix,
     check_gronwall_inequality,
-    check_operator_bound,
     gronwall_series_constant,
-    ovsjannikov_bound_constant,
-    weighted_lp_norm_from_radii,
     _extremal_solution,
 )
 from bdspin.spin_sde import (
@@ -51,11 +47,19 @@ from bdspin.spin_sde import (
     linear_drift,
     linear_self_diffusion,
     projection_consistency,
-    strong_order_study,
     tanh_diffusion,
     zero_diffusion,
     zero_drift,
     zero_pair,
+)
+from oracles import (
+    OvsjannikovMatrix,
+    birth_events,
+    check_operator_bound,
+    death_events,
+    ovsjannikov_bound_constant,
+    strong_order_study,
+    weighted_lp_norm_from_radii,
 )
 from test_scales import dense_coupling, expm_measurement, picard_extremal, picard_measurement
 
@@ -87,7 +91,7 @@ def test_criterion_01_thinning_exactness():
         for s in range(2000):
             traj = simulate(Configuration(window), kernel, 0.0, 1.0, seed=s,
                             keep_driving=False)
-            counts[s] = len(traj.birth_events())
+            counts[s] = len(birth_events(traj))
         elapsed = time.perf_counter() - t0
 
         sigma_mean = math.sqrt(lam / len(counts))
@@ -121,7 +125,7 @@ def test_criterion_02_pure_death():
             traj = simulate(gamma0, ConstantBirthKernel(0.0), m, t_obs, seed=s,
                             keep_driving=False)
             survivors[s] = len(traj.present_ids(t_obs))
-            lifetimes.append([ev.time * m for ev in traj.death_events()])
+            lifetimes.append([ev.time * m for ev in death_events(traj)])
         elapsed = time.perf_counter() - t0
 
         mean = 500 * p

@@ -1,5 +1,6 @@
 """Birth-death process: thinning exactness, replay oracles, domination."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from bdspin.birth_death import (
     Event,
     FecundityBirthKernel,
     GlauberBirthKernel,
-    check_rate_perturbation_bound,
     read_event_log,
     replay_events,
     sample_driving_process,
@@ -25,8 +25,10 @@ from bdspin.birth_death import (
     verify_domination,
     write_event_log,
 )
-from bdspin.geometry import Box, Configuration, TemperedWeight, Window, poisson_configuration
+from bdspin.geometry import Box, Configuration, Window, poisson_configuration
 from bdspin.spin_sde import build_time_grid
+from oracles import (TemperedWeight, birth_events, check_rate_perturbation_bound, death_events,
+                     event_count_in)
 
 
 def glauber_run(seed, z=1.5, side=5.0, T=1.0, m=0.5, init_intensity=0.5, c=0.8, rho=1.0):
@@ -174,7 +176,7 @@ class TestSimulate:
         for s in range(1000):
             traj = simulate(Configuration(window), kernel, 0.0, 1.0, seed=s)
             counts.append(len(traj.config_at(1.0)))
-            assert not traj.death_events()
+            assert not death_events(traj)
         counts = np.array(counts)
         sigma = math.sqrt(lam / len(counts))
         assert abs(counts.mean() - lam) < 3 * sigma
@@ -198,7 +200,7 @@ class TestSimulate:
 
     def test_no_death_means_phantom_equals_final(self):
         traj = glauber_run(seed=11, m=0.0)
-        assert not traj.death_events()
+        assert not death_events(traj)
         final = traj.config_at(traj.horizon)
         assert final.ids() == traj.phantom_ids()
 
@@ -216,8 +218,8 @@ class TestSimulate:
         lifetimes = []
         for s in range(60):
             traj = glauber_run(seed=s, m=m, T=T, z=2.0)
-            deaths = {ev.id: ev.time for ev in traj.death_events()}
-            for ev in traj.birth_events():
+            deaths = {ev.id: ev.time for ev in death_events(traj)}
+            for ev in birth_events(traj):
                 if ev.time <= T - cut / m and ev.id in deaths:
                     lifetimes.append(m * (deaths[ev.id] - ev.time))
         sample = np.array([lt for lt in lifetimes if lt <= cut])
@@ -255,13 +257,13 @@ class TestConfigAt:
 
     def test_cadlag_convention_at_birth(self):
         traj = glauber_run(seed=6, m=0.0, z=3.0)
-        ev = traj.birth_events()[0]
+        ev = birth_events(traj)[0]
         assert ev.id in traj.config_at(ev.time, "right")
         assert ev.id not in traj.config_at(ev.time, "left")
 
     def test_death_removes_point_from_right_limit(self):
         traj = glauber_run(seed=8, m=3.0, T=2.0, z=3.0)
-        deaths = traj.death_events()
+        deaths = death_events(traj)
         assert deaths
         ev = deaths[0]
         assert ev.id not in traj.config_at(ev.time, "right")
@@ -290,6 +292,68 @@ class TestConfigAt:
             assert sorted(live) == traj.config_at(float(t)).ids()
 
 
+def reference_counting_identity(traj) -> bool:
+    """``verify_counting_identity`` as a loop over ``config_at`` and every
+    driving candidate: gamma_t(L) read from ``presence``, not the event log."""
+    fresh = simulate(traj.gamma0, traj.kernel, traj.death_rate, traj.horizon,
+                     traj.seed, keep_driving=False)
+    accepted = {}
+    for ev in fresh.events:
+        if ev.kind == "birth":
+            accepted[(ev.time, ev.position)] = ev
+    m = traj.death_rate
+
+    gen = rng.keyed_generator(1, rng.SAMPLING)
+    times = np.linspace(0.0, traj.horizon, 7)[1:]
+    side = traj.window.side
+    dim = traj.window.dim
+    boxes = [traj.window.box]
+    for _ in range(5):
+        lo = side * gen.random(dim) * 0.5
+        hi = np.minimum(lo + side * 0.5 * gen.random(dim), side)
+        boxes.append(Box(tuple(float(v) for v in lo), tuple(float(v) for v in hi)))
+
+    for t in times:
+        cfg = traj.config_at(t)
+        for box in boxes:
+            direct = 0
+            for dp in traj.driving:
+                if (dp.s, dp.x) not in accepted:
+                    continue
+                if dp.s <= t and box.contains(dp.x) and dp.r > m * (t - dp.s):
+                    direct += 1
+            for pid, pos in traj.gamma0.items():
+                if box.contains(pos) and traj.initial_lifetimes[pid] > m * t:
+                    direct += 1
+            if direct != cfg.count_in(box):
+                return False
+    return True
+
+
+def counting_identity_path(case):
+    if case == "pure_death":
+        window = Window(4.0, 2, "open")
+        gen = rng.keyed_generator(2, rng.SAMPLING)
+        gamma0 = Configuration.from_positions(window, 4.0 * gen.random((30, 2)))
+        return simulate(gamma0, ConstantBirthKernel(0.0), 1.0, 1.0, seed=4)
+    if case == "constant":
+        window = Window(3.0, 2, "periodic")
+        return simulate(Configuration(window), ConstantBirthKernel(2.0), 0.5, 1.0, seed=10)
+    return glauber_run(seed=case, m=1.0, z=2.0, T=1.5)
+
+
+def death_moved_to_horizon(traj):
+    """The path with its first death before T/2 moved to T, in both the event
+    log (read by the presence sweep) and ``presence`` (read by ``config_at``):
+    the point then outlives its survival mark at the checks in [t, T)."""
+    ev = next(ev for ev in traj.events if ev.kind == "death" and ev.time < traj.horizon / 2)
+    events = [e for e in traj.events if e is not ev]
+    events.append(Event(traj.horizon, "death", ev.id, ev.position))
+    presence = dict(traj.presence)
+    presence[ev.id] = (presence[ev.id][0], traj.horizon)
+    return dataclasses.replace(traj, events=events, presence=presence)
+
+
 class TestVerification:
     def test_domination_pure_death(self):
         window = Window(4.0, 2, "open")
@@ -302,7 +366,7 @@ class TestVerification:
     def test_domination_constant_kernel_accepts_all(self):
         window = Window(3.0, 2, "periodic")
         traj = simulate(Configuration(window), ConstantBirthKernel(2.0), 0.0, 1.0, seed=10)
-        assert len(traj.birth_events()) == len(traj.driving)
+        assert len(birth_events(traj)) == len(traj.driving)
         assert verify_domination(traj).passed
 
     @pytest.mark.parametrize("seed", range(12))
@@ -315,6 +379,23 @@ class TestVerification:
     def test_counting_identity_replay(self, seed):
         traj = glauber_run(seed=seed, m=1.0, z=2.0, T=1.5)
         assert verify_counting_identity(traj)
+
+    @pytest.mark.parametrize("case", [*range(6), "pure_death", "constant"])
+    def test_counting_identity_equals_reference_loop(self, case):
+        traj = counting_identity_path(case)
+        assert reference_counting_identity(traj)
+        assert verify_counting_identity(traj)
+        moved = death_moved_to_horizon(traj)
+        assert not reference_counting_identity(moved)
+        assert not verify_counting_identity(moved)
+
+    def test_domination_flags_a_dropped_candidate(self):
+        traj = glauber_run(seed=3, m=1.0, z=2.0)
+        ev = birth_events(traj)[0]
+        driving = [dp for dp in traj.driving if (dp.s, dp.x) != (ev.time, ev.position)]
+        report = verify_domination(dataclasses.replace(traj, driving=driving))
+        assert not report.passed and report.replay_consistent
+        assert {"kind": "missing_candidate", "id": ev.id, "t": ev.time} in report.violations
 
     def test_replay_reproduces_event_log(self):
         traj = glauber_run(seed=14, m=0.7, z=2.5)
@@ -333,12 +414,12 @@ class TestVerification:
                 1 for ev in traj.events
                 if t0 <= ev.time <= t1 and box.contains(ev.position)
             )
-            assert traj.event_count_in(box, t0, t1) == want
-        assert traj.event_count_in(traj.window.box, 0.0, traj.horizon) == len(traj.events)
+            assert event_count_in(traj, box, t0, t1) == want
+        assert event_count_in(traj, traj.window.box, 0.0, traj.horizon) == len(traj.events)
 
     def test_zero_length_interval(self):
         traj = glauber_run(seed=16)
-        assert traj.event_count_in(traj.window.box, 0.3, 0.3) == 0
+        assert event_count_in(traj, traj.window.box, 0.3, 0.3) == 0
 
     def test_thinning_chi_square_over_disjoint_boxes(self):
         # constant kernel: accepted births are Poisson; cell counts over a

@@ -98,6 +98,24 @@ class TestSimulate:
         logs = [(d / "events.jsonl").read_bytes() for d in dirs]
         assert logs[0] != logs[1] and logs[1] != logs[2]
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2_before_output(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path, replicas=2)
+        out = tmp_path / "ens"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jobs_is_the_only_parallelism_setting(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SIM_THREADS", "not a number")
+        cfg = write_config(tmp_path, replicas=2)
+        out = tmp_path / "ens"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--jobs", "1"]) == 0
+        assert len(list(out.glob("replica_*"))) == 2
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -12,7 +12,9 @@ The hashes are specific to the platform's floating-point behaviour (numpy's
 elementwise tanh, exp and power); they hold for a fixed numpy build.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -179,8 +181,9 @@ def _report_hash(tmp: Path, name: str, config: dict, suite: str) -> str:
 
 
 def _record() -> None:
-    """Print the current hashes in the layout of ``GOLDEN``."""
-    with tempfile.TemporaryDirectory() as tmp:
+    """Print the current hashes in the layout of ``GOLDEN``, as the only
+    output (the CLI's progress lines are silenced)."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         tmp = Path(tmp)
         current = {
             "readme": _run_hashes(tmp, "readme", README_CONFIG),
@@ -211,3 +214,8 @@ def test_cadlag_report_matches_golden_hash(tmp_path, name, config):
 @pytest.mark.parametrize("name,config", RUN_CONFIGS)
 def test_suite_report_matches_golden_hash(tmp_path, name, config, suite):
     assert _report_hash(tmp_path, name, config, suite) == GOLDEN["reports"][suite][name]
+
+
+def test_record_prints_golden_as_json(capsys):
+    _record()
+    assert json.loads(capsys.readouterr().out) == GOLDEN

@@ -28,6 +28,7 @@ from bdspin.spin_sde import (
     integrate_marks_ensemble,
     tanh_diffusion,
 )
+from oracles import birth_events
 from test_birth_death import same_time_trajectory
 
 
@@ -251,7 +252,7 @@ class TestCadlag:
         # one candidate accepted, counting observable jumps by exactly +1
         window = Window(2.0, 2, "periodic")
         traj = simulate(Configuration(window), ConstantBirthKernel(1.5), 0.0, 1.0, seed=3)
-        assert traj.birth_events()
+        assert birth_events(traj)
         coeffs = CoefficientSet(cubic_drift(0.1), exchange_coupling(0.1),
                                 tanh_diffusion(0.2), radius=0.5)
         path = integrate_marks(traj, coeffs, InitialMarkPolicy.constant(0.0),
@@ -260,7 +261,7 @@ class TestCadlag:
         g = counting_observable(window.box)
         report = cadlag_check(mt, g, eps_t=1 / 64)
         assert report.passed, report.violations
-        ev = traj.birth_events()[0]
+        ev = birth_events(traj)[0]
         j = path.index_of(ev.time)
         series = mt.observable_series(g)
         col = {pid: k for k, pid in enumerate(path.ids)}

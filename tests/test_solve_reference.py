@@ -23,7 +23,6 @@ from bdspin.spin_sde import (
     IntegratorConfig,
     MarkPath,
     _initial_vector,
-    _keyed_normals,
     build_time_grid,
     constant_diffusion,
     cubic_drift,
@@ -35,6 +34,7 @@ from bdspin.spin_sde import (
     zero_pair,
 )
 
+from oracles import _keyed_normals
 from test_birth_death import same_time_trajectory
 from test_spin_sde import default_coeffs, make_glauber_traj, shared_noise
 

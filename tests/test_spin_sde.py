@@ -14,8 +14,6 @@ from bdspin.spin_sde import (
     InitialMarkPolicy,
     IntegrationBlowUpError,
     IntegratorConfig,
-    assemble_diffusion,
-    assemble_drift,
     build_time_grid,
     check_drift_diffusion_bounds,
     constant_diffusion,
@@ -30,7 +28,6 @@ from bdspin.spin_sde import (
     linear_drift,
     projection_consistency,
     read_mark_path_csv,
-    strong_order_study,
     tanh_diffusion,
     zero_diffusion,
     zero_drift,
@@ -38,6 +35,7 @@ from bdspin.spin_sde import (
     _spearman,
 )
 from bdspin.spin_sde import _projection_mismatch
+from oracles import assemble_diffusion, assemble_drift, strong_order_study
 import dataclasses
 
 
@@ -192,7 +190,7 @@ class TestIntegration:
         icfg = IntegratorConfig(dt=1 / 32)
         path = integrate_marks(traj, coeffs, InitialMarkPolicy.constant(5.0), icfg, seed=1)
         for pid, t_birth in births.items():
-            series = path.series(pid)
+            series = path.values[:, path.ids.index(pid)]
             before = path.grid < t_birth
             assert np.all(series[before] == 5.0)
 
