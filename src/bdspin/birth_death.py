@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -316,10 +316,14 @@ def sample_driving_process(window: Window, horizon: float, b_max: float,
 class Trajectory:
     """A realized birth-and-death path on [0, T] with its driving randomness.
 
-    ``presence`` maps each id to (birth_time, death_time); death_time is None
-    for points alive at the horizon.  A point is present on [birth, death):
-    the path is right-continuous, deaths and births take effect at their own
-    time.  ``phantom`` is the union of everything that ever lived.
+    The path is fixed by ``gamma0`` and the event log; ``__post_init__``
+    derives the rest in one pass over the log, in log order.  ``presence``
+    maps each id to (birth_time, death_time); death_time is None for points
+    alive at the horizon.  A point is present on [birth, death): the path is
+    right-continuous, deaths and births take effect at their own time.
+    ``phantom_positions`` holds everything that ever lived.  A log with a
+    death of an id that is not present, or a birth of an id already in the
+    phantom, is rejected with a ValueError.
     """
 
     window: Window
@@ -329,11 +333,26 @@ class Trajectory:
     horizon: float
     seed: int
     events: list[Event]
-    presence: dict[int, tuple[float, float | None]]
-    phantom_positions: dict[int, tuple[float, ...]]
-    initial_lifetimes: dict[int, float]
+    initial_lifetimes: dict[int, float] = field(default_factory=dict)
     driving: list[DrivingPoint] | None = None
-    _phantom_cache: Configuration | None = field(default=None, repr=False)
+    presence: dict[int, tuple[float, float | None]] = field(init=False)
+    phantom_positions: dict[int, tuple[float, ...]] = field(init=False)
+    _phantom_cache: Configuration | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        presence = {pid: (0.0, None) for pid in self.gamma0.ids()}
+        positions = {pid: tuple(map(float, pos)) for pid, pos in self.gamma0.items()}
+        for ev in self.events:
+            if ev.kind == "birth" and ev.id not in presence:
+                presence[ev.id] = (ev.time, None)
+                positions[ev.id] = ev.position
+            elif ev.kind == "death" and ev.id in presence and presence[ev.id][1] is None:
+                presence[ev.id] = (presence[ev.id][0], ev.time)
+            else:
+                raise ValueError(f"event log: invalid {ev.kind} of id {ev.id} at t={ev.time}"
+                                 " (a birth needs a new id, a death a present one)")
+        self.presence = presence
+        self.phantom_positions = positions
 
     @property
     def b_max(self) -> float:
@@ -403,38 +422,22 @@ class Trajectory:
         """The same path observed only on [0, horizon]; ids are unchanged."""
         if not 0.0 < horizon <= self.horizon:
             raise ValueError("restriction horizon must lie in (0, T]")
-        events = [ev for ev in self.events if ev.time <= horizon]
-        born = {ev.id for ev in events if ev.kind == "birth"}
-        keep = set(self.gamma0.ids()) | born
-        presence = {}
-        for pid in keep:
-            birth, death = self.presence[pid]
-            presence[pid] = (birth, death if (death is not None and death <= horizon) else None)
         driving = None
         if self.driving is not None:
             driving = [dp for dp in self.driving if dp.s <= horizon]
-        return Trajectory(
-            window=self.window,
-            gamma0=self.gamma0,
-            kernel=self.kernel,
-            death_rate=self.death_rate,
-            horizon=horizon,
-            seed=self.seed,
-            events=events,
-            presence=presence,
-            phantom_positions={pid: self.phantom_positions[pid] for pid in keep},
-            initial_lifetimes=self.initial_lifetimes,
-            driving=driving,
-        )
+        return replace(self, horizon=horizon, driving=driving,
+                       events=[ev for ev in self.events if ev.time <= horizon])
 
 
 def simulate(gamma0: Configuration, kernel: BirthKernel, death_rate: float,
-             horizon: float, seed: int, *, keep_driving: bool = True) -> Trajectory:
+             horizon: float, seed: int) -> Trajectory:
     """Run the thinning sweep and return the full trajectory.
 
-    Identical arguments give a bit-identical event log.  Float-equal event
-    times are ordered by scheduling sequence; candidates see the strict left
-    limit gamma_{s-}.
+    The sweep produces the event log; the trajectory derives presence and
+    the phantom from it, and keeps the driving process and the initial
+    lifetimes for replay audits.  Identical arguments give a bit-identical
+    event log.  Float-equal event times are ordered by scheduling sequence;
+    candidates see the strict left limit gamma_{s-}.
     """
     if death_rate < 0:
         raise ValueError("death rate must be nonnegative")
@@ -455,10 +458,6 @@ def simulate(gamma0: Configuration, kernel: BirthKernel, death_rate: float,
     # visits the 3^d cells around the candidate whatever the window size
     reach = kernel.interaction_range
     state = gamma0.copy(cell_size=cell_size_above(reach) if reach > 0 else window.side / 8.0)
-    presence: dict[int, tuple[float, float | None]] = {pid: (0.0, None) for pid in init_ids}
-    phantom_positions: dict[int, tuple[float, ...]] = {
-        pid: tuple(pos) for pid, pos in gamma0.items()
-    }
     events: list[Event] = []
 
     heap: list[tuple[float, int, str, object]] = []
@@ -488,8 +487,6 @@ def simulate(gamma0: Configuration, kernel: BirthKernel, death_rate: float,
                 next_id += 1
                 state.insert(pid, dp.x)
                 pos = tuple(float(c) for c in state.position_of(pid))
-                presence[pid] = (t, None)
-                phantom_positions[pid] = pos
                 events.append(Event(t, "birth", pid, pos))
                 if death_rate > 0:
                     death_time = t + dp.r / death_rate
@@ -500,23 +497,10 @@ def simulate(gamma0: Configuration, kernel: BirthKernel, death_rate: float,
             pid = payload
             pos = tuple(float(c) for c in state.position_of(pid))
             state.remove(pid)
-            birth, _ = presence[pid]
-            presence[pid] = (birth, t)
             events.append(Event(t, "death", pid, pos))
 
-    return Trajectory(
-        window=window,
-        gamma0=gamma0,
-        kernel=kernel,
-        death_rate=death_rate,
-        horizon=horizon,
-        seed=seed,
-        events=events,
-        presence=presence,
-        phantom_positions=phantom_positions,
-        initial_lifetimes=initial_lifetimes,
-        driving=driving if keep_driving else None,
-    )
+    return Trajectory(window, gamma0, kernel, death_rate, horizon, seed, events,
+                      initial_lifetimes, driving)
 
 
 def replay_events(traj: Trajectory) -> list[Event]:
@@ -527,9 +511,8 @@ def replay_events(traj: Trajectory) -> list[Event]:
     """
     if traj.driving is None:
         raise ValueError("trajectory did not retain its driving process")
-    fresh = simulate(traj.gamma0, traj.kernel, traj.death_rate, traj.horizon,
-                     traj.seed, keep_driving=False)
-    return fresh.events
+    return simulate(traj.gamma0, traj.kernel, traj.death_rate, traj.horizon,
+                    traj.seed).events
 
 
 @dataclass
@@ -624,8 +607,7 @@ def verify_counting_identity(traj: Trajectory) -> bool:
     """
     if traj.driving is None:
         raise ValueError("trajectory did not retain its driving process")
-    fresh = simulate(traj.gamma0, traj.kernel, traj.death_rate, traj.horizon,
-                     traj.seed, keep_driving=False)
+    fresh = simulate(traj.gamma0, traj.kernel, traj.death_rate, traj.horizon, traj.seed)
     accepted = {(ev.time, ev.position) for ev in fresh.events if ev.kind == "birth"}
     m = traj.death_rate
 
@@ -696,8 +678,11 @@ def read_event_log(path) -> tuple[dict, list[Event]]:
         if header.get("record") != "header":
             raise ValueError("event log does not start with a header record")
         events = []
-        for line in fh:
-            rec = json.loads(line)
-            events.append(Event(rec["t"], rec["kind"], rec["id"], tuple(rec["position"])))
+        for n, line in enumerate(fh, 2):
+            try:
+                rec = json.loads(line)
+                events.append(Event(rec["t"], rec["kind"], rec["id"], tuple(rec["position"])))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"event log line {n}: not an event record ({exc!r})") from None
     return header, events
 

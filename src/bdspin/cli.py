@@ -3,10 +3,11 @@
 Runs are described by a JSON config file with a versioned schema id.  All
 artifacts are deterministic functions of (config, seed): no timestamps, keys
 sorted, floats written with full round-trip precision.  Exit codes: 0 all
-good, 1 a verification suite failed, 2 usage or config error, 3 a model or
-runtime failure (a birth kernel above its declared bound, a mark blow-up),
-reported as one JSON witness line on stderr.  A failed ``simulate`` removes
-the output directory it created.
+good, 1 a verification suite failed, 2 a usage or config error (a negative
+seed among them) or corrupt run artifacts given to ``emit-plotdata``, 3 a
+model or runtime failure (a birth kernel above its declared bound, a mark
+blow-up), reported as one JSON witness line on stderr.  A failed
+``simulate`` removes the output directory it created.
 """
 from __future__ import annotations
 
@@ -242,6 +243,8 @@ def load_config(path, *, seed_override: int | None = None,
     seed = int(_get(raw, "seed", "", int, default=0))
     if seed_override is not None:
         seed = seed_override
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
     replicas = int(_get(raw, "replicas", "", int, default=1))
     if replicas_override is not None:
         replicas = replicas_override
@@ -466,24 +469,8 @@ def _load_run_dir(run_dir: Path):
     window = Window.from_descriptor(header["window"])
     gamma0 = Configuration.from_json_obj(window, header["gamma0"])
     kernel = kernel_from_descriptor(header["kernel"])
-    presence: dict[int, tuple[float, float | None]] = {
-        pid: (0.0, None) for pid in gamma0.ids()
-    }
-    positions = {pid: tuple(float(c) for c in pos) for pid, pos in gamma0.items()}
-    for ev in events:
-        if ev.kind == "birth":
-            presence[ev.id] = (ev.time, None)
-            positions[ev.id] = ev.position
-        else:
-            birth, _ = presence[ev.id]
-            presence[ev.id] = (birth, ev.time)
-    traj = Trajectory(
-        window=window, gamma0=gamma0, kernel=kernel, death_rate=header["m"],
-        horizon=header["T"], seed=header["seed"], events=events, presence=presence,
-        phantom_positions=positions, initial_lifetimes={}, driving=None,
-    )
-    marks = read_mark_path_csv(marks_path)
-    return combine(traj, marks)
+    traj = Trajectory(window, gamma0, kernel, header["m"], header["T"], header["seed"], events)
+    return combine(traj, read_mark_path_csv(marks_path))
 
 
 def _observable_from_spec(spec: dict, i: int) -> Observable:
@@ -524,11 +511,16 @@ def cmd_emit_plotdata(args) -> int:
                           if d.is_dir() and d.name.startswith("replica_"))
     if not replica_dirs:
         replica_dirs = [artifacts]
-    try:
-        runs = [_load_run_dir(d) for d in replica_dirs]
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    runs = []
+    for d in replica_dirs:
+        try:
+            runs.append(_load_run_dir(d))
+        except FileNotFoundError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"corrupt run directory {d}: {exc}", file=sys.stderr)
+            return 2
     # only a run that loaded gets an output directory
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -48,11 +48,11 @@ class Box:
         hi = np.asarray(self.hi)
         return np.all((pts >= lo) & (pts <= hi), axis=1)
 
-    def scaled(self, factor: float, center: tuple[float, ...] | None = None) -> "Box":
-        """Box shrunk/grown about ``center`` (default: its own center)."""
+    def scaled(self, factor: float) -> "Box":
+        """Box shrunk/grown about its own center."""
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
-        c = 0.5 * (lo + hi) if center is None else np.asarray(center, dtype=float)
+        c = 0.5 * (lo + hi)
         return Box(tuple(c + factor * (lo - c)), tuple(c + factor * (hi - c)))
 
     def descriptor(self) -> dict:
@@ -334,9 +334,8 @@ class Configuration:
         return [{"id": pid, "position": [float(c) for c in pos]} for pid, pos in self.items()]
 
     @classmethod
-    def from_json_obj(cls, window: Window, obj: list[dict],
-                      cell_size: float | None = None) -> "Configuration":
-        return cls(window, [(rec["id"], rec["position"]) for rec in obj], cell_size=cell_size)
+    def from_json_obj(cls, window: Window, obj: list[dict]) -> "Configuration":
+        return cls(window, [(rec["id"], rec["position"]) for rec in obj])
 
 
 def cell_size_above(radius: float) -> float:

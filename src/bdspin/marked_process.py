@@ -53,7 +53,9 @@ def mark_sum_observable(box: Box, name: str = "mark_sum") -> Observable:
 class MarkedTrajectory:
     """Positions and marks assembled on the integration grid.
 
-    Build it with ``combine``, which checks that the marks cover the phantom.
+    Build it with ``combine``, which checks that the mark columns are the
+    phantom ids in ascending order, so column k of a row is the mark of
+    ``base.phantom_ids()[k]``.
     """
 
     base: Trajectory
@@ -63,17 +65,15 @@ class MarkedTrajectory:
     def grid(self) -> np.ndarray:
         return self.marks.grid
 
-    def _phantom_columns(self) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """Phantom ids (ascending, the order of the presence masks), their
-        positions (wrapped on a torus, as the simulation stores them) and
-        each id's column in the mark values."""
+    def _phantom_positions(self) -> np.ndarray:
+        """Phantom positions in ascending id order, the order of the presence
+        masks and the mark columns (wrapped on a torus, as the simulation
+        stores them)."""
         ids = self.base.phantom_ids()
-        col = {pid: k for k, pid in enumerate(self.marks.ids)}
         window = self.base.window
-        positions = window.wrap(
+        return window.wrap(
             np.array([self.base.phantom_positions[pid] for pid in ids], dtype=float)
             .reshape(len(ids), window.dim))
-        return ids, positions, np.array([col[pid] for pid in ids], dtype=int)
 
     def observable_series(self, g: Observable) -> np.ndarray:
         """<g, state> at every grid time (right-continuous values).
@@ -81,23 +81,26 @@ class MarkedTrajectory:
         One presence sweep walks the grid; each value sums over the present
         points in ascending id order.
         """
-        _, positions, cols = self._phantom_columns()
+        positions = self._phantom_positions()
         inside = g.support.contains_many(positions)
         out = np.zeros(len(self.grid))
         for j, present in enumerate(self.base.presence_masks(self.grid)):
             row = self.marks.values[j]
             total = 0.0
             for k in np.flatnonzero(present & inside):
-                total += g(positions[k], float(row[cols[k]]))
+                total += g(positions[k], float(row[k]))
             out[j] = total
         return out
 
 
 def combine(traj: Trajectory, marks: MarkPath) -> MarkedTrajectory:
-    """Assemble the marked trajectory; the mark path must cover the phantom."""
-    phantom = set(traj.phantom_ids())
-    if not phantom <= set(marks.ids):
-        raise ValueError("missing mark: the path does not cover the phantom ids")
+    """Assemble the marked trajectory; the mark path's ids must be the phantom
+    ids in ascending order."""
+    phantom = traj.phantom_ids()
+    if marks.ids != phantom:
+        missing = sorted(set(phantom) - set(marks.ids))
+        raise ValueError(f"missing mark for ids {missing[:5]}" if missing else
+                         "mark ids are not the phantom ids in ascending order")
     return MarkedTrajectory(traj, marks)
 
 
@@ -138,7 +141,7 @@ def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
     traj = mt.base
     grid = mt.grid
     values = mt.marks.values
-    _, positions, cols = mt._phantom_columns()
+    positions = mt._phantom_positions()
     inside = g.support.contains_many(positions)
     event_times = [ev.time for ev in traj.events]
     support_events: dict[float, list] = {}
@@ -152,14 +155,13 @@ def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
         row = values[j]
         total = 0.0
         for k in ks:
-            total += g(positions[k], float(row[cols[k]]))
+            total += g(positions[k], float(row[k]))
         return total
 
     def support_modulus(ks: np.ndarray, j0: int, j1: int) -> float:
         if not len(ks):
             return 0.0
-        c = cols[ks]
-        return float(np.max(np.abs(values[j1, c] - values[j0, c])))
+        return float(np.max(np.abs(values[j1, ks] - values[j0, ks])))
 
     index = [mt.marks.index_of(t) for t in times]
     visits = [s for t, j in zip(times, index) for s in (grid[max(j - 1, 0)], t)]
@@ -222,12 +224,12 @@ def write_marked_snapshots(path, mt: MarkedTrajectory, stride: int = 1) -> None:
     ``stride``-th grid time; points are the present ids in ascending order."""
     if mt.marks.values.ndim != 2:
         raise ValueError("marked snapshots need a single-replica mark path")
-    ids, positions, cols = mt._phantom_columns()
-    coords = [[float(c) for c in pos] for pos in positions]
+    ids = mt.base.phantom_ids()
+    coords = [[float(c) for c in pos] for pos in mt._phantom_positions()]
     rows = range(0, len(mt.grid), stride)
     with open(path, "w") as fh:
         for j, present in zip(rows, mt.base.presence_masks(mt.grid[::stride])):
             row = mt.marks.values[j]
-            points = [{"id": ids[k], "position": coords[k], "mark": float(row[cols[k]])}
+            points = [{"id": ids[k], "position": coords[k], "mark": float(row[k])}
                       for k in np.flatnonzero(present)]
             fh.write(json.dumps({"t": float(mt.grid[j]), "points": points}) + "\n")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -267,10 +267,6 @@ class MarkPath:
     ids: list[int]
     values: np.ndarray
 
-    @property
-    def n_replicas(self) -> int:
-        return 1 if self.values.ndim == 2 else self.values.shape[2]
-
     def index_of(self, t: float) -> int:
         j = int(np.searchsorted(self.grid, t))
         if j >= len(self.grid) or self.grid[j] != t:
@@ -302,6 +298,8 @@ def read_mark_path_csv(path) -> MarkPath:
             rows.setdefault(t, {})[pid] = v
     times = sorted(rows)
     ids = sorted(rows[times[0]]) if times else []
+    if any(rows[t].keys() != rows[times[0]].keys() for t in times):
+        raise ValueError(f"mark path {path}: the ids differ between times")
     values = np.array([[rows[t][pid] for pid in ids] for t in times])
     return MarkPath(np.array(times), ids, values)
 
@@ -345,20 +343,14 @@ def _keyed_slices(seeds: Sequence[int], ids: Sequence[int], first: np.ndarray,
     return out
 
 
-def _initial_vector(traj: Trajectory, ids: Sequence[int], init: InitialMarkPolicy,
-                    initial_marks: Mapping[int, float] | None) -> np.ndarray:
-    z0 = np.empty(len(ids))
-    for k, pid in enumerate(ids):
-        if initial_marks is not None and pid in initial_marks:
-            z0[k] = float(initial_marks[pid])
-        else:
-            z0[k] = init.evaluate(np.asarray(traj.phantom_positions[pid]))
-    return z0
+def _initial_vector(traj: Trajectory, ids: Sequence[int],
+                    init: InitialMarkPolicy) -> np.ndarray:
+    return np.array([init.evaluate(np.asarray(traj.phantom_positions[pid])) for pid in ids],
+                    dtype=float)
 
 
 def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
            icfg: IntegratorConfig, seed: int, *,
-           initial_marks: Mapping[int, float] | None = None,
            frozen_box: Box | None = None,
            noise: np.ndarray | None = None,
            n_replicas: int | None = None) -> MarkPath:
@@ -396,7 +388,7 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
             flat = flat[:, 0]
         base = np.cumsum(stop - first) - stop
 
-    z0 = _initial_vector(traj, ids, init, initial_marks)
+    z0 = _initial_vector(traj, ids, init)
     shape = (n_steps + 1, n_ids) if not ensemble else (n_steps + 1, n_ids, n_replicas)
     values = np.empty(shape)
     values[0] = z0 if not ensemble else z0[:, None]
@@ -467,43 +459,36 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
 
 def integrate_marks(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
                     icfg: IntegratorConfig, seed: int, *,
-                    initial_marks: Mapping[int, float] | None = None,
                     noise: np.ndarray | None = None) -> MarkPath:
     """Solve the mark system along the trajectory.
 
-    ``initial_marks`` supplies marks for initially present points (ids missing
-    from it fall back to the policy, like every point born later).  Identical
-    arguments give bit-identical paths.
+    Every mark starts at the policy's value at its particle's position.
+    Identical arguments give bit-identical paths.
     """
-    return _solve(traj, coeffs, init, icfg, seed,
-                  initial_marks=initial_marks, noise=noise)
+    return _solve(traj, coeffs, init, icfg, seed, noise=noise)
 
 
 def integrate_marks_ensemble(traj: Trajectory, coeffs: CoefficientSet,
                              init: InitialMarkPolicy, icfg: IntegratorConfig,
                              seed: int, n_replicas: int, *,
-                             initial_marks: Mapping[int, float] | None = None,
                              noise: np.ndarray | None = None) -> MarkPath:
     """Replica-batched solve; replica r uses the derived seed replica_seed(seed, r).
 
     Bit-identical to running ``integrate_marks`` once per derived seed.
     """
-    return _solve(traj, coeffs, init, icfg, seed, initial_marks=initial_marks,
-                  frozen_box=None, noise=noise, n_replicas=n_replicas)
+    return _solve(traj, coeffs, init, icfg, seed, noise=noise, n_replicas=n_replicas)
 
 
 def finite_volume_solve(traj: Trajectory, coeffs: CoefficientSet,
                         init: InitialMarkPolicy, icfg: IntegratorConfig,
-                        box: Box, seed: int, *,
-                        initial_marks: Mapping[int, float] | None = None) -> MarkPath:
+                        box: Box, seed: int) -> MarkPath:
     """Volume-cutoff solve: marks of phantom points outside ``box`` stay frozen
     at their initial values; inside points evolve against the frozen values.
 
     Uses the same keyed noise streams as the full solve, so the two paths are
     pathwise comparable (and bit-identical when the box covers the window).
     """
-    return _solve(traj, coeffs, init, icfg, seed, initial_marks=initial_marks,
-                  frozen_box=box)
+    return _solve(traj, coeffs, init, icfg, seed, frozen_box=box)
 
 
 def frozen_mark_deviation(path: MarkPath, traj: Trajectory) -> float:
@@ -666,8 +651,7 @@ def _spearman(x, y) -> float:
 def cutoff_convergence_study(traj: Trajectory, coeffs: CoefficientSet,
                              init: InitialMarkPolicy, icfg: IntegratorConfig,
                              boxes: Sequence[Box], alpha: float, beta: float,
-                             p: float, seeds: Sequence[int], *,
-                             initial_marks: Mapping[int, float] | None = None) -> CutoffStudyReport:
+                             p: float, seeds: Sequence[int]) -> CutoffStudyReport:
     """Estimate sup_t E || cutoff minus full solve ||^p in the beta-weighted
     norm for each nested box, and report the monotone decay trend."""
     if beta <= alpha:
@@ -679,10 +663,9 @@ def cutoff_convergence_study(traj: Trajectory, coeffs: CoefficientSet,
     weights = np.exp(-beta * radii)
     per_box_means: list[np.ndarray] = [None] * len(boxes)
     for seed in seeds:
-        full = integrate_marks(traj, coeffs, init, icfg, seed, initial_marks=initial_marks)
+        full = integrate_marks(traj, coeffs, init, icfg, seed)
         for i, box in enumerate(boxes):
-            part = finite_volume_solve(traj, coeffs, init, icfg, box, seed,
-                                       initial_marks=initial_marks)
+            part = finite_volume_solve(traj, coeffs, init, icfg, box, seed)
             diff = np.abs(part.values - full.values) ** p
             norms = diff @ weights  # per grid time: sum_x e^{-beta|x|} |diff|^p
             per_box_means[i] = norms if per_box_means[i] is None else per_box_means[i] + norms
@@ -694,14 +677,12 @@ def cutoff_convergence_study(traj: Trajectory, coeffs: CoefficientSet,
 
 def projection_consistency(traj: Trajectory, coeffs: CoefficientSet,
                            init: InitialMarkPolicy, icfg: IntegratorConfig,
-                           horizon: float, seed: int, *,
-                           initial_marks: Mapping[int, float] | None = None) -> bool:
+                           horizon: float, seed: int) -> bool:
     """Re-solve on the restricted horizon and compare against the restriction
     of the full-horizon solve: exact (bitwise) equality on the shared grid for
     all shared ids.  Requires ``horizon`` to lie on the full solve's grid."""
-    full = integrate_marks(traj, coeffs, init, icfg, seed, initial_marks=initial_marks)
-    short = integrate_marks(traj.restrict(horizon), coeffs, init, icfg, seed,
-                            initial_marks=initial_marks)
+    full = integrate_marks(traj, coeffs, init, icfg, seed)
+    short = integrate_marks(traj.restrict(horizon), coeffs, init, icfg, seed)
     return _projection_mismatch(full, short) is None
 
 

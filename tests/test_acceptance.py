@@ -89,8 +89,7 @@ def test_criterion_01_thinning_exactness():
         lam = 2.0 * 1.0 * window.volume()  # 50
         counts = np.empty(2000, dtype=int)
         for s in range(2000):
-            traj = simulate(Configuration(window), kernel, 0.0, 1.0, seed=s,
-                            keep_driving=False)
+            traj = simulate(Configuration(window), kernel, 0.0, 1.0, seed=s)
             counts[s] = len(birth_events(traj))
         elapsed = time.perf_counter() - t0
 
@@ -122,8 +121,7 @@ def test_criterion_02_pure_death():
         survivors = np.empty(2000)
         lifetimes = []
         for s in range(2000):
-            traj = simulate(gamma0, ConstantBirthKernel(0.0), m, t_obs, seed=s,
-                            keep_driving=False)
+            traj = simulate(gamma0, ConstantBirthKernel(0.0), m, t_obs, seed=s)
             survivors[s] = len(traj.present_ids(t_obs))
             lifetimes.append([ev.time * m for ev in death_events(traj)])
         elapsed = time.perf_counter() - t0

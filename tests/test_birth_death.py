@@ -295,8 +295,7 @@ class TestConfigAt:
 def reference_counting_identity(traj) -> bool:
     """``verify_counting_identity`` as a loop over ``config_at`` and every
     driving candidate: gamma_t(L) read from ``presence``, not the event log."""
-    fresh = simulate(traj.gamma0, traj.kernel, traj.death_rate, traj.horizon,
-                     traj.seed, keep_driving=False)
+    fresh = simulate(traj.gamma0, traj.kernel, traj.death_rate, traj.horizon, traj.seed)
     accepted = {}
     for ev in fresh.events:
         if ev.kind == "birth":
@@ -343,15 +342,16 @@ def counting_identity_path(case):
 
 
 def death_moved_to_horizon(traj):
-    """The path with its first death before T/2 moved to T, in both the event
-    log (read by the presence sweep) and ``presence`` (read by ``config_at``):
-    the point then outlives its survival mark at the checks in [t, T)."""
+    """The path with its first death before T/2 moved to T in the event log.
+    The presence sweep and ``presence`` (read by ``config_at``) both follow
+    the log: the point then outlives its survival mark at the checks in
+    [t, T)."""
     ev = next(ev for ev in traj.events if ev.kind == "death" and ev.time < traj.horizon / 2)
     events = [e for e in traj.events if e is not ev]
     events.append(Event(traj.horizon, "death", ev.id, ev.position))
-    presence = dict(traj.presence)
-    presence[ev.id] = (presence[ev.id][0], traj.horizon)
-    return dataclasses.replace(traj, events=events, presence=presence)
+    moved = dataclasses.replace(traj, events=events)
+    assert moved.presence[ev.id] == (traj.presence[ev.id][0], traj.horizon)
+    return moved
 
 
 class TestVerification:
@@ -487,12 +487,57 @@ def same_time_trajectory():
     return Trajectory(
         window=window, gamma0=gamma0, kernel=ConstantBirthKernel(1.0),
         death_rate=1.0, horizon=1.0, seed=0, events=events,
-        presence={0: (0.0, 0.5), 1: (0.0, None), 2: (0.25, None),
-                  3: (0.5, None), 4: (0.75, 0.75)},
-        phantom_positions={0: (1.0, 1.0), 1: (3.0, 3.0), 2: (2.0, 2.0),
-                           3: (0.5, 3.5), 4: (3.5, 0.5)},
         initial_lifetimes={0: 0.5, 1: 2.0},
     )
+
+
+class TestDerivedPresence:
+    def test_same_time_trajectory(self):
+        traj = same_time_trajectory()
+        assert traj.presence == {0: (0.0, 0.5), 1: (0.0, None), 2: (0.25, None),
+                                 3: (0.5, None), 4: (0.75, 0.75)}
+        assert traj.phantom_positions == {0: (1.0, 1.0), 1: (3.0, 3.0), 2: (2.0, 2.0),
+                                          3: (0.5, 3.5), 4: (3.5, 0.5)}
+
+    @pytest.mark.parametrize("name", ["presence", "phantom_positions"])
+    def test_not_a_constructor_input(self, name):
+        traj = same_time_trajectory()
+        with pytest.raises(TypeError):
+            Trajectory(traj.window, traj.gamma0, traj.kernel, traj.death_rate, traj.horizon,
+                       traj.seed, traj.events, **{name: {}})
+
+    @pytest.mark.parametrize("event", [
+        Event(0.8, "death", 7, (1.0, 1.0)),  # never present
+        Event(0.8, "death", 0, (1.0, 1.0)),  # dies twice
+        Event(0.8, "birth", 1, (3.0, 3.0)),  # an initial id born
+        Event(0.9, "birth", 4, (3.5, 0.5)),  # a dead id born again
+        Event(0.9, "move", 1, (3.0, 3.0)),
+    ])
+    def test_malformed_log_rejected(self, event):
+        traj = same_time_trajectory()
+        with pytest.raises(ValueError, match=f"{event.kind} of id {event.id} at t={event.time}"):
+            dataclasses.replace(traj, events=traj.events + [event])
+
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    def test_restrict_clips_presence(self, seed):
+        # deaths after h are undone, ids born after h are dropped
+        traj = glauber_run(seed, m=1.0, z=2.0, T=1.5)
+        deaths = [ev.time for ev in traj.events if ev.kind == "death"]
+        for h in (0.75, deaths[len(deaths) // 2]):
+            want = {pid: (birth, death if death is not None and death <= h else None)
+                    for pid, (birth, death) in traj.presence.items() if birth <= h}
+            short = traj.restrict(h)
+            assert short.presence == want
+            assert short.phantom_positions == {pid: traj.phantom_positions[pid] for pid in want}
+
+    def test_replace_derives_a_fresh_phantom(self):
+        traj = glauber_run(seed=4, m=1.0, z=2.0)
+        assert traj.phantom().ids() == traj.phantom_ids()
+        cut = [ev for ev in traj.events if ev.time <= 0.5]
+        short = dataclasses.replace(traj, events=cut)
+        want = sorted(set(traj.gamma0.ids()) | {ev.id for ev in cut})
+        assert short.phantom().ids() == short.phantom_ids() == want
+        assert len(want) < len(traj.phantom_ids())
 
 
 class TestPresenceSweep:

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bdspin.cli import main
+from bdspin.birth_death import simulate
+from bdspin.cli import _load_run_dir, load_config, main
+from test_golden_artifacts import OPEN_CONFIG
 
 
 def base_config(**overrides):
@@ -200,6 +202,21 @@ class TestFailureContract:
         assert len(set(report["estimates"])) > 1  # the correlation was computed
 
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exit_2_before_output(self, tmp_path, capsys, command, source):
+        cfg = write_config(tmp_path, **({"seed": -3} if source == "config" else {}))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        argv += ["--suite", "domination"] if command == "verify" else []
+        argv += ["--seed", "-1"] if source == "flag" else []
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            f"config error: seed: must be >= 0, got {-1 if source == 'flag' else -3}"]
+        assert not out.exists()
+
+
 class TestVerify:
     def test_domination_and_bounds_pass(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -366,6 +383,56 @@ class TestEmitPlotdata:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and str(out / "replica_0001" / artifact) in err[0]
         assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("corruption", ["missing_id_rows", "unknown_id_death",
+                                            "truncated_line", "ragged_marks",
+                                            "not_an_event_record"])
+    def test_corrupt_run_exit_2_before_output(self, tmp_path, capsys, corruption):
+        cfg = write_config(tmp_path, horizon=0.25)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "marks.csv").read_text().splitlines()
+        if corruption == "missing_id_rows":
+            pid = lines[1].split(",")[1]
+            kept = [line for line in lines if line.split(",")[1] != pid]
+            (out / "marks.csv").write_text("\n".join(kept) + "\n")
+        elif corruption == "ragged_marks":  # the id's row at the last time only
+            (out / "marks.csv").write_text("\n".join(lines[:-1]) + "\n")
+        elif corruption in ("unknown_id_death", "not_an_event_record"):
+            record = ({"t": 0.25, "kind": "death", "id": 999, "position": [1.0, 1.0]}
+                      if corruption == "unknown_id_death" else {"t": 0.25})
+            with open(out / "events.jsonl", "a") as fh:
+                fh.write(json.dumps(record) + "\n")
+        else:
+            text = (out / "events.jsonl").read_text()
+            (out / "events.jsonl").write_text(text[:-20])
+        obs = self.make_observables(tmp_path, [
+            {"name": "x", "kind": "count", "box": {"lo": [0, 0], "hi": [1, 1]}},
+        ])
+        capsys.readouterr()
+        code = main(["emit-plotdata", "--artifacts", str(out),
+                     "--observables", str(obs), "--out", str(tmp_path / "p")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and f"corrupt run directory {out}" in err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("case", ["glauber-1", "glauber-2", "glauber-3", "open"])
+    def test_loaded_trajectory_equals_simulated(self, tmp_path, case):
+        # the run directory holds gamma0 and the event log; presence and the
+        # phantom derived from them equal those of the simulated path
+        raw = OPEN_CONFIG if case == "open" else base_config(seed=int(case[-1]), horizon=1.0)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        cfg = load_config(cfg_path)
+        traj = simulate(cfg.build_gamma0(cfg.seed), cfg.kernel, cfg.death_rate,
+                        cfg.horizon, cfg.seed)
+        assert any(ev.kind == "death" for ev in traj.events)
+        loaded = _load_run_dir(out).base
+        assert loaded.presence == traj.presence
+        assert loaded.phantom_positions == traj.phantom_positions
 
     def test_ensemble_aggregate_rows_match_grid(self, tmp_path):
         cfg = write_config(tmp_path, replicas=3, horizon=0.25)

@@ -98,12 +98,9 @@ def glauber_marked(seed=0, side=5.0, T=1.0, m=1.0, z=2.0, dt=1 / 64):
 
 def static_marked(config, marks):
     """A trajectory without events on [0, 1] and a hand-built mark path that
-    gives ``config``'s points (ascending ids) the marks ``marks``.  The path
-    also carries a mark for an id outside the phantom, in its first column,
-    so a mark read from the wrong column shows."""
+    gives ``config``'s points (ascending ids) the marks ``marks``."""
     traj = simulate(config, ConstantBirthKernel(0.0), 0.0, 1.0, seed=0)
-    row = [1e6, *marks]
-    path = MarkPath(np.array([0.0, 1.0]), [-1, *config.ids()], np.array([row, row], dtype=float))
+    path = MarkPath(np.array([0.0, 1.0]), config.ids(), np.array([marks, marks], dtype=float))
     return combine(traj, path)
 
 
@@ -214,6 +211,17 @@ class TestCombine:
         with pytest.raises(ValueError, match="missing mark"):
             combine(traj, short)
 
+    def test_extra_or_permuted_ids_rejected(self):
+        # a column is read by its phantom position, so the ids must be the
+        # phantom ids in ascending order
+        traj, path, _ = glauber_marked(seed=1)
+        extra = MarkPath(path.grid, [-1, *path.ids],
+                         np.hstack([np.zeros((len(path.grid), 1)), path.values]))
+        permuted = MarkPath(path.grid, path.ids[::-1], path.values[:, ::-1])
+        for bad in (extra, permuted):
+            with pytest.raises(ValueError, match="not the phantom ids"):
+                combine(traj, bad)
+
 
 class TestCountingJumps:
     def test_counting_observable_tracks_events(self):
@@ -280,10 +288,7 @@ class TestCadlag:
                                    IntegratorConfig(dt=1 / 16), seed=0)
         else:
             traj, path, _ = glauber_marked(seed=int(case[-1]), m=1.5, z=3.0, dt=1 / 16)
-        # a leading column for an id outside the phantom: marks read from the
-        # wrong column change the report
-        extra = np.linspace(0.0, 1e3, len(path.grid))[:, None]
-        mt = combine(traj, MarkPath(path.grid, [-1, *path.ids], np.hstack([extra, path.values])))
+        mt = combine(traj, path)
         side = traj.window.side
         boxes = [traj.window.box, Box((0.0, 0.0), (side / 2, side)),
                  Box((side / 4, side / 4), (3 * side / 4, 3 * side / 4))]

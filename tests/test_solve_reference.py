@@ -55,8 +55,8 @@ def reference_edges(traj, radius):
             np.asarray(dist, dtype=float))
 
 
-def reference_solve(traj, coeffs, init, icfg, seed, *, initial_marks=None,
-                    frozen_box=None, noise=None, n_replicas=None):
+def reference_solve(traj, coeffs, init, icfg, seed, *, frozen_box=None, noise=None,
+                    n_replicas=None):
     ids, src, dst, dist = reference_edges(traj, coeffs.radius)
     grid = build_time_grid(traj.horizon, icfg.dt, [ev.time for ev in traj.events])
     n_steps = len(grid) - 1
@@ -76,7 +76,7 @@ def reference_solve(traj, coeffs, init, icfg, seed, *, initial_marks=None,
             if not frozen_box.contains(traj.phantom_positions[pid]):
                 frozen_mask[k] = True
 
-    z0 = _initial_vector(traj, ids, init, initial_marks)
+    z0 = _initial_vector(traj, ids, init)
     shape = (n_steps + 1, n_ids) if not ensemble else (n_steps + 1, n_ids, n_replicas)
     values = np.empty(shape)
     values[0] = z0 if not ensemble else z0[:, None]
@@ -201,9 +201,10 @@ class TestAgainstReference:
         traj = open_traj()
         coeffs = CoefficientSet(cubic_drift(0.2), zero_pair(), constant_diffusion(0.3),
                                 radius=1.0)
-        marks = {pid: 0.1 * pid - 0.5 for pid in traj.gamma0.ids()}
-        assert_same_path(integrate_marks(traj, coeffs, INIT, ICFG, 2, initial_marks=marks),
-                         reference_solve(traj, coeffs, INIT, ICFG, 2, initial_marks=marks))
+        init = InitialMarkPolicy.from_field(lambda pos: 0.3 * pos[0] - 0.2 * pos[1])
+        path = integrate_marks(traj, coeffs, init, ICFG, 2)
+        assert len(set(path.values[0])) == len(path.ids)
+        assert_same_path(path, reference_solve(traj, coeffs, init, ICFG, 2))
 
     def test_same_time_trajectory(self):
         traj = same_time_trajectory()

@@ -176,9 +176,9 @@ class TestIntegration:
         coeffs = CoefficientSet(zero_drift(), exchange_coupling(0.8), zero_diffusion(),
                                 radius=1.0)
         icfg = IntegratorConfig(dt=1 / 128)
-        marks = {0: 3.0, 1: -1.0}
-        path = integrate_marks(traj, coeffs, InitialMarkPolicy.constant(0.0), icfg,
-                               seed=0, initial_marks=marks)
+        init = InitialMarkPolicy.from_field(lambda pos: 8.0 * pos[0] - 17.0)
+        path = integrate_marks(traj, coeffs, init, icfg, seed=0)
+        assert path.values[0].tolist() == [-1.0, 3.0]
         sums = path.values.sum(axis=1)
         assert np.max(np.abs(sums - 2.0)) < 1e-12
 
