@@ -322,8 +322,9 @@ class Trajectory:
     alive at the horizon.  A point is present on [birth, death): the path is
     right-continuous, deaths and births take effect at their own time.
     ``phantom_positions`` holds everything that ever lived.  A log with a
-    death of an id that is not present, or a birth of an id already in the
-    phantom, is rejected with a ValueError.
+    death of an id that is not present, a birth of an id already in the
+    phantom, or an event earlier than the one before it is rejected with a
+    ValueError.
     """
 
     window: Window
@@ -342,7 +343,12 @@ class Trajectory:
     def __post_init__(self):
         presence = {pid: (0.0, None) for pid in self.gamma0.ids()}
         positions = {pid: tuple(map(float, pos)) for pid, pos in self.gamma0.items()}
+        last = -math.inf
         for ev in self.events:
+            if ev.time < last:
+                raise ValueError(f"event log: {ev.kind} of id {ev.id} at t={ev.time} comes "
+                                 f"after an event at t={last} (the log must be time-ordered)")
+            last = ev.time
             if ev.kind == "birth" and ev.id not in presence:
                 presence[ev.id] = (ev.time, None)
                 positions[ev.id] = ev.position

@@ -466,6 +466,9 @@ def _load_run_dir(run_dir: Path):
         if not artifact.exists():
             raise FileNotFoundError(f"missing run artifact {artifact}")
     header, events = read_event_log(events_path)
+    for key in ("window", "gamma0", "kernel", "m", "T", "seed"):
+        if key not in header:
+            raise ValueError(f"header has no {key!r}")
     window = Window.from_descriptor(header["window"])
     gamma0 = Configuration.from_json_obj(window, header["gamma0"])
     kernel = kernel_from_descriptor(header["kernel"])

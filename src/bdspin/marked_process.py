@@ -27,22 +27,34 @@ from .spin_sde import MarkPath
 class Observable:
     """Bounded function of (position, mark) supported in a box.
 
+    ``func`` is array-valued: it maps the positions ``(n, d)`` and marks
+    ``(n,)`` of n points to their ``(n,)`` values.  ``pairing`` adds those
+    values left to right from 0.0 in the order given (ascending ids in every
+    caller), as a ``total += value`` loop would and not by numpy's pairwise
+    summation, so each pairing is one fixed float.
+
     ``spin_lipschitz`` declares a Lipschitz constant in the mark argument;
     it calibrates the right-continuity modulus in the cadlag check (0 for
     counting observables that ignore marks).
     """
 
-    func: Callable[[np.ndarray, float], float]
+    func: Callable[[np.ndarray, np.ndarray], np.ndarray]
     support: Box
     name: str = "observable"
     spin_lipschitz: float = 0.0
 
-    def __call__(self, position: np.ndarray, mark: float) -> float:
-        return float(self.func(position, mark))
+    def pairing(self, positions: np.ndarray, marks: np.ndarray) -> float:
+        """Sum of ``func`` over the given points, added left to right from 0.0
+        as ``total += value`` would add them."""
+        values = np.asarray(self.func(positions, marks), dtype=float)
+        if values.shape != marks.shape:
+            raise ValueError(f"observable {self.name}: func gave shape {values.shape} "
+                             f"for {len(marks)} points")
+        return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
 def counting_observable(box: Box, name: str = "count") -> Observable:
-    return Observable(lambda pos, mark: 1.0, box, name, spin_lipschitz=0.0)
+    return Observable(lambda pos, mark: np.ones_like(mark), box, name, spin_lipschitz=0.0)
 
 
 def mark_sum_observable(box: Box, name: str = "mark_sum") -> Observable:
@@ -85,11 +97,8 @@ class MarkedTrajectory:
         inside = g.support.contains_many(positions)
         out = np.zeros(len(self.grid))
         for j, present in enumerate(self.base.presence_masks(self.grid)):
-            row = self.marks.values[j]
-            total = 0.0
-            for k in np.flatnonzero(present & inside):
-                total += g(positions[k], float(row[k]))
-            out[j] = total
+            ks = np.flatnonzero(present & inside)
+            out[j] = g.pairing(positions[ks], self.marks.values[j, ks])
         return out
 
 
@@ -133,10 +142,11 @@ def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
     live on the integrator grid; ``eps_t`` caps how far right of the event the
     stability point may be taken.
 
-    The event log must be time-sorted.  One presence sweep visits, for each
-    support event time t = grid[j], first grid[j-1] and then t: the grid
-    holds every event time, so the state is constant on [grid[j-1], t) and
-    the first visit gives gamma_{t-}, the second gamma_t.
+    The event log is time-sorted (``Trajectory`` rejects any other).  One
+    presence sweep visits, for each support event time t = grid[j], first
+    grid[j-1] and then t: the grid holds every event time, so the state is
+    constant on [grid[j-1], t) and the first visit gives gamma_{t-}, the
+    second gamma_t.
     """
     traj = mt.base
     grid = mt.grid
@@ -152,11 +162,7 @@ def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
     min_gap = min((b - a for a, b in zip(times, times[1:])), default=math.inf)
 
     def pairing(ks: np.ndarray, j: int) -> float:
-        row = values[j]
-        total = 0.0
-        for k in ks:
-            total += g(positions[k], float(row[k]))
-        return total
+        return g.pairing(positions[ks], values[j, ks])
 
     def support_modulus(ks: np.ndarray, j0: int, j1: int) -> float:
         if not len(ks):
@@ -221,15 +227,20 @@ def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
 
 def write_marked_snapshots(path, mt: MarkedTrajectory, stride: int = 1) -> None:
     """JSON Lines, one record {t, points: [{id, position, mark}]} per
-    ``stride``-th grid time; points are the present ids in ascending order."""
+    ``stride``-th grid time; points are the present ids in ascending order.
+
+    The bytes are those of ``json.dumps`` on each record: every point's text
+    up to its mark is built once, and a float is written as its repr.
+    """
     if mt.marks.values.ndim != 2:
         raise ValueError("marked snapshots need a single-replica mark path")
-    ids = mt.base.phantom_ids()
-    coords = [[float(c) for c in pos] for pos in mt._phantom_positions()]
-    rows = range(0, len(mt.grid), stride)
+    prefixes = [f'{{"id": {pid}, "position": {json.dumps(pos)}, "mark": '
+                for pid, pos in zip(mt.base.phantom_ids(), mt._phantom_positions().tolist())]
+    # json.dumps writes a non-finite float as NaN or Infinity, not its repr
+    fmt = repr if np.isfinite(mt.marks.values).all() else json.dumps
+    rows = mt.marks.formatted_rows(prefixes, stride, fmt)
     with open(path, "w") as fh:
-        for j, present in zip(rows, mt.base.presence_masks(mt.grid[::stride])):
-            row = mt.marks.values[j]
-            points = [{"id": ids[k], "position": coords[k], "mark": float(row[k])}
-                      for k in np.flatnonzero(present)]
-            fh.write(json.dumps({"t": float(mt.grid[j]), "points": points}) + "\n")
+        for (j, cells), present in zip(rows, mt.base.presence_masks(mt.grid[::stride])):
+            points = "}, ".join(map(cells.__getitem__, np.flatnonzero(present).tolist()))
+            fh.write(f'{{"t": {float(mt.grid[j])!r}, "points": ['
+                     + (points + "}" if points else "") + "]}\n")

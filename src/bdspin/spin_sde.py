@@ -25,10 +25,10 @@ marks frozen by a volume cutoff draw nothing.  The mark array stays dense
 """
 from __future__ import annotations
 
-import csv
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -273,35 +273,83 @@ class MarkPath:
             raise ValueError(f"time {t} is not on the integration grid")
         return j
 
+    def formatted_rows(self, prefixes: Sequence[str], stride: int = 1,
+                       fmt: Callable[[float], str] = repr) -> Iterator[tuple[int, list[str]]]:
+        """Yield ``(j, cells)`` for every ``stride``-th grid row j, where
+        ``cells[k] == prefixes[k] + fmt(values[j, k])``.
+
+        A value bitwise equal to its predecessor in the previous yielded row
+        keeps that row's string, so a frozen mark is formatted once.  The same
+        list is updated in place and yielded for every row.
+        """
+        bits = self.values.view(np.int64)
+        cells: list[str] = []
+        prev = -1
+        for j in range(0, len(self.grid), stride):
+            if prev < 0:
+                cells = list(map(operator.add, prefixes, map(fmt, self.values[j].tolist())))
+            else:
+                changed = np.flatnonzero(bits[j] != bits[prev])
+                for k, v in zip(changed.tolist(), self.values[j, changed].tolist()):
+                    cells[k] = prefixes[k] + fmt(v)
+            prev = j
+            yield j, cells
+
     def to_csv(self, path, stride: int = 1) -> None:
-        """CSV columns (t, id, value); rows grouped by time, id-ascending."""
+        """CSV columns (t, id, value); rows grouped by time, id-ascending, each
+        value its float repr, lines ended by ``\\r\\n`` (as ``csv.writer``
+        writes them)."""
         if self.values.ndim != 2:
             raise ValueError("CSV export is for single-replica paths")
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "id", "value"])
-            for j in range(0, len(self.grid), stride):
-                for k, pid in enumerate(self.ids):
-                    writer.writerow([repr(float(self.grid[j])), pid,
-                                     repr(float(self.values[j, k]))])
+            fh.write("t,id,value\r\n")
+            if not self.ids:
+                return
+            for j, cells in self.formatted_rows([f",{pid}," for pid in self.ids], stride):
+                t = repr(float(self.grid[j]))
+                fh.write(t + ("\r\n" + t).join(cells) + "\r\n")
+
+
+# the longest repr of a float64, as in -2.2250738585072014e-308
+_REPR_MAX = 24
 
 
 def read_mark_path_csv(path) -> MarkPath:
-    times: list[float] = []
-    ids: list[int] = []
-    rows: dict[float, dict[int, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for t_s, pid_s, v_s in reader:
-            t, pid, v = float(t_s), int(pid_s), float(v_s)
-            rows.setdefault(t, {})[pid] = v
-    times = sorted(rows)
-    ids = sorted(rows[times[0]]) if times else []
-    if any(rows[t].keys() != rows[times[0]].keys() for t in times):
+    """Read a ``MarkPath.to_csv`` file.
+
+    The rows of one time form a block; blocks come in strictly increasing
+    time and list the same ids, strictly ascending.  A file of any other
+    layout (a repeated ``(t, id)`` row, a missing or extra id, an
+    out-of-order time) raises ``ValueError``.  numpy parses the ids and
+    values in C, exactly as ``float`` does.  The time column is read as
+    text: only the first t of each block is parsed, and the block's other
+    rows must repeat it byte for byte.
+    """
+    with open(path) as fh:
+        fh.readline()
+        if not fh.readline():  # a path with no ids has only the header
+            return MarkPath(np.array([]), [], np.array([]))
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=1,
+                      dtype=[("t", f"S{_REPR_MAX + 1}"), ("id", np.int64), ("value", float)])
+    t, ids = rows["t"], rows["id"]
+    starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+    heads = t[starts].tolist()
+    if max(map(len, heads)) > _REPR_MAX:
+        raise ValueError(f"mark path {path}: a time is longer than a float repr")
+    grid = np.array([float(s) for s in heads])
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError(f"mark path {path}: the times are not strictly increasing")
+    ascending = np.diff(ids) > 0
+    ascending[starts[1:] - 1] = True
+    if not ascending.all():
+        i = int(np.argmin(ascending)) + 1
+        raise ValueError(f"mark path {path}: id {ids[i]} at t={float(t[i])} repeats "
+                         "or breaks the ascending order")
+    n = len(t) // len(starts)
+    if (n * len(starts) != len(t) or not np.array_equal(starts, np.arange(0, len(t), n))
+            or not np.all(ids.reshape(-1, n) == ids[:n])):
         raise ValueError(f"mark path {path}: the ids differ between times")
-    values = np.array([[rows[t][pid] for pid in ids] for t in times])
-    return MarkPath(np.array(times), ids, values)
+    return MarkPath(grid, ids[:n].tolist(), rows["value"].reshape(-1, n).copy())
 
 
 # -- grid and segment machinery -------------------------------------------------

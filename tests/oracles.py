@@ -5,10 +5,14 @@ way ``test_acceptance`` imports ``test_scales``).  They build on the library's
 own pieces: ``ovsjannikov_bound_constant`` computes its L with the same
 ``scales._cut_radius`` and ``scales._bound_value`` as the ``gronwall`` and
 ``moments`` reports, and ``strong_order_study`` solves with
-``integrate_marks_ensemble`` on explicit keyed noise.
+``integrate_marks_ensemble`` on explicit keyed noise.  The artifact writers
+and reader at the end are the per-value ``csv``/``json`` versions that the
+library's string-joining writers and C-parsed reader must match.
 """
 from __future__ import annotations
 
+import csv
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -20,7 +24,8 @@ from bdspin.birth_death import (ConstantBirthKernel, Event, GlauberBirthKernel, 
                                 simulate)
 from bdspin.geometry import Box, Configuration, Window
 from bdspin.scales import _bound_value, _cut_radius, _neighborhoods
-from bdspin.spin_sde import (CoefficientSet, InitialMarkPolicy, IntegratorConfig,
+from bdspin.marked_process import MarkedTrajectory
+from bdspin.spin_sde import (CoefficientSet, InitialMarkPolicy, IntegratorConfig, MarkPath,
                              _keyed_slices, integrate_marks_ensemble, linear_drift,
                              linear_self_diffusion, zero_pair)
 
@@ -379,3 +384,47 @@ def strong_order_study(seed: int, *, n_paths: int = 400,
     slope = float(np.polyfit(np.log2(dts), np.log2(errors), 1)[0])
     monotone = all(a > b for a, b in zip(errors, errors[1:]))  # errors listed coarse->fine
     return StrongOrderReport(dts, errors, slope, monotone)
+
+
+# -- artifact writers and reader, one value at a time -----------------------------------
+
+
+def reference_to_csv(marks: MarkPath, path, stride: int = 1) -> None:
+    """``MarkPath.to_csv`` through ``csv.writer``, one row per (time, id)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "id", "value"])
+        for j in range(0, len(marks.grid), stride):
+            for k, pid in enumerate(marks.ids):
+                writer.writerow([repr(float(marks.grid[j])), pid,
+                                 repr(float(marks.values[j, k]))])
+
+
+def reference_write_marked_snapshots(path, mt: MarkedTrajectory, stride: int = 1) -> None:
+    """``write_marked_snapshots`` through ``json.dumps``, one dict per point."""
+    ids = mt.base.phantom_ids()
+    coords = [[float(c) for c in pos] for pos in mt._phantom_positions()]
+    rows = range(0, len(mt.grid), stride)
+    with open(path, "w") as fh:
+        for j, present in zip(rows, mt.base.presence_masks(mt.grid[::stride])):
+            row = mt.marks.values[j]
+            points = [{"id": ids[k], "position": coords[k], "mark": float(row[k])}
+                      for k in np.flatnonzero(present)]
+            fh.write(json.dumps({"t": float(mt.grid[j]), "points": points}) + "\n")
+
+
+def reference_read_mark_path_csv(path) -> MarkPath:
+    """``read_mark_path_csv`` through ``csv.reader`` and a dict per time; a
+    repeated (t, id) row keeps its last value."""
+    rows: dict[float, dict[int, float]] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for t_s, pid_s, v_s in reader:
+            rows.setdefault(float(t_s), {})[int(pid_s)] = float(v_s)
+    times = sorted(rows)
+    ids = sorted(rows[times[0]]) if times else []
+    if any(rows[t].keys() != rows[times[0]].keys() for t in times):
+        raise ValueError(f"mark path {path}: the ids differ between times")
+    values = np.array([[rows[t][pid] for pid in ids] for t in times])
+    return MarkPath(np.array(times), ids, values)

@@ -518,6 +518,16 @@ class TestDerivedPresence:
         with pytest.raises(ValueError, match=f"{event.kind} of id {event.id} at t={event.time}"):
             dataclasses.replace(traj, events=traj.events + [event])
 
+    def test_unordered_log_rejected(self):
+        traj = same_time_trajectory()
+        e = traj.events
+        swapped = dataclasses.replace(traj, events=[e[0], e[2], e[1], e[3], e[4]])
+        assert swapped.presence == traj.presence  # equal times may come in any order
+        events = [e[3], e[0], e[1], e[2], e[4]]
+        with pytest.raises(ValueError, match="birth of id 2 at t=0.25 comes after an event "
+                                             "at t=0.75"):
+            dataclasses.replace(traj, events=events)
+
     @pytest.mark.parametrize("seed", [3, 8, 21])
     def test_restrict_clips_presence(self, seed):
         # deaths after h are undone, ids born after h are dropped

@@ -386,7 +386,8 @@ class TestEmitPlotdata:
 
     @pytest.mark.parametrize("corruption", ["missing_id_rows", "unknown_id_death",
                                             "truncated_line", "ragged_marks",
-                                            "not_an_event_record"])
+                                            "repeated_mark_row", "not_an_event_record",
+                                            "unordered_events"])
     def test_corrupt_run_exit_2_before_output(self, tmp_path, capsys, corruption):
         cfg = write_config(tmp_path, horizon=0.25)
         out = tmp_path / "run"
@@ -398,6 +399,15 @@ class TestEmitPlotdata:
             (out / "marks.csv").write_text("\n".join(kept) + "\n")
         elif corruption == "ragged_marks":  # the id's row at the last time only
             (out / "marks.csv").write_text("\n".join(lines[:-1]) + "\n")
+        elif corruption == "repeated_mark_row":  # a copy of the last row, another value
+            t, pid, _ = lines[-1].split(",")
+            (out / "marks.csv").write_text("\n".join(lines + [f"{t},{pid},123.0"]) + "\n")
+        elif corruption == "unordered_events":  # the last birth moved before the others
+            header, *records = (out / "events.jsonl").read_text().splitlines()
+            last = max(i for i, r in enumerate(records) if json.loads(r)["kind"] == "birth")
+            assert json.loads(records[0])["t"] < json.loads(records[last])["t"]
+            records.insert(0, records.pop(last))
+            (out / "events.jsonl").write_text("\n".join([header] + records) + "\n")
         elif corruption in ("unknown_id_death", "not_an_event_record"):
             record = ({"t": 0.25, "kind": "death", "id": 999, "position": [1.0, 1.0]}
                       if corruption == "unknown_id_death" else {"t": 0.25})
@@ -415,6 +425,26 @@ class TestEmitPlotdata:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and f"corrupt run directory {out}" in err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("key", ["window", "gamma0", "kernel", "m", "T", "seed"])
+    def test_header_without_key_exit_2_before_output(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, horizon=0.25)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        header, *records = (out / "events.jsonl").read_text().splitlines()
+        header = json.loads(header)
+        del header[key]
+        (out / "events.jsonl").write_text("\n".join([json.dumps(header)] + records) + "\n")
+        obs = self.make_observables(tmp_path, [
+            {"name": "x", "kind": "count", "box": {"lo": [0, 0], "hi": [1, 1]}},
+        ])
+        capsys.readouterr()
+        code = main(["emit-plotdata", "--artifacts", str(out),
+                     "--observables", str(obs), "--out", str(tmp_path / "p")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"corrupt run directory {out}: header has no {key!r}"]
         assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("case", ["glauber-1", "glauber-2", "glauber-3", "open"])

@@ -32,6 +32,11 @@ from oracles import birth_events
 from test_birth_death import same_time_trajectory
 
 
+def point_value(g, pos, mark):
+    """g at one point, through its array-valued ``func``."""
+    return float(g.func(np.array([pos], dtype=float), np.array([mark]))[0])
+
+
 def cadlag_reference(mt, g, eps_t, atol=1e-9, left_points=4):
     """The cadlag check with every state rebuilt by ``config_at``: gamma_t and
     gamma_{t-} at each support event, and the state at each left grid point.
@@ -46,7 +51,8 @@ def cadlag_reference(mt, g, eps_t, atol=1e-9, left_points=4):
         return [(pid, pos) for pid, pos in config.items() if g.support.contains(pos)]
 
     def pairing(config, j):
-        return sum((g(pos, float(values[j, col[pid]])) for pid, pos in in_support(config)), 0.0)
+        return sum((point_value(g, pos, values[j, col[pid]])
+                    for pid, pos in in_support(config)), 0.0)
 
     def modulus(config, j0, j1):
         cols = [col[pid] for pid, _ in in_support(config)]
@@ -121,7 +127,7 @@ class TestMarkedConfiguration:
     def test_observable_zero_function(self):
         window = Window(4.0, 2, "open")
         mt = static_marked(Configuration(window, [(0, [1.0, 1.0])]), [2.0])
-        g = Observable(lambda pos, mark: 0.0, window.box, "zero")
+        g = Observable(lambda pos, mark: np.zeros_like(mark), window.box, "zero")
         assert mt.observable_series(g).tolist() == [0.0, 0.0]
 
     def test_mark_sum_in_box(self, tmp_path):
@@ -140,12 +146,48 @@ class TestMarkedConfiguration:
         marks = gen.standard_normal(len(config))
         mt = static_marked(config, marks)
         box = Box((1.0, 1.0), (4.0, 5.0))
-        g = Observable(lambda pos, mark: mark**2 + pos[0], box, "mix")
+        g = Observable(lambda pos, mark: mark**2 + pos[:, 0], box, "mix")
         want = sum(
             mark ** 2 + pos[0]
             for (pid, pos), mark in zip(config.items(), marks) if box.contains(pos)
         )
         assert mt.observable_series(g)[0] == pytest.approx(want, rel=1e-12)
+
+
+class TestArrayObservable:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_series_equals_pointwise_loop(self, seed):
+        # the old contract: g evaluated point by point, total += value from
+        # 0.0 over the present ids in ascending order
+        traj, path, mt = glauber_marked(seed=seed, m=1.5, z=3.0)
+        box = Box((0.5, 1.0), (4.0, 4.5))
+        for g in (counting_observable(box), mark_sum_observable(box),
+                  Observable(lambda pos, mark: mark**2 + pos[:, 0], box, "mix")):
+            want = []
+            for j, t in enumerate(path.grid):
+                present, total = set(traj.present_ids(float(t))), 0.0
+                for k, pid in enumerate(path.ids):
+                    pos = traj.phantom_positions[pid]
+                    if pid in present and box.contains(np.array(pos)):
+                        total += point_value(g, pos, path.values[j, k])
+                want.append(total)
+            assert mt.observable_series(g).tolist() == want
+
+    def test_pairing_adds_left_to_right_from_zero(self):
+        g = mark_sum_observable(Box((0.0,), (1.0,)))
+        marks = np.array([1.0] + [1e-16] * 999)
+        total = 0.0
+        for v in marks.tolist():
+            total += v
+        got = g.pairing(np.zeros((len(marks), 1)), marks)
+        assert got == total == 1.0 and np.sum(marks) != total
+        zero = g.pairing(np.zeros((2, 1)), np.array([-0.0, -0.0]))
+        assert math.copysign(1.0, zero) == 1.0 and g.pairing(np.zeros((0, 1)), marks[:0]) == 0.0
+
+    def test_func_must_give_one_value_per_point(self):
+        g = Observable(lambda pos, mark: 1.0, Box((0.0,), (1.0,)), "scalar")
+        with pytest.raises(ValueError, match="scalar: func gave shape"):
+            g.pairing(np.zeros((3, 1)), np.zeros(3))
 
 
 class TestCombine:
@@ -273,7 +315,7 @@ class TestCadlag:
         j = path.index_of(ev.time)
         series = mt.observable_series(g)
         col = {pid: k for k, pid in enumerate(path.ids)}
-        left = sum(g(pos, float(path.values[j, col[pid]]))
+        left = sum(point_value(g, pos, path.values[j, col[pid]])
                    for pid, pos in traj.config_at(ev.time, "left").items()
                    if g.support.contains(pos))
         assert series[j] - left == 1.0
