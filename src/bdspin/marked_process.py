@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -238,9 +239,11 @@ def write_marked_snapshots(path, mt: MarkedTrajectory, stride: int = 1) -> None:
                 for pid, pos in zip(mt.base.phantom_ids(), mt._phantom_positions().tolist())]
     # json.dumps writes a non-finite float as NaN or Infinity, not its repr
     fmt = repr if np.isfinite(mt.marks.values).all() else json.dumps
-    rows = mt.marks.formatted_rows(prefixes, stride, fmt)
     with open(path, "w") as fh:
-        for (j, cells), present in zip(rows, mt.base.presence_masks(mt.grid[::stride])):
-            points = "}, ".join(map(cells.__getitem__, np.flatnonzero(present).tolist()))
+        for j, present in zip(range(0, len(mt.grid), stride),
+                              mt.base.presence_masks(mt.grid[::stride])):
+            cols = np.flatnonzero(present)
+            points = "}, ".join(map(operator.add, map(prefixes.__getitem__, cols.tolist()),
+                                    map(fmt, mt.marks.values[j, cols].tolist())))
             fh.write(f'{{"t": {float(mt.grid[j])!r}, "points": ['
                      + (points + "}" if points else "") + "]}\n")

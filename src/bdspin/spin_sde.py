@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import math
 import operator
+import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -273,39 +274,29 @@ class MarkPath:
             raise ValueError(f"time {t} is not on the integration grid")
         return j
 
-    def formatted_rows(self, prefixes: Sequence[str], stride: int = 1,
-                       fmt: Callable[[float], str] = repr) -> Iterator[tuple[int, list[str]]]:
-        """Yield ``(j, cells)`` for every ``stride``-th grid row j, where
-        ``cells[k] == prefixes[k] + fmt(values[j, k])``.
-
-        A value bitwise equal to its predecessor in the previous yielded row
-        keeps that row's string, so a frozen mark is formatted once.  The same
-        list is updated in place and yielded for every row.
-        """
-        bits = self.values.view(np.int64)
-        cells: list[str] = []
-        prev = -1
-        for j in range(0, len(self.grid), stride):
-            if prev < 0:
-                cells = list(map(operator.add, prefixes, map(fmt, self.values[j].tolist())))
-            else:
-                changed = np.flatnonzero(bits[j] != bits[prev])
-                for k, v in zip(changed.tolist(), self.values[j, changed].tolist()):
-                    cells[k] = prefixes[k] + fmt(v)
-            prev = j
-            yield j, cells
-
     def to_csv(self, path, stride: int = 1) -> None:
         """CSV columns (t, id, value); rows grouped by time, id-ascending, each
         value its float repr, lines ended by ``\\r\\n`` (as ``csv.writer``
-        writes them)."""
+        writes them).
+
+        A value bitwise equal to its predecessor in the previous written row
+        keeps that row's text, so a frozen mark is formatted once.
+        """
         if self.values.ndim != 2:
             raise ValueError("CSV export is for single-replica paths")
         with open(path, "w", newline="") as fh:
             fh.write("t,id,value\r\n")
-            if not self.ids:
+            if not self.values.size:
                 return
-            for j, cells in self.formatted_rows([f",{pid}," for pid in self.ids], stride):
+            prefixes = [f",{pid}," for pid in self.ids]
+            cells = list(map(operator.add, prefixes, map(repr, self.values[0].tolist())))
+            bits = self.values.view(np.int64)
+            prev = 0
+            for j in range(0, len(self.grid), stride):
+                changed = np.flatnonzero(bits[j] != bits[prev])
+                for k, v in zip(changed.tolist(), self.values[j, changed].tolist()):
+                    cells[k] = prefixes[k] + repr(v)
+                prev = j
                 t = repr(float(self.grid[j]))
                 fh.write(t + ("\r\n" + t).join(cells) + "\r\n")
 
@@ -321,16 +312,18 @@ def read_mark_path_csv(path) -> MarkPath:
     time and list the same ids, strictly ascending.  A file of any other
     layout (a repeated ``(t, id)`` row, a missing or extra id, an
     out-of-order time) raises ``ValueError``.  numpy parses the ids and
-    values in C, exactly as ``float`` does.  The time column is read as
-    text: only the first t of each block is parsed, and the block's other
-    rows must repeat it byte for byte.
+    values in C, exactly as ``float`` does, and skips blank lines; a file
+    with no rows is an empty path.  The time column is read as text, which
+    numpy reads faster than it parses a float: only the first t of each
+    block is parsed, and the block's other rows must repeat it byte for byte.
     """
-    with open(path) as fh:
-        fh.readline()
-        if not fh.readline():  # a path with no ids has only the header
-            return MarkPath(np.array([]), [], np.array([]))
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=1,
-                      dtype=[("t", f"S{_REPR_MAX + 1}"), ("id", np.int64), ("value", float)])
+    with warnings.catch_warnings():  # loadtxt warns on a file with no rows
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=1,
+                          dtype=[("t", f"S{_REPR_MAX + 1}"), ("id", np.int64),
+                                 ("value", float)])
+    if not rows.size:
+        return MarkPath(np.array([]), [], np.array([]))
     t, ids = rows["t"], rows["id"]
     starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
     heads = t[starts].tolist()

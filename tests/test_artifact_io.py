@@ -107,6 +107,12 @@ def test_reader_header_only_file_is_an_empty_path(tmp_path):
                                                            want.values.shape) == ([], (0,), (0,))
 
 
+def test_reader_header_and_blank_lines_is_an_empty_path(tmp_path):
+    (tmp_path / "marks.csv").write_text("t,id,value\r\n\r\n\n")
+    got = read_mark_path_csv(tmp_path / "marks.csv")
+    assert (got.ids, got.grid.shape, got.values.shape) == ([], (0,), (0,))
+
+
 def corrupt(lines, kind):
     """``lines`` of a marks.csv with 9 times x 4 ids, corrupted as ``kind``."""
     header, rows = lines[0], lines[1:]

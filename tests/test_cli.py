@@ -387,7 +387,7 @@ class TestEmitPlotdata:
     @pytest.mark.parametrize("corruption", ["missing_id_rows", "unknown_id_death",
                                             "truncated_line", "ragged_marks",
                                             "repeated_mark_row", "not_an_event_record",
-                                            "unordered_events"])
+                                            "unordered_events", "blank_marks"])
     def test_corrupt_run_exit_2_before_output(self, tmp_path, capsys, corruption):
         cfg = write_config(tmp_path, horizon=0.25)
         out = tmp_path / "run"
@@ -402,6 +402,8 @@ class TestEmitPlotdata:
         elif corruption == "repeated_mark_row":  # a copy of the last row, another value
             t, pid, _ = lines[-1].split(",")
             (out / "marks.csv").write_text("\n".join(lines + [f"{t},{pid},123.0"]) + "\n")
+        elif corruption == "blank_marks":  # the header and a blank line, no rows
+            (out / "marks.csv").write_text(lines[0] + "\n\n")
         elif corruption == "unordered_events":  # the last birth moved before the others
             header, *records = (out / "events.jsonl").read_text().splitlines()
             last = max(i for i, r in enumerate(records) if json.loads(r)["kind"] == "birth")
