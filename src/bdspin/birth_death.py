@@ -7,6 +7,18 @@ u <= b(x, gamma_{s-}); an accepted point dies at s + r/m (never, if m = 0).
 Initial points carry their own independent unit exponential lifetimes.  The
 sweep is event-driven and deterministic given the seed, so whole runs can be
 replayed and verified pathwise.
+
+Every point the sweep can ever hold is known before it starts: gamma0 and
+the driving candidates.  ``simulate`` cuts the candidates, in rank order,
+into blocks about as large as the configuration present when the block
+starts, and finds the pairs within the kernel's interaction range once per
+block, with one ``neighbor_pairs`` call over the block's rows: the points
+present at its start (ascending id), then its candidates (rank order).  The
+sweep keeps a present mask over those rows, and a rate reads its row's slice
+of the pair list filtered by the mask.  An accepted candidate takes the next
+id in rank order, so among present points row order is id order.  A block's
+list holds only points that can meet within it, so its size follows the
+present density, not the horizon or the rejection rate.
 """
 from __future__ import annotations
 
@@ -19,7 +31,11 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import rng
-from .geometry import Box, Configuration, Window, cell_size_above
+from .geometry import Box, Configuration, Window, neighbor_pairs
+
+# near(row) -> (rows, dists): the present rows within the kernel's
+# interaction range of ``row``, ascending, and their distances from it
+Near = Callable[[int], tuple[np.ndarray, np.ndarray]]
 
 
 class BoundViolationError(RuntimeError):
@@ -99,20 +115,21 @@ class BirthKernel:
     """Birth rate b(x, gamma) with a declared uniform bound b_max.
 
     The bound is a contract: `evaluate` raises BoundViolationError if the
-    kernel ever exceeds it, which means the kernel was misdeclared.
+    kernel ever exceeds it, which means the kernel was misdeclared.  A rate
+    is evaluated at a row of the sweep's position array and sees gamma only
+    through ``near``, which gives the present points within
+    ``interaction_range`` of any row.
     """
 
     b_max: float
     interaction_range: float = 0.0
 
-    def rate(self, x: np.ndarray, config: Configuration) -> float:
+    def rate(self, row: int, near: Near) -> float:
         raise NotImplementedError
 
-    def evaluate(self, x, config: Configuration) -> float:
-        x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("non-finite position in birth rate evaluation")
-        value = float(self.rate(x, config))
+    def evaluate(self, x, row: int, near: Near) -> float:
+        """The rate at ``row``, whose position is ``x`` (named in the witness)."""
+        value = float(self.rate(row, near))
         if not math.isfinite(value) or value < 0:
             message = f"kernel returned invalid rate {value!r}"
         elif value > self.b_max * (1.0 + 1e-12) + 1e-300:
@@ -140,7 +157,7 @@ class ConstantBirthKernel(BirthKernel):
     def b_max(self) -> float:
         return self.z
 
-    def rate(self, x, config):
+    def rate(self, row, near):
         return self.z
 
     def descriptor(self) -> dict:
@@ -162,11 +179,10 @@ class GlauberBirthKernel(BirthKernel):
     def interaction_range(self) -> float:
         return self.phi.range
 
-    def rate(self, x, config):
-        hits = config.ids_within(x, self.phi.range)
-        if not hits:
+    def rate(self, row, near):
+        dist = near(row)[1]
+        if not dist.size:
             return self.z
-        dist = np.array([d for _, d in hits])
         # a point of gamma exactly at x is excluded (positions are distinct)
         total = float(np.sum(self.phi(dist[dist > 0.0])))
         return self.z * math.exp(-total)
@@ -197,15 +213,15 @@ class FecundityBirthKernel(BirthKernel):
     def interaction_range(self) -> float:
         return max(self.a.range, self.c.range, self.phi.range)
 
-    def rate(self, x, config):
+    def rate(self, row, near):
         total = 0.0
-        for y_id, d_xy in config.ids_within(x, self.a.range):
+        rows, dist = near(row)
+        within = dist <= self.a.range
+        for y, d_xy in zip(rows[within].tolist(), dist[within].tolist()):
             a_val = float(self.a(np.array([d_xy]))[0])
             if a_val == 0.0:
                 continue
-            y = config.position_of(y_id)
-            inner = config.ids_within(y, max(self.c.range, self.phi.range))
-            dists = np.array([d for zid, d in inner if zid != y_id])
+            dists = near(y)[1]  # gamma without y around y
             c_sum = float(np.sum(self.c(dists[dists <= self.c.range]))) if dists.size else 0.0
             phi_sum = float(np.sum(self.phi(dists[dists <= self.phi.range]))) if dists.size else 0.0
             total += a_val * (1.0 + c_sum) * math.exp(-phi_sum)
@@ -242,11 +258,10 @@ class EstablishmentBirthKernel(BirthKernel):
     def interaction_range(self) -> float:
         return max(self.a.range, self.c.range, self.phi.range)
 
-    def rate(self, x, config):
-        hits = config.ids_within(x, self.interaction_range)
-        if not hits:
+    def rate(self, row, near):
+        dist = near(row)[1]
+        if not dist.size:
             return 0.0
-        dist = np.array([d for _, d in hits])
         a_sum = float(np.sum(self.a(dist[dist <= self.a.range])))
         if a_sum == 0.0:
             return 0.0
@@ -416,13 +431,9 @@ class Trajectory:
                 e += 1
             yield mask
 
-    def config_at(self, t: float, side: str = "right",
-                  cell_size: float | None = None) -> Configuration:
+    def config_at(self, t: float, side: str = "right") -> Configuration:
         ids = self.present_ids(t, side)
-        return Configuration(
-            self.window, [(pid, self.phantom_positions[pid]) for pid in ids],
-            cell_size=cell_size,
-        )
+        return Configuration(self.window, [(pid, self.phantom_positions[pid]) for pid in ids])
 
     def restrict(self, horizon: float) -> "Trajectory":
         """The same path observed only on [0, horizon]; ids are unchanged."""
@@ -433,6 +444,35 @@ class Trajectory:
             driving = [dp for dp in self.driving if dp.s <= horizon]
         return replace(self, horizon=horizon, driving=driving,
                        events=[ev for ev in self.events if ev.time <= horizon])
+
+
+# fewest candidates in a block: a neighbor_pairs call costs about 0.1 ms
+# before any work, so a sparse configuration still gets blocks of hundreds
+MIN_BLOCK = 256
+
+
+def present_neighbors(window: Window, positions: np.ndarray, radius: float,
+                      present: np.ndarray) -> Near:
+    """``near`` over the rows of ``positions``, from one ``neighbor_pairs``
+    list at ``radius`` (none for a radius of 0, where no row has neighbors).
+
+    ``near(row)`` is the row's slice of the list, kept where ``present`` is
+    set; the mask is read at each call, so the caller flips it in place.
+    """
+    if radius > 0:
+        src, dst, dist = neighbor_pairs(window, positions, radius)
+    else:
+        src = dst = np.zeros(0, dtype=np.intp)
+        dist = np.zeros(0)
+    bounds = np.searchsorted(src, np.arange(len(positions) + 1)).tolist()
+
+    def near(row: int) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = bounds[row], bounds[row + 1]
+        rows = dst[lo:hi]
+        keep = present[rows]
+        return rows[keep], dist[lo:hi][keep]
+
+    return near
 
 
 def simulate(gamma0: Configuration, kernel: BirthKernel, death_rate: float,
@@ -460,10 +500,17 @@ def simulate(gamma0: Configuration, kernel: BirthKernel, death_rate: float,
     init_marks = gen.standard_exponential(len(init_ids))
     initial_lifetimes = {pid: float(mark) for pid, mark in zip(init_ids, init_marks)}
 
-    # cells sized by the interaction range, not the window: a rate query
-    # visits the 3^d cells around the candidate whatever the window size
-    reach = kernel.interaction_range
-    state = gamma0.copy(cell_size=cell_size_above(reach) if reach > 0 else window.side / 8.0)
+    # rows: gamma0 in ascending id order, then the candidates in rank order
+    n0 = len(init_ids)
+    candidates = np.array([dp.x for dp in driving], dtype=float).reshape(-1, window.dim)
+    points = window.wrap(np.concatenate([gamma0.positions_array(), candidates]))
+    # the current block: its rows in ascending order, the present mask over
+    # them and the end of its candidate rows; gamma0 until the first candidate
+    block_rows = np.arange(n0)
+    present = np.ones(n0, dtype=bool)
+    block_end = n0
+    # present positions, to reject a birth onto a present point
+    occupant = {tuple(pos): pid for pid, pos in zip(init_ids, points[:n0].tolist())}
     events: list[Event] = []
 
     heap: list[tuple[float, int, str, object]] = []
@@ -471,10 +518,10 @@ def simulate(gamma0: Configuration, kernel: BirthKernel, death_rate: float,
         heap.append((dp.s, dp.index, "candidate", dp))
     seq = len(driving)
     if death_rate > 0:
-        for pid in init_ids:
+        for row, pid in enumerate(init_ids):
             death_time = initial_lifetimes[pid] / death_rate
             if death_time <= horizon:
-                heap.append((death_time, seq, "death", pid))
+                heap.append((death_time, seq, "death", (pid, row)))
                 seq += 1
     heapq.heapify(heap)
 
@@ -483,26 +530,40 @@ def simulate(gamma0: Configuration, kernel: BirthKernel, death_rate: float,
         t, _, kind, payload = heapq.heappop(heap)
         if kind == "candidate":
             dp = payload
+            row = n0 + dp.index
+            if row == block_end:
+                held = block_rows[present]
+                block_end = min(row + max(len(held), MIN_BLOCK), len(points))
+                block_rows = np.concatenate([held, np.arange(row, block_end)])
+                present = np.zeros(len(block_rows), dtype=bool)
+                present[:len(held)] = True
+                near = present_neighbors(window, points[block_rows],
+                                         kernel.interaction_range, present)
+            local = len(block_rows) - (block_end - row)
             try:
-                b = kernel.evaluate(np.asarray(dp.x), state)
+                b = kernel.evaluate(dp.x, local, near)
             except BoundViolationError as exc:
                 exc.witness["t"] = t
                 raise
             if dp.u <= b:
                 pid = next_id
                 next_id += 1
-                state.insert(pid, dp.x)
-                pos = tuple(float(c) for c in state.position_of(pid))
+                pos = tuple(points[row].tolist())
+                other = occupant.setdefault(pos, pid)
+                if other != pid:
+                    raise ValueError(f"points {other} and {pid} have identical positions")
+                present[local] = True
                 events.append(Event(t, "birth", pid, pos))
                 if death_rate > 0:
                     death_time = t + dp.r / death_rate
                     if death_time <= horizon:
-                        heapq.heappush(heap, (death_time, seq, "death", pid))
+                        heapq.heappush(heap, (death_time, seq, "death", (pid, row)))
                         seq += 1
         else:
-            pid = payload
-            pos = tuple(float(c) for c in state.position_of(pid))
-            state.remove(pid)
+            pid, row = payload
+            pos = tuple(points[row].tolist())
+            del occupant[pos]
+            present[np.searchsorted(block_rows, row)] = False
             events.append(Event(t, "death", pid, pos))
 
     return Trajectory(window, gamma0, kernel, death_rate, horizon, seed, events,
@@ -523,10 +584,16 @@ def replay_events(traj: Trajectory) -> list[Event]:
 
 @dataclass
 class DominationReport:
-    """Pathwise verification of the dominating-process inequalities."""
+    """Pathwise verification of the dominating-process inequalities.
+
+    ``min_margin`` is the smallest n_cand + n_init - phantom over the checks:
+    how close the path came to its dominating process (negative on a
+    violation).
+    """
 
     passed: bool
     checks: int
+    min_margin: int
     violations: list[dict]
     replay_consistent: bool
 
@@ -534,6 +601,7 @@ class DominationReport:
         return {
             "passed": self.passed,
             "checks": self.checks,
+            "min_margin": self.min_margin,
             "violations": self.violations,
             "replay_consistent": self.replay_consistent,
         }
@@ -544,9 +612,9 @@ def verify_domination(traj: Trajectory) -> DominationReport:
 
     At 8 times t and in 8 boxes L (the window, then random ones): the
     phantom up to t restricted to L never exceeds (driving candidates with
-    s <= t in L) plus the initial points in L; every born point's (s, x) must
-    appear among the candidates; and the event log must be reproducible by
-    replay.
+    s <= t in L) plus the initial points in L, and the smallest difference
+    is reported; every born point's (s, x) must appear among the candidates;
+    and the event log must be reproducible by replay.
     """
     if traj.driving is None:
         raise ValueError("trajectory did not retain its driving process")
@@ -577,21 +645,21 @@ def verify_domination(traj: Trajectory) -> DominationReport:
         cand_x = np.mod(cand_x, side)
     init_pts = traj.gamma0.positions_array()
 
-    checks = 0
+    margins = []
     for t in times:
         # phantom up to t = gamma_0 plus all births accepted by time t
         phantom_pts = [pos for pid, pos in traj.gamma0.items()]
         phantom_pts += [np.asarray(ev.position) for ev in born.values() if ev.time <= t]
         phantom_arr = np.array(phantom_pts) if phantom_pts else np.zeros((0, dim))
         for box in boxes:
-            checks += 1
             lhs = int(np.sum(box.contains_many(phantom_arr))) if len(phantom_arr) else 0
             n_cand = (
                 int(np.sum((cand_s <= t) & box.contains_many(cand_x)))
                 if len(cand_x) else 0
             )
             n_init = int(np.sum(box.contains_many(init_pts))) if len(init_pts) else 0
-            if lhs > n_cand + n_init:
+            margins.append(n_cand + n_init - lhs)
+            if margins[-1] < 0:
                 violations.append({
                     "kind": "domination", "t": float(t),
                     "box": box.descriptor(), "phantom": lhs,
@@ -599,7 +667,7 @@ def verify_domination(traj: Trajectory) -> DominationReport:
                 })
 
     passed = not violations and replay_consistent
-    return DominationReport(passed, checks, violations, replay_consistent)
+    return DominationReport(passed, len(margins), min(margins), violations, replay_consistent)
 
 
 def verify_counting_identity(traj: Trajectory) -> bool:

@@ -56,9 +56,11 @@ from .spin_sde import (
     InitialMarkPolicy,
     IntegrationBlowUpError,
     IntegratorConfig,
+    MarkPath,
     check_drift_diffusion_bounds,
     cutoff_convergence_study,
     integrate_marks,
+    integration_grid,
     read_mark_path_csv,
     run_manifest,
 )
@@ -116,15 +118,12 @@ class RunConfig:
 
     def build_gamma0(self, seed: int) -> Configuration:
         spec = self.init_config_spec
-        cell = max(self.kernel.interaction_range, self.coeffs.radius)
         if spec["kind"] == "poisson":
             from .geometry import poisson_configuration
 
-            return poisson_configuration(self.window, spec["intensity"], seed,
-                                         cell_size=cell)
+            return poisson_configuration(self.window, spec["intensity"], seed)
         return Configuration(self.window,
-                             [(rec["id"], rec["position"]) for rec in spec["points"]],
-                             cell_size=cell)
+                             [(rec["id"], rec["position"]) for rec in spec["points"]])
 
 
 def _build_init_marks(spec: dict, window: Window) -> InitialMarkPolicy:
@@ -473,7 +472,28 @@ def _load_run_dir(run_dir: Path):
     gamma0 = Configuration.from_json_obj(window, header["gamma0"])
     kernel = kernel_from_descriptor(header["kernel"])
     traj = Trajectory(window, gamma0, kernel, header["m"], header["T"], header["seed"], events)
-    return combine(traj, read_mark_path_csv(marks_path))
+    marks = read_mark_path_csv(marks_path)
+    if not marks.ids:  # an empty phantom: marks.csv has no rows to give the grid
+        dt, stride = _manifest_dt_stride(run_dir / "manifest.json")
+        grid = integration_grid(traj, dt)[::stride]
+        marks = MarkPath(grid, [], np.zeros((len(grid), 0)))
+    return combine(traj, marks)
+
+
+def _manifest_dt_stride(manifest_path: Path) -> tuple[float, int]:
+    """The integrator dt and the mark stride of the run config in the
+    manifest: ``marks.csv`` holds every ``stride``-th time of the grid."""
+    try:
+        with open(manifest_path) as fh:
+            config = json.load(fh)["config"]
+        dt = config["integrator"]["dt"]
+        stride = config.get("output", {}).get("mark_stride", 1)
+        if not (dt > 0 and isinstance(stride, int) and stride >= 1):
+            raise ValueError(f"dt {dt!r}, mark_stride {stride!r}")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"manifest.json: no usable integrator dt and mark stride "
+                         f"({exc})") from None
+    return dt, stride
 
 
 def _observable_from_spec(spec: dict, i: int) -> Observable:

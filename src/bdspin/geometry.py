@@ -1,12 +1,9 @@
 """Finite point configurations on a bounded window of R^d.
 
-Provides the simulation window (periodic torus or open box), a uniform-grid
-spatial index for radius-limited neighbor queries, one vectorised pass that
-finds every in-radius pair of a position array (``neighbor_pairs``), and the
-Poisson sample of an initial configuration.
-
-Configurations are mutable while a simulation sweep builds them, but queries
-never mutate; concurrent read-only use is safe once building is done.
+Provides the simulation window (periodic torus or open box), the validated
+id -> position map of a configuration, one vectorised pass that finds every
+in-radius pair of a position array (``neighbor_pairs``), and the Poisson
+sample of an initial configuration.  Configurations are immutable once built.
 """
 from __future__ import annotations
 
@@ -149,85 +146,46 @@ class Window:
 
 
 class Configuration:
-    """Finite set of identified points with a uniform-grid spatial index.
+    """Finite set of identified points: a validated id -> position map.
 
-    ``cell_size`` should be at least the dominant query radius so a radius-R
-    query touches O(1) cells; any positive value is correct, only speed
-    changes.  Index query results always equal a brute-force distance scan.
+    Ids are distinct, positions are finite points of the window (wrapped onto
+    the torus in periodic mode) and no two points share a position.  It holds
+    no neighbor index: ``neighbor_pairs`` finds every in-radius pair of a
+    position array, and the thinning sweep reads its slices.
     """
 
     def __init__(
         self,
         window: Window,
         points: Mapping[int, Iterable[float]] | Iterable[tuple[int, Iterable[float]]] = (),
-        cell_size: float | None = None,
     ):
         self.window = window
-        self._ncells = self._cell_count(window, cell_size)
-        self._cell = window.side / self._ncells
         self._pos: dict[int, np.ndarray] = {}
-        self._cells: dict[tuple[int, ...], list[int]] = {}
+        owner: dict[tuple[float, ...], int] = {}
         items = points.items() if isinstance(points, Mapping) else points
-        for pid, pos in items:
-            self.insert(pid, pos)
-
-    # -- construction / mutation ------------------------------------------
-
-    @staticmethod
-    def _cell_count(window: Window, cell_size: float | None) -> int:
-        """Cells per axis; an integer count keeps the periodic wrap exact."""
-        if cell_size is None or cell_size <= 0:
-            cell_size = window.side / 8.0
-        return max(1, int(window.side / cell_size))
+        for pid, position in items:
+            pid = int(pid)
+            if pid in self._pos:
+                raise ValueError(f"duplicate point id {pid}")
+            x = np.asarray(position, dtype=float)
+            if x.shape != (window.dim,):
+                raise ValueError(f"position has dimension {x.shape}, window is {window.dim}-d")
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"non-finite position for point {pid}")
+            if window.periodic:
+                x = window.wrap(x)
+            elif not window.contains(x):
+                raise ValueError(f"point {pid} lies outside the window")
+            other = owner.setdefault(tuple(x.tolist()), pid)
+            if other != pid:
+                raise ValueError(f"points {other} and {pid} have identical positions")
+            self._pos[pid] = x
 
     @classmethod
-    def from_positions(cls, window: Window, positions: Iterable[Iterable[float]],
-                       cell_size: float | None = None) -> "Configuration":
+    def from_positions(cls, window: Window,
+                       positions: Iterable[Iterable[float]]) -> "Configuration":
         """Build with ids 0..n-1 assigned in iteration order."""
-        return cls(window, list(enumerate(positions)), cell_size=cell_size)
-
-    def copy(self, cell_size: float | None = None) -> "Configuration":
-        """Independent copy; the index is re-built only if ``cell_size``
-        gives another grid, and cloned otherwise."""
-        if cell_size is not None and self._cell_count(self.window, cell_size) != self._ncells:
-            return Configuration(self.window, dict(self._pos), cell_size=cell_size)
-        clone = Configuration.__new__(Configuration)
-        clone.window = self.window
-        clone._ncells = self._ncells
-        clone._cell = self._cell
-        clone._pos = dict(self._pos)  # positions are never mutated in place
-        clone._cells = {key: list(bucket) for key, bucket in self._cells.items()}
-        return clone
-
-    def insert(self, pid: int, position: Iterable[float]) -> None:
-        pid = int(pid)
-        if pid in self._pos:
-            raise ValueError(f"duplicate point id {pid}")
-        x = np.asarray(position, dtype=float)
-        if x.shape != (self.window.dim,):
-            raise ValueError(f"position has dimension {x.shape}, window is {self.window.dim}-d")
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"non-finite position for point {pid}")
-        if self.window.periodic:
-            x = self.window.wrap(x)
-        elif not self.window.contains(x):
-            raise ValueError(f"point {pid} lies outside the window")
-        key = self._cell_key(x)
-        bucket = self._cells.setdefault(key, [])
-        for other in bucket:
-            if np.array_equal(self._pos[other], x):
-                raise ValueError(f"points {other} and {pid} have identical positions")
-        bucket.append(pid)
-        self._pos[pid] = x
-
-    def remove(self, pid: int) -> None:
-        if pid not in self._pos:
-            raise KeyError(f"unknown point {pid}")
-        key = self._cell_key(self._pos[pid])
-        self._cells[key].remove(pid)
-        if not self._cells[key]:
-            del self._cells[key]
-        del self._pos[pid]
+        return cls(window, list(enumerate(positions)))
 
     # -- basic access ------------------------------------------------------
 
@@ -266,68 +224,6 @@ class Configuration:
             return 0
         return int(np.sum(box.contains_many(pts)))
 
-    # -- grid index --------------------------------------------------------
-
-    def _cell_key(self, x: np.ndarray) -> tuple[int, ...]:
-        idx = (x / self._cell).astype(int)
-        if self.window.periodic:
-            idx = np.mod(idx, self._ncells)
-        else:
-            idx = np.minimum(idx, self._ncells - 1)
-        return tuple(int(i) for i in idx)
-
-    def _candidate_ids(self, x: np.ndarray, radius: float) -> list[int]:
-        """Ids in all cells possibly intersecting the closed ball B(x, radius)."""
-        reach = int(radius / self._cell) + 1
-        base = (np.asarray(x, dtype=float) / self._cell).astype(int)
-        if 2 * reach + 1 >= self._ncells:
-            axis_ranges = [range(self._ncells)] * self.window.dim
-        elif self.window.periodic:
-            axis_ranges = [
-                [(b + off) % self._ncells for off in range(-reach, reach + 1)]
-                for b in base
-            ]
-        else:
-            axis_ranges = [range(b - reach, b + reach + 1) for b in base]
-        out: list[int] = []
-        keys = [()]
-        for rng_axis in axis_ranges:
-            keys = [k + (i,) for k in keys for i in rng_axis]
-        for key in keys:
-            bucket = self._cells.get(key)
-            if bucket:
-                out.extend(bucket)
-        return out
-
-    def ids_within(self, x, radius: float) -> list[tuple[int, float]]:
-        """(id, distance) pairs with |x - y| <= radius (closed ball), id-sorted."""
-        x = np.asarray(x, dtype=float)
-        cand = self._candidate_ids(x, radius)
-        if not cand:
-            return []
-        pts = np.stack([self._pos[pid] for pid in cand])
-        dist = self.window.distances(x, pts)
-        hits = [(pid, float(d)) for pid, d in zip(cand, dist) if d <= radius]
-        hits.sort()
-        return hits
-
-    # -- spec operations ----------------------------------------------------
-
-    def neighbor_count(self, x, radius: float) -> int:
-        """Number of points within closed distance ``radius`` of ``x``.
-
-        ``x`` itself is counted when it is a point of the configuration.
-        """
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        return len(self.ids_within(x, radius))
-
-    def neighbors_within(self, pid: int, radius: float) -> list[tuple[int, float]]:
-        """(id, distance) of all other points within ``radius`` of point ``pid``."""
-        if pid not in self._pos:
-            raise KeyError(f"unknown point {pid}")
-        return [(q, d) for q, d in self.ids_within(self._pos[pid], radius) if q != pid]
-
     # -- serialization -------------------------------------------------------
 
     def to_json_obj(self) -> list[dict]:
@@ -351,25 +247,35 @@ def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.arange(int(lengths.sum())) + np.repeat(starts - firsts, lengths)
 
 
+# candidate pairs ``neighbor_pairs`` examines at once.  Each takes about 100
+# bytes of temporaries, so a chunk's working set (under 2 MB) stays in cache.
+# On a 2-core host, 12316 points at a density of 12 took 0.30-0.40 s in chunks
+# of 2^14 against 0.43-0.55 s in one pass, at a traced peak of 36 MB, not 192.
+PAIR_CHUNK = 1 << 14
+
+
 def neighbor_pairs(window: Window, positions: np.ndarray,
                    radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Directed pairs of distinct rows of ``positions`` within closed distance
     ``radius``, as arrays ``(src, dst, dist)`` sorted by ``(src, dst)``.
 
-    The pairs and distances are those ``Configuration.neighbors_within`` gives
-    for every point (positions wrap as they do there), without building a
-    configuration.  Points are binned into cells just above ``radius``, so each
-    point scans the 3^d cells around it; under 3 cells per axis every pair is
-    a candidate.
+    Positions wrap as a ``Configuration`` wraps them, and the distances are
+    those ``Window.distances`` gives from each point.  Points are binned into
+    cells just above ``radius``, so each point scans the 3^d cells around it;
+    under 3 cells per axis every pair is a candidate.  Candidates are
+    examined a run of source rows at a time, ``PAIR_CHUNK`` pairs at most
+    (one row at least).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     pts = window.wrap(np.asarray(positions, dtype=float).reshape(-1, window.dim))
     n = len(pts)
     ncells = max(1, int(window.side / cell_size_above(radius)))
+    # row i's candidates are by_cell[lo[i, k]:hi[i, k]] over its cells k
     if ncells < 3:
-        src = np.repeat(np.arange(n), n)
-        dst = np.tile(np.arange(n), n)
+        by_cell = np.arange(n)
+        lo = np.zeros((n, 1), dtype=np.intp)
+        hi = np.full((n, 1), n, dtype=np.intp)
     else:
         key = (pts / (window.side / ncells)).astype(np.intp)
         key = np.mod(key, ncells) if window.periodic else np.minimum(key, ncells - 1)
@@ -378,33 +284,41 @@ def neighbor_pairs(window: Window, positions: np.ndarray,
         around = key[:, None, :] + offsets  # (n, 3^d, dim) neighbor cell keys
         if window.periodic:
             around = np.mod(around, ncells)
-            valid = np.ones(around.shape[:2], dtype=bool)
-        else:
-            valid = np.all((around >= 0) & (around < ncells), axis=2)
         weights = ncells ** np.arange(window.dim, dtype=np.intp)
         cell_of = key @ weights
         by_cell = np.argsort(cell_of, kind="stable")
         sorted_cells = cell_of[by_cell]
-        wanted = (around @ weights)[valid]
+        wanted = around @ weights
         lo = np.searchsorted(sorted_cells, wanted, "left")
         hi = np.searchsorted(sorted_cells, wanted, "right")
-        src = np.repeat(np.repeat(np.arange(n), offsets.shape[0])[valid.ravel()], hi - lo)
-        dst = by_cell[concat_ranges(lo, hi)]
-    distinct = src != dst
-    src, dst = src[distinct], dst[distinct]
-    dist = window.row_distances(pts[dst], pts[src])
-    near = dist <= radius
-    src, dst, dist = src[near], dst[near], dist[near]
-    order = np.lexsort((dst, src))
-    return src[order], dst[order], dist[order]
+        if not window.periodic:  # a cell off the window is empty, not an alias
+            off = np.any((around < 0) | (around >= ncells), axis=2)
+            hi[off] = lo[off]
+    per_row = (hi - lo).sum(axis=1)
+    filled = np.concatenate([[0], np.cumsum(per_row)])
+    parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+    a = 0
+    while a < n:
+        b = max(a + 1, int(np.searchsorted(filled, filled[a] + PAIR_CHUNK, "right")) - 1)
+        src = np.repeat(np.arange(a, b), per_row[a:b])
+        dst = by_cell[concat_ranges(lo[a:b].ravel(), hi[a:b].ravel())]
+        distinct = src != dst
+        src, dst = src[distinct], dst[distinct]
+        dist = window.row_distances(pts[dst], pts[src])
+        near = dist <= radius
+        src, dst, dist = src[near], dst[near], dist[near]
+        order = np.lexsort((dst, src))
+        parts.append((src[order], dst[order], dist[order]))
+        a = b
+    src, dst, dist = (np.concatenate(col) for col in zip(*parts))
+    return src, dst, dist
 
 
-def poisson_configuration(window: Window, intensity: float, seed: int,
-                          cell_size: float | None = None) -> Configuration:
+def poisson_configuration(window: Window, intensity: float, seed: int) -> Configuration:
     """Homogeneous Poisson sample on the window, ids 0..n-1 in draw order."""
     from . import rng
 
     gen = rng.keyed_generator(seed, rng.INITIAL_CONFIG)
     n = gen.poisson(intensity * window.volume())
     pts = window.side * gen.random((n, window.dim))
-    return Configuration.from_positions(window, pts, cell_size=cell_size)
+    return Configuration.from_positions(window, pts)

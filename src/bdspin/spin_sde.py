@@ -365,6 +365,12 @@ def build_time_grid(horizon: float, dt: float, event_times: Iterable[float]) -> 
     return np.unique(np.concatenate(pieces))
 
 
+def integration_grid(traj: Trajectory, dt: float) -> np.ndarray:
+    """The grid ``integrate_marks`` solves ``traj`` on: the dt-lattice over
+    [0, T] refined with every event time."""
+    return build_time_grid(traj.horizon, dt, [ev.time for ev in traj.events])
+
+
 def _keyed_slices(seeds: Sequence[int], ids: Sequence[int], first: np.ndarray,
                   stop: np.ndarray) -> np.ndarray:
     """Entries [first[k], stop[k]) of every stream (seed, BROWNIAN, ids[k]),
@@ -400,7 +406,7 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
     positions = np.array([traj.phantom_positions[pid] for pid in ids],
                          dtype=float).reshape(n_ids, traj.window.dim)
     src, dst, dist = neighbor_pairs(traj.window, positions, coeffs.radius)
-    grid = build_time_grid(traj.horizon, icfg.dt, [ev.time for ev in traj.events])
+    grid = integration_grid(traj, icfg.dt)
     n_steps = len(grid) - 1
 
     frozen_mask = np.zeros(n_ids, dtype=bool)

@@ -8,10 +8,16 @@ own pieces: ``ovsjannikov_bound_constant`` computes its L with the same
 ``integrate_marks_ensemble`` on explicit keyed noise.  The artifact writers
 and reader at the end are the per-value ``csv``/``json`` versions that the
 library's string-joining writers and C-parsed reader must match.
+
+The radius queries below scan every point, and ``reference_simulate`` is
+the thinning sweep over a mutable point set queried that way, with each
+kernel's rate written against the point set; ``simulate``'s pair-list sweep
+must give the same event log.
 """
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -19,15 +25,213 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from bdspin import rng
-from bdspin.birth_death import (ConstantBirthKernel, Event, GlauberBirthKernel, Trajectory,
-                                simulate)
+from bdspin import birth_death, rng
+from bdspin.birth_death import (BirthKernel, BoundViolationError, ConstantBirthKernel, Event,
+                                EstablishmentBirthKernel, FecundityBirthKernel,
+                                GlauberBirthKernel, Trajectory, present_neighbors, simulate)
 from bdspin.geometry import Box, Configuration, Window
 from bdspin.scales import _bound_value, _cut_radius, _neighborhoods
 from bdspin.marked_process import MarkedTrajectory
 from bdspin.spin_sde import (CoefficientSet, InitialMarkPolicy, IntegratorConfig, MarkPath,
                              _keyed_slices, integrate_marks_ensemble, linear_drift,
                              linear_self_diffusion, zero_pair)
+
+
+# -- radius queries by a direct scan ----------------------------------------------
+
+
+def ids_within(config, x, radius: float) -> list[tuple[int, float]]:
+    """(id, distance) pairs with |x - y| <= radius (closed ball), id-sorted.
+
+    ``config`` is a ``Configuration`` or a ``PointSet``; each distance is the
+    one ``Window.distances`` gives from ``x``.
+    """
+    if not len(config):
+        return []
+    dist = config.window.distances(np.asarray(x, dtype=float), config.positions_array())
+    return [(pid, d) for pid, d in zip(config.ids(), dist.tolist()) if d <= radius]
+
+
+def neighbor_count(config, x, radius: float) -> int:
+    """Number of points within closed distance ``radius`` of ``x``.
+
+    ``x`` itself is counted when it is a point of the configuration.
+    """
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    return len(ids_within(config, x, radius))
+
+
+def neighbors_within(config, pid: int, radius: float) -> list[tuple[int, float]]:
+    """(id, distance) of all other points within ``radius`` of point ``pid``."""
+    return [(q, d) for q, d in ids_within(config, config.position_of(pid), radius) if q != pid]
+
+
+class PointSet:
+    """A mutable id -> position map, as the thinning sweep once kept gamma:
+    positions wrap and are checked as a ``Configuration`` checks them."""
+
+    def __init__(self, config: Configuration):
+        self.window = config.window
+        self._pos = dict(config.items())
+
+    def __len__(self) -> int:
+        return len(self._pos)
+
+    def ids(self) -> list[int]:
+        return sorted(self._pos)
+
+    def position_of(self, pid: int) -> np.ndarray:
+        try:
+            return self._pos[pid]
+        except KeyError:
+            raise KeyError(f"unknown point {pid}") from None
+
+    def positions_array(self) -> np.ndarray:
+        return np.stack([self._pos[pid] for pid in self.ids()])
+
+    def insert(self, pid: int, position) -> None:
+        x = Configuration(self.window, [(pid, position)]).position_of(pid)
+        for other, y in self._pos.items():
+            if np.array_equal(y, x):
+                raise ValueError(f"points {other} and {pid} have identical positions")
+        self._pos[pid] = x
+
+    def remove(self, pid: int) -> None:
+        del self._pos[pid]
+
+
+# -- the thinning sweep over a point set -------------------------------------------
+
+
+def reference_rate(kernel: BirthKernel, x: np.ndarray, config) -> float:
+    """b(x, config) for each kernel variant, queried point by point."""
+    if isinstance(kernel, ConstantBirthKernel):
+        return kernel.z
+    if isinstance(kernel, GlauberBirthKernel):
+        hits = ids_within(config, x, kernel.phi.range)
+        if not hits:
+            return kernel.z
+        dist = np.array([d for _, d in hits])
+        # a point of gamma exactly at x is excluded (positions are distinct)
+        total = float(np.sum(kernel.phi(dist[dist > 0.0])))
+        return kernel.z * math.exp(-total)
+    if isinstance(kernel, FecundityBirthKernel):
+        total = 0.0
+        for y_id, d_xy in ids_within(config, x, kernel.a.range):
+            a_val = float(kernel.a(np.array([d_xy]))[0])
+            if a_val == 0.0:
+                continue
+            y = config.position_of(y_id)
+            inner = ids_within(config, y, max(kernel.c.range, kernel.phi.range))
+            dists = np.array([d for zid, d in inner if zid != y_id])
+            c_sum = float(np.sum(kernel.c(dists[dists <= kernel.c.range]))) if dists.size else 0.0
+            phi_sum = (float(np.sum(kernel.phi(dists[dists <= kernel.phi.range])))
+                       if dists.size else 0.0)
+            total += a_val * (1.0 + c_sum) * math.exp(-phi_sum)
+        return total
+    if isinstance(kernel, EstablishmentBirthKernel):
+        hits = ids_within(config, x, kernel.interaction_range)
+        if not hits:
+            return 0.0
+        dist = np.array([d for _, d in hits])
+        a_sum = float(np.sum(kernel.a(dist[dist <= kernel.a.range])))
+        if a_sum == 0.0:
+            return 0.0
+        c_sum = float(np.sum(kernel.c(dist[dist <= kernel.c.range])))
+        phi_sum = float(np.sum(kernel.phi(dist[dist <= kernel.phi.range])))
+        return a_sum * (1.0 + c_sum) * math.exp(-phi_sum)
+    raise TypeError(f"no reference rate for {type(kernel).__name__}")
+
+
+def reference_evaluate(kernel: BirthKernel, x, config) -> float:
+    """``reference_rate`` with the kernel's bound check."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite position in birth rate evaluation")
+    value = float(reference_rate(kernel, x, config))
+    if not math.isfinite(value) or value < 0:
+        message = f"kernel returned invalid rate {value!r}"
+    elif value > kernel.b_max * (1.0 + 1e-12) + 1e-300:
+        message = f"bound violation: b(x, gamma) = {value} exceeds declared b_max = {kernel.b_max}"
+    else:
+        return value
+    raise BoundViolationError(message, x=[float(c) for c in x], value=value,
+                              bound=kernel.b_max)
+
+
+def rate_at(kernel: BirthKernel, x, config: Configuration) -> float:
+    """``kernel.evaluate`` at a position ``x`` off the configuration: ``x`` is
+    the last row after the configuration's points, and only they are present."""
+    positions = np.vstack([config.positions_array(), np.asarray(x, dtype=float)])
+    present = np.arange(len(positions)) < len(config)
+    near = present_neighbors(config.window, positions, kernel.interaction_range, present)
+    return kernel.evaluate(x, len(config), near)
+
+
+def reference_simulate(gamma0: Configuration, kernel: BirthKernel, death_rate: float,
+                       horizon: float, seed: int) -> Trajectory:
+    """The thinning sweep with gamma kept as a ``PointSet`` and every rate a
+    point-by-point query of it (``reference_evaluate``)."""
+    if death_rate < 0:
+        raise ValueError("death rate must be nonnegative")
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    window = gamma0.window
+    for pid, pos in gamma0.items():
+        if not window.contains(pos):
+            raise ValueError(f"initial point {pid} outside the window")
+
+    driving = birth_death.sample_driving_process(window, horizon, kernel.b_max, seed)
+    init_ids = gamma0.ids()
+    gen = rng.keyed_generator(seed, rng.INITIAL_LIFETIMES)
+    init_marks = gen.standard_exponential(len(init_ids))
+    initial_lifetimes = {pid: float(mark) for pid, mark in zip(init_ids, init_marks)}
+
+    state = PointSet(gamma0)
+    events: list[Event] = []
+
+    heap: list[tuple[float, int, str, object]] = []
+    for dp in driving:
+        heap.append((dp.s, dp.index, "candidate", dp))
+    seq = len(driving)
+    if death_rate > 0:
+        for pid in init_ids:
+            death_time = initial_lifetimes[pid] / death_rate
+            if death_time <= horizon:
+                heap.append((death_time, seq, "death", pid))
+                seq += 1
+    heapq.heapify(heap)
+
+    next_id = max(init_ids) + 1 if init_ids else 0
+    while heap:
+        t, _, kind, payload = heapq.heappop(heap)
+        if kind == "candidate":
+            dp = payload
+            try:
+                b = reference_evaluate(kernel, np.asarray(dp.x), state)
+            except BoundViolationError as exc:
+                exc.witness["t"] = t
+                raise
+            if dp.u <= b:
+                pid = next_id
+                next_id += 1
+                state.insert(pid, dp.x)
+                pos = tuple(float(c) for c in state.position_of(pid))
+                events.append(Event(t, "birth", pid, pos))
+                if death_rate > 0:
+                    death_time = t + dp.r / death_rate
+                    if death_time <= horizon:
+                        heapq.heappush(heap, (death_time, seq, "death", pid))
+                        seq += 1
+        else:
+            pid = payload
+            pos = tuple(float(c) for c in state.position_of(pid))
+            state.remove(pid)
+            events.append(Event(t, "death", pid, pos))
+
+    return Trajectory(window, gamma0, kernel, death_rate, horizon, seed, events,
+                      initial_lifetimes, driving)
 
 
 # -- geometry functionals --------------------------------------------------------
@@ -65,7 +269,7 @@ def log_bound_constant(config: Configuration, radius: float) -> float:
     best = 0.0
     norms = config.radial_norms()
     for (pid, pos), r in zip(config.items(), norms):
-        n = config.neighbor_count(pos, radius)
+        n = neighbor_count(config, pos, radius)
         best = max(best, n / (1.0 + math.log1p(r)))
     return best
 
@@ -86,7 +290,7 @@ def weighted_tail_sum(config: Configuration, alpha: float, k: int, radius: float
     total = 0.0
     norms = config.radial_norms()
     for (pid, pos), r in zip(config.items(), norms):
-        n = config.neighbor_count(pos, radius)
+        n = neighbor_count(config, pos, radius)
         total += math.exp(-alpha * r) * n**k
     return total
 
@@ -126,13 +330,11 @@ def check_rate_perturbation_bound(kernel: GlauberBirthKernel, window: Window,
     for _ in range(n_samples):
         n = int(gen.integers(0, 30))
         pts = window.side * gen.random((n, window.dim))
-        config = Configuration.from_positions(window, pts,
-                                              cell_size=max(kernel.phi.range, 0.5))
+        config = Configuration.from_positions(window, pts)
         x = window.side * gen.random(window.dim)
         y = window.side * gen.random(window.dim)
-        base = kernel.evaluate(x, config)
-        config.insert(10_000, y)
-        perturbed = kernel.evaluate(x, config)
+        base = rate_at(kernel, x, config)
+        perturbed = rate_at(kernel, x, Configuration(window, [*config.items(), (10_000, y)]))
         lhs = abs(perturbed - base)
         rhs = kernel.z * bound_B * weight.pair(window, x, y)
         worst = max(worst, lhs - rhs)
@@ -287,10 +489,10 @@ def assemble_drift(pid: int, t: float, marks: Mapping[int, float],
         raise KeyError(f"unknown id {pid}")
     if pid not in traj.present_ids(t, "right"):
         return 0.0
-    cfg = traj.config_at(t, cell_size=coeffs.radius)
+    cfg = traj.config_at(t)
     z_x = marks[pid]
     total = float(coeffs.single.func(np.float64(z_x)))
-    for qid, d in cfg.neighbors_within(pid, coeffs.radius):
+    for qid, d in neighbors_within(cfg, pid, coeffs.radius):
         total += float(coeffs.pair.func(np.float64(z_x), np.float64(marks[qid]),
                                         np.float64(d)))
     return total
@@ -303,10 +505,10 @@ def assemble_diffusion(pid: int, t: float, marks: Mapping[int, float],
         raise KeyError(f"unknown id {pid}")
     if pid not in traj.present_ids(t, "right"):
         return 0.0
-    cfg = traj.config_at(t, cell_size=coeffs.radius)
+    cfg = traj.config_at(t)
     z_x = marks[pid]
     total = 0.0
-    for qid, d in cfg.neighbors_within(pid, coeffs.radius):
+    for qid, d in neighbors_within(cfg, pid, coeffs.radius):
         total += float(coeffs.diffusion.func(np.float64(z_x), np.float64(marks[qid]),
                                              np.float64(d)))
     return total

@@ -11,6 +11,7 @@ from bdspin import rng
 from bdspin.birth_death import (
     BoundViolationError,
     ConstantBirthKernel,
+    DrivingPoint,
     EstablishmentBirthKernel,
     Event,
     FecundityBirthKernel,
@@ -28,7 +29,7 @@ from bdspin.birth_death import (
 from bdspin.geometry import Box, Configuration, Window, poisson_configuration
 from bdspin.spin_sde import build_time_grid
 from oracles import (TemperedWeight, birth_events, check_rate_perturbation_bound, death_events,
-                     event_count_in)
+                     event_count_in, rate_at)
 
 
 def glauber_run(seed, z=1.5, side=5.0, T=1.0, m=0.5, init_intensity=0.5, c=0.8, rho=1.0):
@@ -80,14 +81,14 @@ class TestBirthRates:
         window = Window(5.0, 2, "open")
         config = poisson_configuration(window, 1.0, seed=2)
         kernel = GlauberBirthKernel(3.0, step_potential(0.0, 1.0))
-        assert kernel.evaluate([2.0, 2.0], config) == pytest.approx(3.0)
+        assert rate_at(kernel, [2.0, 2.0], config) == pytest.approx(3.0)
 
     def test_fecundity_empty_configuration(self):
         window = Window(5.0, 2, "open")
         config = Configuration(window)
         pot = step_potential(0.5, 1.0)
         kernel = FecundityBirthKernel(pot, pot, pot, bound=10.0)
-        assert kernel.evaluate([1.0, 1.0], config) == 0.0
+        assert rate_at(kernel, [1.0, 1.0], config) == 0.0
 
     def test_glauber_neighbor_count_oracle(self):
         window = Window(10.0, 2, "open")
@@ -103,7 +104,7 @@ class TestBirthRates:
                 pts.append(x + rad * np.array([math.cos(ang), math.sin(ang)]))
             pts += [x + np.array([3.0 + i, 0.0]) for i in range(3)]
             config = Configuration.from_positions(window, pts)
-            got = kernel.evaluate(x, config)
+            got = rate_at(kernel, x, config)
             assert got == pytest.approx(math.exp(-k * c), rel=1e-12)
 
     def test_establishment_matches_direct_formula(self):
@@ -121,7 +122,7 @@ class TestBirthRates:
             c_sum += 0.3 if d <= 0.9 else 0.0
             phi_sum += 0.6 if d <= 1.5 else 0.0
         want = a_sum * (1.0 + c_sum) * math.exp(-phi_sum)
-        assert kernel.evaluate(x, config) == pytest.approx(want, rel=1e-12)
+        assert rate_at(kernel, x, config) == pytest.approx(want, rel=1e-12)
 
     def test_fecundity_matches_direct_formula(self):
         window = Window(6.0, 2, "open")
@@ -144,7 +145,7 @@ class TestBirthRates:
                 c_sum += 0.2 if d <= 1.0 else 0.0
                 phi_sum += 0.5 if d <= 1.0 else 0.0
             want += 0.4 * (1.0 + c_sum) * math.exp(-phi_sum)
-        assert kernel.evaluate(x, config) == pytest.approx(want, rel=1e-12)
+        assert rate_at(kernel, x, config) == pytest.approx(want, rel=1e-12)
 
     def test_misdeclared_bound_raises(self):
         window = Window(5.0, 2, "open")
@@ -153,7 +154,7 @@ class TestBirthRates:
         zero = step_potential(0.0, 0.1)
         kernel = FecundityBirthKernel(a, zero, zero, bound=0.01)
         with pytest.raises(BoundViolationError, match="bound violation"):
-            kernel.evaluate([2.5, 2.5], config)
+            rate_at(kernel, [2.5, 2.5], config)
 
     def test_glauber_configuration_lipschitz_bound(self):
         # phi = c * 1{d <= rho} <= B * G with B = c / G(rho)
@@ -396,6 +397,44 @@ class TestVerification:
         report = verify_domination(dataclasses.replace(traj, driving=driving))
         assert not report.passed and report.replay_consistent
         assert {"kind": "missing_candidate", "id": ev.id, "t": ev.time} in report.violations
+        # the checks that counted the dropped candidate lose one unit of margin
+        base = verify_domination(traj).min_margin
+        assert report.min_margin in (base - 1, base)
+
+    @staticmethod
+    def hand_built_domination(rejected_at=None):
+        """Three candidates, all born, two births with no candidate (at
+        (1, 1) and (3, 3)) and two initial points; a fourth, rejected
+        candidate sits at ``rejected_at`` from t = 0.05 when given."""
+        window = Window(4.0, 2, "open")
+        gamma0 = Configuration(window, [(0, [0.5, 0.5]), (1, [3.5, 0.5])])
+        xs = [(1.0, 3.0), (2.0, 2.0), (3.0, 1.0)]
+        driving = [DrivingPoint(0.1 * (k + 1), x, 0.5, 1.0, k) for k, x in enumerate(xs)]
+        events = [Event(dp.s, "birth", 2 + dp.index, dp.x) for dp in driving]
+        events += [Event(0.4, "birth", 5, (1.0, 1.0)), Event(0.5, "birth", 6, (3.0, 3.0))]
+        if rejected_at is not None:
+            driving.append(DrivingPoint(0.05, rejected_at, 0.9, 1.0, 3))
+        return Trajectory(window, gamma0, ConstantBirthKernel(1.0), 0.0, 1.0, 0, events,
+                          {0: 1.0, 1: 1.0}, driving)
+
+    def test_domination_margin_of_a_hand_built_path(self):
+        # the window box at t = 1 holds both uncovered births: margin -2
+        report = verify_domination(self.hand_built_domination())
+        assert report.checks == 64 and report.min_margin == -2
+        assert not report.passed
+        # a rejected candidate at (1, 1) covers that birth wherever it counts
+        report = verify_domination(self.hand_built_domination(rejected_at=(1.0, 1.0)))
+        assert report.min_margin == -1
+        # every candidate born and nothing else: the bound is met with equality
+        window = Window(3.0, 2, "periodic")
+        traj = simulate(Configuration(window), ConstantBirthKernel(2.0), 0.0, 1.0, seed=10)
+        assert verify_domination(traj).min_margin == 0
+
+    def test_domination_margin_counts_rejected_candidates(self):
+        traj = glauber_run(seed=3, m=1.0, z=2.0)
+        report = verify_domination(traj)
+        rejected = len(traj.driving) - len(birth_events(traj))
+        assert report.passed and 0 <= report.min_margin <= rejected
 
     def test_replay_reproduces_event_log(self):
         traj = glauber_run(seed=14, m=0.7, z=2.5)

@@ -481,3 +481,50 @@ class TestEmitPlotdata:
         agg = (plots / "pop_aggregate.csv").read_text().strip().splitlines()
         # aggregate rows cover the shared dt lattice: horizon/dt + 1 points
         assert len(agg) - 1 == int(0.25 / 0.03125) + 1
+
+    def empty_phantom_run(self, tmp_path, stride=1):
+        # nothing is ever present: marks.csv is its header alone
+        cfg = write_config(
+            tmp_path,
+            window={"side": 4.0, "dim": 2, "boundary": "periodic"},
+            kernel={"variant": "constant", "z": 0.0},
+            initial_configuration={"kind": "explicit", "points": []},
+            integrator={"dt": 0.015625},
+            horizon=0.25,
+            output={"mark_stride": stride, "snapshot_stride": 1},
+        )
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "marks.csv").read_text() == "t,id,value\n"
+        assert len((out / "snapshots.jsonl").read_text().splitlines()) == 17
+        return out
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_empty_phantom_series_is_zero_on_the_grid(self, tmp_path, stride):
+        out = self.empty_phantom_run(tmp_path, stride)
+        obs = self.make_observables(tmp_path, [
+            {"name": "n", "kind": "count", "box": {"lo": [0.0, 0.0], "hi": [4.0, 4.0]}},
+        ])
+        plots = tmp_path / "plots"
+        assert main(["emit-plotdata", "--artifacts", str(out),
+                     "--observables", str(obs), "--out", str(plots)]) == 0
+        times = [repr(j / 64) for j in range(0, 17, stride)]
+        rows = (plots / "n.csv").read_text().splitlines()[1:]
+        assert rows == [f"0,{t},n,0.0" for t in times]
+        agg = (plots / "n_aggregate.csv").read_text().splitlines()[1:]
+        assert agg == [f"{t},n,0.0,0.0" for t in times]
+
+    @pytest.mark.parametrize("manifest", ['{"config": {}}', '{"config": {"integrator": '
+                                          '{"dt": 0}}}', "not json"])
+    def test_empty_phantom_without_grid_exit_2(self, tmp_path, capsys, manifest):
+        out = self.empty_phantom_run(tmp_path)
+        (out / "manifest.json").write_text(manifest)
+        obs = self.make_observables(tmp_path, [
+            {"name": "n", "kind": "count", "box": {"lo": [0.0, 0.0], "hi": [4.0, 4.0]}},
+        ])
+        capsys.readouterr()
+        assert main(["emit-plotdata", "--artifacts", str(out),
+                     "--observables", str(obs), "--out", str(tmp_path / "p")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"corrupt run directory {out}: manifest.json: no usable")
+        assert not (tmp_path / "p").exists()

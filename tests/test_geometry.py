@@ -1,4 +1,5 @@
-"""Geometry: neighbor queries against brute-force scans, functionals, serialization."""
+"""Geometry: neighbor pairs and the sweep's present neighborhoods against
+brute-force scans, configuration checks, functionals, serialization."""
 
 import json
 import math
@@ -6,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from bdspin import rng
+from bdspin import geometry, rng
+from bdspin.birth_death import present_neighbors
 from bdspin.geometry import (
     Box,
     Configuration,
@@ -15,7 +17,8 @@ from bdspin.geometry import (
     neighbor_pairs,
     poisson_configuration,
 )
-from oracles import TemperedWeight, log_bound_constant, tempered_pairing, weighted_tail_sum
+from oracles import (TemperedWeight, ids_within, log_bound_constant, neighbor_count,
+                     neighbors_within, tempered_pairing, weighted_tail_sum)
 
 
 def brute_force_within(window, positions, x, radius):
@@ -27,10 +30,10 @@ def brute_force_within(window, positions, x, radius):
     return sorted(hits)
 
 
-def random_config(window, n, seed, cell_size=None):
+def random_config(window, n, seed):
     gen = rng.keyed_generator(seed, rng.SAMPLING)
     pts = window.side * gen.random((n, window.dim))
-    return Configuration.from_positions(window, pts, cell_size=cell_size), gen
+    return Configuration.from_positions(window, pts), gen
 
 
 def pairs_oracle(config, radius):
@@ -39,7 +42,7 @@ def pairs_oracle(config, radius):
     ids = config.ids()
     index_of = {pid: k for k, pid in enumerate(ids)}
     rows = [(index_of[pid], index_of[qid], d)
-            for pid in ids for qid, d in config.neighbors_within(pid, radius)]
+            for pid in ids for qid, d in neighbors_within(config, pid, radius)]
     src = np.array([r[0] for r in rows], dtype=np.intp)
     dst = np.array([r[1] for r in rows], dtype=np.intp)
     dist = np.array([r[2] for r in rows], dtype=float)
@@ -67,6 +70,18 @@ class TestNeighborPairs:
         for seed in range(2):
             config, _ = random_config(window, 40, seed)
             assert_pairs_match(config, radius)
+
+    @pytest.mark.parametrize("chunk", [1, 37])
+    @pytest.mark.parametrize("side,radius", [(8.0, 1.0), (2.5, 1.0), (1.0, 1.5)])
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_neighbors_within_in_small_chunks(self, monkeypatch, dim, boundary,
+                                                      side, radius, chunk):
+        # one source row per chunk, and a few rows per chunk
+        monkeypatch.setattr(geometry, "PAIR_CHUNK", chunk)
+        window = Window(side, dim, boundary)
+        config, _ = random_config(window, 40, 5)
+        assert_pairs_match(config, radius)
 
     @pytest.mark.parametrize("boundary", ["periodic", "open"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -109,60 +124,87 @@ class TestNeighborPairs:
             neighbor_pairs(Window(5.0, 2), np.zeros((1, 2)), 0.0)
 
 
+def near_ids(near, row, ids):
+    """Ids and distances ``near(row)`` gives, with rows mapped to ``ids``."""
+    rows, dists = near(row)
+    return [ids[r] for r in rows.tolist()], dists.tolist()
+
+
 class TestNeighborQueries:
+    """The brute-force queries that ``TestNeighborPairs`` compares against,
+    and the sweep's ``present_neighbors`` against them."""
+
     def test_empty_configuration(self):
         window = Window(5.0, 2, "open")
         config = Configuration(window)
-        assert config.neighbor_count([1.0, 1.0], 1.0) == 0
+        assert neighbor_count(config, [1.0, 1.0], 1.0) == 0
+        near = present_neighbors(window, np.array([[1.0, 1.0]]), 1.0, np.zeros(1, dtype=bool))
+        assert near_ids(near, 0, [0]) == ([], [])
 
     def test_closed_ball_includes_boundary(self):
         window = Window(5.0, 2, "open")
         config = Configuration(window, [(0, [0.0, 0.0]), (1, [0.5, 0.0])])
-        assert config.neighbor_count([0.0, 0.0], 1.0) == 2
+        assert neighbor_count(config, [0.0, 0.0], 1.0) == 2
         # two points at exactly distance rho are each other's neighbors
         config2 = Configuration(window, [(0, [1.0, 1.0]), (1, [2.0, 1.0])])
-        assert config2.neighbors_within(0, 1.0) == [(1, 1.0)]
-        assert config2.neighbors_within(1, 1.0) == [(0, 1.0)]
+        assert neighbors_within(config2, 0, 1.0) == [(1, 1.0)]
+        assert neighbors_within(config2, 1, 1.0) == [(0, 1.0)]
+        near = present_neighbors(window, config2.positions_array(), 1.0, np.ones(2, dtype=bool))
+        assert near_ids(near, 0, [0, 1]) == ([1], [1.0])
+        assert near_ids(near, 1, [0, 1]) == ([0], [1.0])
 
     def test_single_point_has_no_neighbors(self):
         window = Window(5.0, 2, "periodic")
         config = Configuration(window, [(7, [2.0, 2.0])])
-        assert config.neighbors_within(7, 1.0) == []
+        assert neighbors_within(config, 7, 1.0) == []
+        near = present_neighbors(window, config.positions_array(), 1.0, np.ones(1, dtype=bool))
+        assert near_ids(near, 0, [7]) == ([], [])
 
     def test_unknown_point_raises(self):
         window = Window(5.0, 2, "open")
         config = Configuration(window, [(0, [1.0, 1.0])])
         with pytest.raises(KeyError, match="unknown point"):
-            config.neighbors_within(3, 1.0)
+            neighbors_within(config, 3, 1.0)
 
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_index_matches_brute_force(self, boundary, seed):
+        # each query point is one more row of the pair list, never present
         window = Window(10.0, 2, boundary)
-        config, gen = random_config(window, 200, seed, cell_size=1.0)
+        config, gen = random_config(window, 200, seed)
         positions = dict(config.items())
+        present = np.ones(201, dtype=bool)
+        present[200] = False
         for _ in range(50):
             x = window.side * gen.random(2)
             radius = 0.1 + 3.0 * gen.random()
-            got = sorted(pid for pid, _ in config.ids_within(x, radius))
+            rows = np.vstack([config.positions_array(), x])
+            got, dists = near_ids(present_neighbors(window, rows, radius, present), 200,
+                                  config.ids())
             assert got == brute_force_within(window, positions, x, radius)
-            assert config.neighbor_count(x, radius) == len(got)
+            assert [(pid, d) for pid, d in zip(got, dists)] == ids_within(config, x, radius)
+            assert neighbor_count(config, x, radius) == len(got)
 
     def test_neighbors_match_brute_force(self):
         window = Window(8.0, 3, "periodic")
-        config, _ = random_config(window, 120, 5, cell_size=1.5)
+        config, _ = random_config(window, 120, 5)
         positions = dict(config.items())
-        for pid in list(positions)[:30]:
-            got = sorted(q for q, _ in config.neighbors_within(pid, 1.5))
+        ids = config.ids()
+        near = present_neighbors(window, config.positions_array(), 1.5,
+                                 np.ones(len(ids), dtype=bool))
+        for row, pid in enumerate(ids[:30]):
             want = [q for q in brute_force_within(window, positions, positions[pid], 1.5)
                     if q != pid]
+            assert sorted(q for q, _ in neighbors_within(config, pid, 1.5)) == want
+            got, dists = near_ids(near, row, ids)
             assert got == want
+            assert list(zip(got, dists)) == neighbors_within(config, pid, 1.5)
 
     def test_monotone_in_radius(self):
         window = Window(6.0, 2, "open")
         config, gen = random_config(window, 80, 9)
         x = window.side * gen.random(2)
-        counts = [config.neighbor_count(x, r) for r in np.linspace(0.2, 4.0, 12)]
+        counts = [neighbor_count(config, x, r) for r in np.linspace(0.2, 4.0, 12)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     def test_translation_covariance_open(self):
@@ -175,52 +217,43 @@ class TestNeighborQueries:
         for _ in range(20):
             x = 5.0 + 5.0 * gen.random(2)
             r = 0.3 + 2.0 * gen.random()
-            assert base.neighbor_count(x, r) == moved.neighbor_count(x + shift, r)
+            assert neighbor_count(base, x, r) == neighbor_count(moved, x + shift, r)
 
     def test_mutation_keeps_index_consistent(self):
+        # the sweep removes and adds points by flipping the present mask of
+        # one pair list; each query row must see exactly the present points
         window = Window(10.0, 2, "periodic")
-        config, gen = random_config(window, 100, 3, cell_size=1.0)
+        config, gen = random_config(window, 100, 3)
+        queries = window.side * gen.random((25, 2))
+        rows = np.vstack([config.positions_array(), [[0.25, 9.75]], queries])
+        ids = config.ids() + [1000] + [None] * len(queries)
+        present = np.zeros(len(rows), dtype=bool)
+        near = present_neighbors(window, rows, 1.2, present)
+        present[:100] = True
         positions = dict(config.items())
         for pid in list(positions)[:40]:
-            config.remove(pid)
+            present[ids.index(pid)] = False
             del positions[pid]
-        config.insert(1000, [0.25, 9.75])
+        present[100] = True
         positions[1000] = np.array([0.25, 9.75])
-        for _ in range(25):
-            x = window.side * gen.random(2)
-            got = sorted(pid for pid, _ in config.ids_within(x, 1.2))
-            assert got == brute_force_within(window, positions, x, 1.2)
-
-    @pytest.mark.parametrize("cell_size", [None, 1.0, 2.5])
-    def test_copy_is_independent_and_exact(self, cell_size):
-        window = Window(10.0, 2, "periodic")
-        config, gen = random_config(window, 100, 5, cell_size=1.0)
-        clone = config.copy(cell_size=cell_size)
-        positions = dict(clone.items())
-        for pid in list(positions)[:30]:
-            clone.remove(pid)
-            del positions[pid]
-        clone.insert(1000, [9.9, 0.1])
-        positions[1000] = np.array([9.9, 0.1])
-        assert len(config) == 100 and 1000 not in config
-        for _ in range(25):
-            x = window.side * gen.random(2)
-            assert sorted(p for p, _ in clone.ids_within(x, 1.3)) == \
-                brute_force_within(window, positions, x, 1.3)
-            assert sorted(p for p, _ in config.ids_within(x, 1.3)) == \
-                brute_force_within(window, dict(config.items()), x, 1.3)
+        for k, x in enumerate(queries):
+            assert near_ids(near, 101 + k, ids)[0] == brute_force_within(window, positions, x, 1.2)
 
     def test_duplicate_position_rejected(self):
         window = Window(5.0, 2, "open")
-        config = Configuration(window, [(0, [1.0, 1.0])])
-        with pytest.raises(ValueError, match="identical positions"):
-            config.insert(1, [1.0, 1.0])
+        with pytest.raises(ValueError, match="points 0 and 1 have identical positions"):
+            Configuration(window, [(0, [1.0, 1.0]), (1, [1.0, 1.0])])
+        # positions are compared after the periodic wrap
+        torus = Window(5.0, 2, "periodic")
+        with pytest.raises(ValueError, match="points 3 and 8 have identical positions"):
+            Configuration(torus, [(3, [0.0, 1.0]), (4, [2.0, 2.0]), (8, [5.0, 6.0])])
+        with pytest.raises(ValueError, match="duplicate point id 3"):
+            Configuration(torus, [(3, [0.0, 1.0]), (3, [2.0, 2.0])])
 
     def test_outside_window_rejected_open(self):
         window = Window(5.0, 2, "open")
-        config = Configuration(window)
         with pytest.raises(ValueError, match="outside"):
-            config.insert(0, [6.0, 1.0])
+            Configuration(window, [(0, [6.0, 1.0])])
 
 
 class TestLogBoundConstant:
@@ -264,7 +297,7 @@ class TestLogBoundConstant:
         a = log_bound_constant(config, 1.5)
         tight = 0
         for pid, pos in config.items():
-            n = config.neighbor_count(pos, 1.5)
+            n = neighbor_count(config, pos, 1.5)
             bound = a * (1.0 + math.log(1.0 + window.radial_norm(pos)))
             assert n <= bound * (1 + 1e-12)
             if math.isclose(n, bound, rel_tol=1e-9):

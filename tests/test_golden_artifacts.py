@@ -110,8 +110,8 @@ GOLDEN = {
     # ``bdspin verify --suite <suite>`` on the two run configs
     "reports": {
         "domination": {
-            "readme": "361fc484610cb79a1993dc8269697da4a08d034c6b53d124135ba3b1dd10302e",
-            "open": "361fc484610cb79a1993dc8269697da4a08d034c6b53d124135ba3b1dd10302e",
+            "readme": "f654198e7a52fb63636dbdd8fbf141f4242b233e91f26a0ef5cf4f4d22de3203",
+            "open": "4df581e937bef24276e35a7dd6f28b5055064020026a30eebd5c03575ce28cce",
         },
         "gronwall": {
             "readme": "834e190b0c4560f644b378ce44584c9ce0ecd85ee424a02bda82599081758b26",

@@ -35,6 +35,8 @@ from bdspin.spin_sde import (
 from oracles import (
     OvsjannikovMatrix,
     check_operator_bound,
+    ids_within,
+    neighbor_count,
     ovsjannikov_bound_constant,
     weighted_lp_norm,
     weighted_lp_norm_from_radii,
@@ -122,7 +124,7 @@ class TestOperatorBound:
         config = poisson_configuration(window, 1.5, seed=2)
         got = ovsjannikov_bound_constant(config, 1.0, 2.0, 0.6, 1.0, 0.0, 1.0)
         norms = config.radial_norms()
-        counts = np.array([config.neighbor_count(pos, 1.0) for _, pos in config.items()])
+        counts = np.array([neighbor_count(config, pos, 1.0) for _, pos in config.items()])
         beyond = norms > got.r_cut
         assert np.all(counts[beyond] <= norms[beyond] ** (0.6 / 4.0))
         # minimality: the cut sits exactly on a violator
@@ -179,7 +181,7 @@ def reference_random_matrix(config, radius, growth_c, growth_k, seed):
     gen = rng.keyed_generator(seed, rng.SAMPLING)
     matrix = np.zeros((len(ids), len(ids)))
     for i, pid in enumerate(ids):
-        hits = config.ids_within(config.position_of(pid), radius)
+        hits = ids_within(config, config.position_of(pid), radius)
         cap = growth_c * len(hits) ** growth_k
         for qid, _ in hits:
             matrix[i, index_of[qid]] = cap * (2.0 * gen.random() - 1.0)
@@ -190,7 +192,7 @@ def reference_validation_error(config, matrix, radius, growth_c, growth_k):
     """First error the point-by-point locality and magnitude checks raise."""
     ids = config.ids()
     for i, pid in enumerate(ids):
-        hits = config.ids_within(config.position_of(pid), radius)
+        hits = ids_within(config, config.position_of(pid), radius)
         allowed = {qid for qid, _ in hits}
         for j, qid in enumerate(ids):
             if matrix[i, j] != 0.0 and qid not in allowed:
@@ -269,7 +271,7 @@ def dense_coupling(config, coupling_b, growth_k, radius):
     index_of = {pid: i for i, pid in enumerate(ids)}
     coupling = np.zeros((len(ids), len(ids)))
     for i, pid in enumerate(ids):
-        hits = config.ids_within(config.position_of(pid), radius)
+        hits = ids_within(config, config.position_of(pid), radius)
         for qid, _ in hits:
             coupling[i, index_of[qid]] = coupling_b * len(hits) ** growth_k
     return coupling
@@ -402,11 +404,7 @@ class TestGronwallInequality:
             calls.append(args)
             return real(*args, **kwargs)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("per-point neighborhood query")
-
         monkeypatch.setattr(scales, "neighbor_pairs", counting)
-        monkeypatch.setattr(Configuration, "ids_within", forbidden)
         report = check_gronwall_inequality(config, 0.2, 1.0, b, 0.5, 0.1, 0.6, 0.5, 1.0)
         assert report.passed
         assert len(calls) == 1
@@ -503,7 +501,7 @@ def reference_moment_growth(paths, traj, coeffs, params, c1, c2, series_tol=1e-1
     init_moment = init_sum / len(paths)
 
     def counts():
-        return np.array([phantom.neighbor_count(pos, coeffs.radius)
+        return np.array([neighbor_count(phantom, pos, coeffs.radius)
                          for _, pos in phantom.items()], dtype=float)
 
     c2_norm = float(np.sum(w_alpha * (c2 * counts()**2) ** p) ** (1.0 / p))
@@ -577,11 +575,7 @@ class TestMomentGrowthReference:
             calls.append(args)
             return real(*args, **kwargs)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("per-point neighbor count")
-
         monkeypatch.setattr(scales, "neighbor_pairs", counting)
-        monkeypatch.setattr(Configuration, "neighbor_count", forbidden)
         params = ScaleParams(0.0, 1.0, 0.2, 0.7, 4.0, 0.5)
         c1, c2 = conservative_moment_constants(coeffs, params.p, traj.horizon)
         report = check_moment_growth(paths, traj, coeffs, params, c1, c2)

@@ -15,7 +15,7 @@ import pytest
 
 from bdspin import rng
 from bdspin.birth_death import GlauberBirthKernel, simulate, step_potential
-from bdspin.geometry import Box, Configuration, Window, cell_size_above, poisson_configuration
+from bdspin.geometry import Box, Configuration, Window, poisson_configuration
 from bdspin.spin_sde import (
     CoefficientSet,
     InitialMarkPolicy,
@@ -34,7 +34,7 @@ from bdspin.spin_sde import (
     zero_pair,
 )
 
-from oracles import _keyed_normals
+from oracles import _keyed_normals, neighbors_within
 from test_birth_death import same_time_trajectory
 from test_spin_sde import default_coeffs, make_glauber_traj, shared_noise
 
@@ -43,11 +43,10 @@ def reference_edges(traj, radius):
     """Directed in-radius pairs over the phantom, one point at a time."""
     ids = traj.phantom_ids()
     index_of = {pid: k for k, pid in enumerate(ids)}
-    phantom = Configuration(traj.window, dict(traj.phantom_positions),
-                            cell_size=cell_size_above(radius))
+    phantom = Configuration(traj.window, dict(traj.phantom_positions))
     src, dst, dist = [], [], []
     for pid in ids:
-        for qid, d in phantom.neighbors_within(pid, radius):
+        for qid, d in neighbors_within(phantom, pid, radius):
             src.append(index_of[pid])
             dst.append(index_of[qid])
             dist.append(d)

@@ -390,7 +390,7 @@ class TestBoundsCheck:
         coeffs = default_coeffs()
         # Z1 == Z2 collapses the Lipschitz inequalities to 0 <= 0
         window = Window(4.0, 2, "periodic")
-        config = poisson_configuration(window, 1.0, seed=2, cell_size=1.0)
+        config = poisson_configuration(window, 1.0, seed=2)
         report = check_drift_diffusion_bounds(coeffs, sample_size=100, seed=1,
                                               config=config)
         assert report.passed
