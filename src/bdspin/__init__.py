@@ -11,7 +11,6 @@ from .birth_death import (
     RadialPotential,
     Trajectory,
     gaussian_potential,
-    replay_events,
     sample_driving_process,
     simulate,
     step_potential,

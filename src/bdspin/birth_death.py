@@ -375,10 +375,6 @@ class Trajectory:
         self.presence = presence
         self.phantom_positions = positions
 
-    @property
-    def b_max(self) -> float:
-        return self.kernel.b_max
-
     def phantom(self) -> Configuration:
         if self._phantom_cache is None:
             self._phantom_cache = Configuration(self.window, dict(self.phantom_positions))
@@ -391,20 +387,11 @@ class Trajectory:
         if not 0.0 <= t <= self.horizon:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
 
-    def present_ids(self, t: float, side: str = "right") -> list[int]:
-        """Ids of gamma_t (side='right') or gamma_{t-} (side='left')."""
+    def present_ids(self, t: float) -> list[int]:
+        """Ids of gamma_t, the right-continuous state at time t."""
         self._check_time(t)
-        if side not in ("right", "left"):
-            raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-        out = []
-        for pid, (birth, death) in self.presence.items():
-            if side == "right" or t == 0.0:
-                alive = birth <= t and (death is None or t < death)
-            else:
-                alive = birth < t and (death is None or t <= death)
-            if alive:
-                out.append(pid)
-        return sorted(out)
+        return sorted(pid for pid, (birth, death) in self.presence.items()
+                      if birth <= t and (death is None or t < death))
 
     def presence_masks(self, times: Iterable[float]) -> Iterator[np.ndarray]:
         """Right-continuous present mask over ``phantom_ids()`` at each time.
@@ -412,7 +399,7 @@ class Trajectory:
         ``times`` must be non-decreasing.  One forward pass over the event
         log: the mask starts from gamma0 and applies, in log order, every
         event with time <= t, so entry k is True iff ``phantom_ids()[k]`` is
-        in ``present_ids(t, "right")``.  The same array is updated in place
+        in ``present_ids(t)``.  The same array is updated in place
         and yielded for every time; copy it to keep it.
         """
         index_of = {pid: k for k, pid in enumerate(self.phantom_ids())}
@@ -430,10 +417,6 @@ class Trajectory:
                 mask[index_of[events[e].id]] = events[e].kind == "birth"
                 e += 1
             yield mask
-
-    def config_at(self, t: float, side: str = "right") -> Configuration:
-        ids = self.present_ids(t, side)
-        return Configuration(self.window, [(pid, self.phantom_positions[pid]) for pid in ids])
 
     def restrict(self, horizon: float) -> "Trajectory":
         """The same path observed only on [0, horizon]; ids are unchanged."""
@@ -570,18 +553,6 @@ def simulate(gamma0: Configuration, kernel: BirthKernel, death_rate: float,
                       initial_lifetimes, driving)
 
 
-def replay_events(traj: Trajectory) -> list[Event]:
-    """Re-run the acceptance sweep from the stored driving randomness.
-
-    Independent pass over the same driving process and initial lifetimes;
-    must reproduce ``traj.events`` exactly.
-    """
-    if traj.driving is None:
-        raise ValueError("trajectory did not retain its driving process")
-    return simulate(traj.gamma0, traj.kernel, traj.death_rate, traj.horizon,
-                    traj.seed).events
-
-
 @dataclass
 class DominationReport:
     """Pathwise verification of the dominating-process inequalities.
@@ -620,8 +591,8 @@ def verify_domination(traj: Trajectory) -> DominationReport:
         raise ValueError("trajectory did not retain its driving process")
     violations: list[dict] = []
 
-    replayed = replay_events(traj)
-    replay_consistent = replayed == traj.events
+    replayed = simulate(traj.gamma0, traj.kernel, traj.death_rate, traj.horizon, traj.seed)
+    replay_consistent = replayed.events == traj.events
 
     born = {ev.id: ev for ev in traj.events if ev.kind == "birth"}
     candidate_keys = {(dp.s, dp.x): dp for dp in traj.driving}
@@ -749,7 +720,7 @@ def write_event_log(traj: Trajectory, path, *, include_driving: bool = False) ->
 def read_event_log(path) -> tuple[dict, list[Event]]:
     with open(path) as fh:
         header = json.loads(fh.readline())
-        if header.get("record") != "header":
+        if not isinstance(header, dict) or header.get("record") != "header":
             raise ValueError("event log does not start with a header record")
         events = []
         for n, line in enumerate(fh, 2):

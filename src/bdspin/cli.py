@@ -468,10 +468,14 @@ def _load_run_dir(run_dir: Path):
     for key in ("window", "gamma0", "kernel", "m", "T", "seed"):
         if key not in header:
             raise ValueError(f"header has no {key!r}")
-    window = Window.from_descriptor(header["window"])
-    gamma0 = Configuration.from_json_obj(window, header["gamma0"])
-    kernel = kernel_from_descriptor(header["kernel"])
-    traj = Trajectory(window, gamma0, kernel, header["m"], header["T"], header["seed"], events)
+    try:
+        window = Window.from_descriptor(header["window"])
+        gamma0 = Configuration.from_json_obj(window, header["gamma0"])
+        kernel = kernel_from_descriptor(header["kernel"])
+        traj = Trajectory(window, gamma0, kernel, header["m"], header["T"], header["seed"],
+                          events)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"header window, gamma0 or kernel is malformed ({exc!r})") from None
     marks = read_mark_path_csv(marks_path)
     if not marks.ids:  # an empty phantom: marks.csv has no rows to give the grid
         dt, stride = _manifest_dt_stride(run_dir / "manifest.json")
@@ -516,8 +520,9 @@ def _observable_from_spec(spec: dict, i: int) -> Observable:
 
 def cmd_emit_plotdata(args) -> int:
     artifacts = Path(args.artifacts)
-    if not artifacts.exists():
-        print(f"artifacts directory {artifacts} does not exist", file=sys.stderr)
+    if not artifacts.is_dir():
+        problem = "is not a directory" if artifacts.exists() else "does not exist"
+        print(f"artifacts directory {artifacts} {problem}", file=sys.stderr)
         return 2
     try:
         with open(args.observables) as fh:

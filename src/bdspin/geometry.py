@@ -31,12 +31,6 @@ class Box:
     def dim(self) -> int:
         return len(self.lo)
 
-    def volume(self) -> float:
-        v = 1.0
-        for l, h in zip(self.lo, self.hi):
-            v *= h - l
-        return v
-
     def contains(self, x) -> bool:
         return all(l <= xi <= h for xi, l, h in zip(x, self.lo, self.hi))
 
@@ -126,9 +120,6 @@ class Window:
             d = np.minimum(d, self.side - d)
         return np.sqrt(np.sum(d * d, axis=1))
 
-    def radial_norm(self, x) -> float:
-        return self.distance(x, self._anchor)
-
     def radial_norms(self, pts: np.ndarray) -> np.ndarray:
         return self.distances(self._anchor, pts)
 
@@ -198,12 +189,6 @@ class Configuration:
     def ids(self) -> list[int]:
         return sorted(self._pos)
 
-    def position_of(self, pid: int) -> np.ndarray:
-        try:
-            return self._pos[pid]
-        except KeyError:
-            raise KeyError(f"unknown point {pid}") from None
-
     def items(self) -> Iterator[tuple[int, np.ndarray]]:
         for pid in self.ids():
             yield pid, self._pos[pid]
@@ -217,12 +202,6 @@ class Configuration:
     def radial_norms(self) -> np.ndarray:
         """|x| of every point (ascending id order), relative to the window anchor."""
         return self.window.radial_norms(self.positions_array())
-
-    def count_in(self, box: Box) -> int:
-        pts = self.positions_array()
-        if len(pts) == 0:
-            return 0
-        return int(np.sum(box.contains_many(pts)))
 
     # -- serialization -------------------------------------------------------
 

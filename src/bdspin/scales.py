@@ -62,11 +62,10 @@ def _neighborhoods(config: Configuration,
 
 
 def _cut_radius(config: Configuration, counts: np.ndarray, growth_k: float, q: float,
-                alpha_star: float, alpha_sup: float,
-                r_cut: float | None) -> tuple[float, int]:
-    """Check the scale indices; return the cut radius R of the operator bound
-    (found, or checked when given) and the number n_{0,R} of points within R
-    of the anchor."""
+                alpha_star: float, alpha_sup: float) -> tuple[float, int]:
+    """Check the scale indices; return the smallest cut radius R of the
+    operator bound, beyond which every point has n_x <= |x|^(q/2k), and the
+    number n_{0,R} of points within R of the anchor."""
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     if growth_k < 1:
@@ -74,22 +73,8 @@ def _cut_radius(config: Configuration, counts: np.ndarray, growth_k: float, q: f
     if not 0.0 <= alpha_star <= alpha_sup:
         raise ValueError("need 0 <= alpha_star <= alpha_sup")
     norms = config.radial_norms()
-    exponent = q / (2.0 * growth_k)
-    with np.errstate(divide="ignore"):
-        ceiling = norms**exponent
-    violates = counts > ceiling
-    if r_cut is None:
-        r_cut = float(norms[violates].max()) if violates.any() else 0.0
-    else:
-        offenders = violates & (norms > r_cut)
-        if offenders.any():
-            worst = int(np.argmax(np.where(offenders, norms, -np.inf)))
-            pid = config.ids()[worst]
-            raise ValueError(
-                "R-condition unsatisfiable on window: point "
-                f"{pid} at |x|={norms[worst]:.6g} has n_x={counts[worst]:.0f} "
-                f"> |x|^(q/2k)={ceiling[worst]:.6g}"
-            )
+    violates = counts > norms ** (q / (2.0 * growth_k))
+    r_cut = float(norms[violates].max()) if violates.any() else 0.0
     n_0r = int(np.sum(norms <= r_cut)) if len(norms) else 0
     return r_cut, n_0r
 
@@ -262,7 +247,7 @@ def check_gronwall_inequality(config: Configuration, coupling_b: float, growth_k
     alpha_star = alpha if alpha_star is None else alpha_star
     alpha_sup = beta if alpha_sup is None else alpha_sup
     src, dst, counts = _neighborhoods(config, radius)
-    r_cut, n_0r = _cut_radius(config, counts, growth_k, q, alpha_star, alpha_sup, None)
+    r_cut, n_0r = _cut_radius(config, counts, growth_k, q, alpha_star, alpha_sup)
     l_value = _bound_value(coupling_b, q, radius, n_0r, alpha_star, alpha_sup)
     k_t = gronwall_series_constant(alpha, beta, q, l_value, horizon)
     rho, steps, sweeps = _extremal_solution(coupling_b * counts**growth_k, src, dst,
@@ -370,7 +355,7 @@ def check_moment_growth(paths: Sequence[MarkPath], traj, coeffs: CoefficientSet,
     c2_norm = float(np.sum(w_alpha * (c2 * counts**2) ** p) ** (1.0 / p))
     base = init_moment + c2_norm
     _, n_0r = _cut_radius(phantom, counts, 2.0, params.q, params.alpha_star,
-                          params.alpha_sup, None)
+                          params.alpha_sup)
 
     def bound_for(c: float) -> float:
         l_value = _bound_value(c, params.q, coeffs.radius, n_0r, params.alpha_star,

@@ -236,8 +236,7 @@ class IntegratorConfig:
     jump time of the trajectory.  ``scheme`` is "euler" or "tamed" (the tamed
     variant divides the drift increment by 1 + dt*|drift| to stop discrete
     blow-up of the cubic drift).  Wiener increments are always keyed per
-    particle; the descriptor records that as ``"noise_mode": "keyed"``.  A
-    solve that needs other noise passes it as an explicit ``noise`` array.
+    particle; the descriptor records that as ``"noise_mode": "keyed"``.
     """
 
     dt: float
@@ -399,7 +398,6 @@ def _initial_vector(traj: Trajectory, ids: Sequence[int],
 def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
            icfg: IntegratorConfig, seed: int, *,
            frozen_box: Box | None = None,
-           noise: np.ndarray | None = None,
            n_replicas: int | None = None) -> MarkPath:
     ids = traj.phantom_ids()
     n_ids = len(ids)
@@ -415,25 +413,17 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
 
     # Noise of particle k at step j is flat[base[k] + j].  Keyed streams are
     # stored only for the steps on which k moves: present and not frozen.
+    births = np.array([traj.presence[pid][0] for pid in ids])
+    deaths = np.array([math.inf if traj.presence[pid][1] is None
+                       else traj.presence[pid][1] for pid in ids])
+    first = np.searchsorted(grid[:-1], births, "left")
+    stop = np.where(frozen_mask, first, np.searchsorted(grid[:-1], deaths, "left"))
     ensemble = n_replicas is not None
-    if noise is not None:
-        want = (n_steps, n_ids) if not ensemble else (n_steps, n_ids, n_replicas)
-        if noise.shape != want:
-            raise ValueError(f"noise has shape {noise.shape}, expected {want}")
-        flat = np.moveaxis(noise, 0, 1).reshape((n_ids * n_steps,) + noise.shape[2:])
-        base = np.arange(n_ids) * n_steps
-    else:
-        births = np.array([traj.presence[pid][0] for pid in ids])
-        deaths = np.array([math.inf if traj.presence[pid][1] is None
-                           else traj.presence[pid][1] for pid in ids])
-        first = np.searchsorted(grid[:-1], births, "left")
-        stop = np.where(frozen_mask, first, np.searchsorted(grid[:-1], deaths, "left"))
-        seeds = ([rng.replica_seed(seed, r) for r in range(n_replicas)]
-                 if ensemble else [seed])
-        flat = _keyed_slices(seeds, ids, first, stop)
-        if not ensemble:
-            flat = flat[:, 0]
-        base = np.cumsum(stop - first) - stop
+    seeds = [rng.replica_seed(seed, r) for r in range(n_replicas)] if ensemble else [seed]
+    flat = _keyed_slices(seeds, ids, first, stop)
+    if not ensemble:
+        flat = flat[:, 0]
+    base = np.cumsum(stop - first) - stop
 
     z0 = _initial_vector(traj, ids, init)
     shape = (n_steps + 1, n_ids) if not ensemble else (n_steps + 1, n_ids, n_replicas)
@@ -505,25 +495,23 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
 
 
 def integrate_marks(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
-                    icfg: IntegratorConfig, seed: int, *,
-                    noise: np.ndarray | None = None) -> MarkPath:
+                    icfg: IntegratorConfig, seed: int) -> MarkPath:
     """Solve the mark system along the trajectory.
 
     Every mark starts at the policy's value at its particle's position.
     Identical arguments give bit-identical paths.
     """
-    return _solve(traj, coeffs, init, icfg, seed, noise=noise)
+    return _solve(traj, coeffs, init, icfg, seed)
 
 
 def integrate_marks_ensemble(traj: Trajectory, coeffs: CoefficientSet,
                              init: InitialMarkPolicy, icfg: IntegratorConfig,
-                             seed: int, n_replicas: int, *,
-                             noise: np.ndarray | None = None) -> MarkPath:
+                             seed: int, n_replicas: int) -> MarkPath:
     """Replica-batched solve; replica r uses the derived seed replica_seed(seed, r).
 
     Bit-identical to running ``integrate_marks`` once per derived seed.
     """
-    return _solve(traj, coeffs, init, icfg, seed, noise=noise, n_replicas=n_replicas)
+    return _solve(traj, coeffs, init, icfg, seed, n_replicas=n_replicas)
 
 
 def finite_volume_solve(traj: Trajectory, coeffs: CoefficientSet,

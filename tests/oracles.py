@@ -5,7 +5,11 @@ way ``test_acceptance`` imports ``test_scales``).  They build on the library's
 own pieces: ``ovsjannikov_bound_constant`` computes its L with the same
 ``scales._cut_radius`` and ``scales._bound_value`` as the ``gronwall`` and
 ``moments`` reports, and ``strong_order_study`` solves with
-``integrate_marks_ensemble`` on explicit keyed noise.  The artifact writers
+``integrate_marks_ensemble`` on noise aggregated from the finest lattice,
+passed in through ``explicit_noise``.  The accessors at the top (``config_at``
+and the left limit of ``present_ids``, ``position_of``, ``count_in``,
+``radial_norm``, ``box_volume``) are what the tests read of the library
+objects beyond what the library itself needs.  The artifact writers
 and reader at the end are the per-value ``csv``/``json`` versions that the
 library's string-joining writers and C-parsed reader must match.
 
@@ -20,12 +24,13 @@ import csv
 import heapq
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from bdspin import birth_death, rng
+from bdspin import birth_death, rng, spin_sde
 from bdspin.birth_death import (BirthKernel, BoundViolationError, ConstantBirthKernel, Event,
                                 EstablishmentBirthKernel, FecundityBirthKernel,
                                 GlauberBirthKernel, Trajectory, present_neighbors, simulate)
@@ -35,6 +40,53 @@ from bdspin.marked_process import MarkedTrajectory
 from bdspin.spin_sde import (CoefficientSet, InitialMarkPolicy, IntegratorConfig, MarkPath,
                              _keyed_slices, integrate_marks_ensemble, linear_drift,
                              linear_self_diffusion, zero_pair)
+
+
+# -- accessors the library does not need ----------------------------------------
+
+
+def position_of(config, pid: int) -> np.ndarray:
+    """Position of point ``pid`` of a ``Configuration`` or a ``PointSet``."""
+    try:
+        return config._pos[pid]
+    except KeyError:
+        raise KeyError(f"unknown point {pid}") from None
+
+
+def count_in(config: Configuration, box: Box) -> int:
+    """Number of points of ``config`` in the closed ``box``."""
+    pts = config.positions_array()
+    return int(np.sum(box.contains_many(pts))) if len(pts) else 0
+
+
+def box_volume(box: Box) -> float:
+    v = 1.0
+    for lo, hi in zip(box.lo, box.hi):
+        v *= hi - lo
+    return v
+
+
+def radial_norm(window: Window, x) -> float:
+    """|x|, measured from the window's norm origin as ``Window.radial_norms`` does."""
+    return window.distance(x, window.descriptor()["norm_origin"])
+
+
+def present_ids(traj: Trajectory, t: float, side: str = "right") -> list[int]:
+    """Ids of gamma_t (side='right', as ``Trajectory.present_ids``) or of the
+    left limit gamma_{t-} (side='left'), which is gamma_0 at t = 0."""
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    right = traj.present_ids(t)  # also rejects a t outside [0, T]
+    if side == "right" or t == 0.0:
+        return right
+    return sorted(pid for pid, (birth, death) in traj.presence.items()
+                  if birth < t and (death is None or t <= death))
+
+
+def config_at(traj: Trajectory, t: float, side: str = "right") -> Configuration:
+    """The configuration gamma_t or gamma_{t-}, rebuilt from ``traj.presence``."""
+    return Configuration(traj.window, [(pid, traj.phantom_positions[pid])
+                                       for pid in present_ids(traj, t, side)])
 
 
 # -- radius queries by a direct scan ----------------------------------------------
@@ -64,7 +116,7 @@ def neighbor_count(config, x, radius: float) -> int:
 
 def neighbors_within(config, pid: int, radius: float) -> list[tuple[int, float]]:
     """(id, distance) of all other points within ``radius`` of point ``pid``."""
-    return [(q, d) for q, d in ids_within(config, config.position_of(pid), radius) if q != pid]
+    return [(q, d) for q, d in ids_within(config, position_of(config, pid), radius) if q != pid]
 
 
 class PointSet:
@@ -81,17 +133,11 @@ class PointSet:
     def ids(self) -> list[int]:
         return sorted(self._pos)
 
-    def position_of(self, pid: int) -> np.ndarray:
-        try:
-            return self._pos[pid]
-        except KeyError:
-            raise KeyError(f"unknown point {pid}") from None
-
     def positions_array(self) -> np.ndarray:
         return np.stack([self._pos[pid] for pid in self.ids()])
 
     def insert(self, pid: int, position) -> None:
-        x = Configuration(self.window, [(pid, position)]).position_of(pid)
+        x = position_of(Configuration(self.window, [(pid, position)]), pid)
         for other, y in self._pos.items():
             if np.array_equal(y, x):
                 raise ValueError(f"points {other} and {pid} have identical positions")
@@ -122,7 +168,7 @@ def reference_rate(kernel: BirthKernel, x: np.ndarray, config) -> float:
             a_val = float(kernel.a(np.array([d_xy]))[0])
             if a_val == 0.0:
                 continue
-            y = config.position_of(y_id)
+            y = position_of(config, y_id)
             inner = ids_within(config, y, max(kernel.c.range, kernel.phi.range))
             dists = np.array([d for zid, d in inner if zid != y_id])
             c_sum = float(np.sum(kernel.c(dists[dists <= kernel.c.range]))) if dists.size else 0.0
@@ -217,7 +263,7 @@ def reference_simulate(gamma0: Configuration, kernel: BirthKernel, death_rate: f
                 pid = next_id
                 next_id += 1
                 state.insert(pid, dp.x)
-                pos = tuple(float(c) for c in state.position_of(pid))
+                pos = tuple(float(c) for c in position_of(state, pid))
                 events.append(Event(t, "birth", pid, pos))
                 if death_rate > 0:
                     death_time = t + dp.r / death_rate
@@ -226,7 +272,7 @@ def reference_simulate(gamma0: Configuration, kernel: BirthKernel, death_rate: f
                         seq += 1
         else:
             pid = payload
-            pos = tuple(float(c) for c in state.position_of(pid))
+            pos = tuple(float(c) for c in position_of(state, pid))
             state.remove(pid)
             events.append(Event(t, "death", pid, pos))
 
@@ -252,7 +298,7 @@ class TemperedWeight:
         return (1.0 + r) ** (-(self.dim + self.epsilon))
 
     def at(self, window: Window, x) -> float:
-        return float(self.value(window.radial_norm(x)))
+        return float(self.value(radial_norm(window, x)))
 
     def pair(self, window: Window, x, y) -> float:
         return float(self.value(window.distance(x, y)))
@@ -444,10 +490,24 @@ def ovsjannikov_bound_constant(config: Configuration, growth_c: float, growth_k:
                                 + (q/e)^q ],
 
     where R is any radius beyond which n_x <= |x|^{q/(2k)}; when omitted, the
-    smallest such R is found by scanning the finite configuration.
+    smallest such R is found by scanning the finite configuration.  A given R
+    below that smallest one raises ValueError.
     """
     _, _, counts = _neighborhoods(config, radius)
-    r_cut, n_0r = _cut_radius(config, counts, growth_k, q, alpha_star, alpha_sup, r_cut)
+    smallest, n_0r = _cut_radius(config, counts, growth_k, q, alpha_star, alpha_sup)
+    if r_cut is None:
+        r_cut = smallest
+    else:
+        norms = config.radial_norms()
+        if smallest > r_cut:  # the farthest point that breaks the R-condition
+            worst = int(np.argmax(np.where(counts > norms ** (q / (2.0 * growth_k)),
+                                           norms, -np.inf)))
+            raise ValueError(
+                "R-condition unsatisfiable on window: point "
+                f"{config.ids()[worst]} at |x|={norms[worst]:.6g} has "
+                f"n_x={counts[worst]:.0f} > |x|^(q/2k)="
+                f"{norms[worst] ** (q / (2.0 * growth_k)):.6g}")
+        n_0r = int(np.sum(norms <= r_cut))
     return LBound(_bound_value(growth_c, q, radius, n_0r, alpha_star, alpha_sup), r_cut)
 
 
@@ -487,9 +547,9 @@ def assemble_drift(pid: int, t: float, marks: Mapping[int, float],
     single-site term plus the pair sum over current in-radius neighbors."""
     if pid not in traj.phantom_positions:
         raise KeyError(f"unknown id {pid}")
-    if pid not in traj.present_ids(t, "right"):
+    if pid not in traj.present_ids(t):
         return 0.0
-    cfg = traj.config_at(t)
+    cfg = config_at(traj, t)
     z_x = marks[pid]
     total = float(coeffs.single.func(np.float64(z_x)))
     for qid, d in neighbors_within(cfg, pid, coeffs.radius):
@@ -503,9 +563,9 @@ def assemble_diffusion(pid: int, t: float, marks: Mapping[int, float],
     """Diffusion of one mark at one time; 0 when absent, no single-site term."""
     if pid not in traj.phantom_positions:
         raise KeyError(f"unknown id {pid}")
-    if pid not in traj.present_ids(t, "right"):
+    if pid not in traj.present_ids(t):
         return 0.0
-    cfg = traj.config_at(t)
+    cfg = config_at(traj, t)
     z_x = marks[pid]
     total = 0.0
     for qid, d in neighbors_within(cfg, pid, coeffs.radius):
@@ -515,6 +575,33 @@ def assemble_diffusion(pid: int, t: float, marks: Mapping[int, float],
 
 
 # -- strong order of the integrator -----------------------------------------------------
+
+
+@contextmanager
+def explicit_noise(dense: np.ndarray) -> Iterator[None]:
+    """Drive every mark solve in the block by ``dense`` instead of the keyed
+    streams: the normal of phantom column k at step j is ``dense[j, k]``, and
+    an ensemble solve reads replica r from ``dense[j, k, r]``.
+
+    ``spin_sde._keyed_slices`` is replaced by the same slices of ``dense``,
+    packed in the same layout, so a solve reads exactly the entries on which
+    a particle moves.
+    """
+    cols = dense.reshape(dense.shape[:2] + (-1,))
+
+    def slices(seeds, ids, first, stop):
+        if cols.shape[1:] != (len(ids), len(seeds)) or np.any(stop > len(cols)):
+            raise ValueError(f"noise of shape {dense.shape} does not cover {len(ids)} ids "
+                             f"and {len(seeds)} replicas over the solve's steps")
+        return np.concatenate([cols[first[k]:stop[k], k] for k in range(len(ids))]
+                              + [np.empty((0, len(seeds)))])
+
+    keyed = spin_sde._keyed_slices
+    spin_sde._keyed_slices = slices
+    try:
+        yield
+    finally:
+        spin_sde._keyed_slices = keyed
 
 
 def _keyed_normals(seed: int, ids: Sequence[int], n_steps: int) -> np.ndarray:
@@ -577,8 +664,8 @@ def strong_order_study(seed: int, *, n_paths: int = 400,
         dw = dw_fine.reshape(n_steps, block, 2, n_paths).sum(axis=1)
         noise = dw / math.sqrt(dt)
         icfg = IntegratorConfig(dt=dt)
-        path = integrate_marks_ensemble(traj, coeffs, init, icfg, seed, n_paths,
-                                        noise=noise)
+        with explicit_noise(noise):
+            path = integrate_marks_ensemble(traj, coeffs, init, icfg, seed, n_paths)
         em_final = path.values[-1]
         err = math.sqrt(float(np.mean((em_final - exact) ** 2)))
         dts.append(dt)

@@ -17,7 +17,6 @@ from bdspin.birth_death import (
     FecundityBirthKernel,
     GlauberBirthKernel,
     read_event_log,
-    replay_events,
     sample_driving_process,
     simulate,
     step_potential,
@@ -28,8 +27,8 @@ from bdspin.birth_death import (
 )
 from bdspin.geometry import Box, Configuration, Window, poisson_configuration
 from bdspin.spin_sde import build_time_grid
-from oracles import (TemperedWeight, birth_events, check_rate_perturbation_bound, death_events,
-                     event_count_in, rate_at)
+from oracles import (TemperedWeight, birth_events, check_rate_perturbation_bound, config_at,
+                     count_in, death_events, event_count_in, present_ids, rate_at)
 
 
 def glauber_run(seed, z=1.5, side=5.0, T=1.0, m=0.5, init_intensity=0.5, c=0.8, rho=1.0):
@@ -176,7 +175,7 @@ class TestSimulate:
         counts = []
         for s in range(1000):
             traj = simulate(Configuration(window), kernel, 0.0, 1.0, seed=s)
-            counts.append(len(traj.config_at(1.0)))
+            counts.append(len(config_at(traj, 1.0)))
             assert not death_events(traj)
         counts = np.array(counts)
         sigma = math.sqrt(lam / len(counts))
@@ -193,7 +192,7 @@ class TestSimulate:
         survivors = []
         for s in range(800):
             traj = simulate(gamma0, ConstantBirthKernel(0.0), m, 0.7, seed=s)
-            survivors.append(len(traj.config_at(t)))
+            survivors.append(len(config_at(traj, t)))
         survivors = np.array(survivors)
         mean = 200 * p
         sigma = math.sqrt(200 * p * (1 - p) / len(survivors))
@@ -202,7 +201,7 @@ class TestSimulate:
     def test_no_death_means_phantom_equals_final(self):
         traj = glauber_run(seed=11, m=0.0)
         assert not death_events(traj)
-        final = traj.config_at(traj.horizon)
+        final = config_at(traj, traj.horizon)
         assert final.ids() == traj.phantom_ids()
 
     def test_determinism_bit_identical(self):
@@ -234,8 +233,8 @@ class TestSimulate:
         times = sorted({ev.time for ev in traj.events} | {0.0, traj.horizon})
         union = set()
         for t in times:
-            union |= set(traj.config_at(t).ids())
-            union |= set(traj.config_at(t, side="left").ids())
+            union |= set(config_at(traj, t).ids())
+            union |= set(config_at(traj, t, side="left").ids())
         assert sorted(union) == traj.phantom_ids()
 
     def test_id_presence_single_interval_no_resurrection(self):
@@ -253,29 +252,29 @@ class TestSimulate:
 class TestConfigAt:
     def test_time_zero_is_initial(self):
         traj = glauber_run(seed=5)
-        assert traj.config_at(0.0).ids() == traj.gamma0.ids()
-        assert traj.config_at(0.0, side="left").ids() == traj.gamma0.ids()
+        assert config_at(traj, 0.0).ids() == traj.gamma0.ids()
+        assert config_at(traj, 0.0, side="left").ids() == traj.gamma0.ids()
 
     def test_cadlag_convention_at_birth(self):
         traj = glauber_run(seed=6, m=0.0, z=3.0)
         ev = birth_events(traj)[0]
-        assert ev.id in traj.config_at(ev.time, "right")
-        assert ev.id not in traj.config_at(ev.time, "left")
+        assert ev.id in config_at(traj, ev.time, "right")
+        assert ev.id not in config_at(traj, ev.time, "left")
 
     def test_death_removes_point_from_right_limit(self):
         traj = glauber_run(seed=8, m=3.0, T=2.0, z=3.0)
         deaths = death_events(traj)
         assert deaths
         ev = deaths[0]
-        assert ev.id not in traj.config_at(ev.time, "right")
-        assert ev.id in traj.config_at(ev.time, "left")
+        assert ev.id not in config_at(traj, ev.time, "right")
+        assert ev.id in config_at(traj, ev.time, "left")
 
     def test_out_of_range_time(self):
         traj = glauber_run(seed=5)
         with pytest.raises(ValueError, match="outside"):
-            traj.config_at(-0.1)
+            config_at(traj, -0.1)
         with pytest.raises(ValueError, match="outside"):
-            traj.config_at(traj.horizon + 0.1)
+            config_at(traj, traj.horizon + 0.1)
 
     def test_matches_incremental_replay(self):
         traj = glauber_run(seed=9, m=1.0, T=1.5, z=2.0)
@@ -290,7 +289,7 @@ class TestConfigAt:
                 ev = events[idx]
                 live.add(ev.id) if ev.kind == "birth" else live.remove(ev.id)
                 idx += 1
-            assert sorted(live) == traj.config_at(float(t)).ids()
+            assert sorted(live) == config_at(traj, float(t)).ids()
 
 
 def reference_counting_identity(traj) -> bool:
@@ -314,7 +313,7 @@ def reference_counting_identity(traj) -> bool:
         boxes.append(Box(tuple(float(v) for v in lo), tuple(float(v) for v in hi)))
 
     for t in times:
-        cfg = traj.config_at(t)
+        cfg = config_at(traj, t)
         for box in boxes:
             direct = 0
             for dp in traj.driving:
@@ -325,7 +324,7 @@ def reference_counting_identity(traj) -> bool:
             for pid, pos in traj.gamma0.items():
                 if box.contains(pos) and traj.initial_lifetimes[pid] > m * t:
                     direct += 1
-            if direct != cfg.count_in(box):
+            if direct != count_in(cfg, box):
                 return False
     return True
 
@@ -438,7 +437,21 @@ class TestVerification:
 
     def test_replay_reproduces_event_log(self):
         traj = glauber_run(seed=14, m=0.7, z=2.5)
-        assert replay_events(traj) == traj.events
+        report = verify_domination(traj)
+        assert report.replay_consistent and report.passed
+
+    def test_replay_catches_a_later_death(self):
+        # negative control: the stored log has its last death moved after
+        # every other event; the path stays valid, so only the replay sees it
+        traj = glauber_run(seed=14, m=0.7, z=2.5)
+        events = list(traj.events)
+        k = max(i for i, ev in enumerate(events) if ev.kind == "death")
+        moved = events.pop(k)
+        events.append(dataclasses.replace(
+            moved, time=0.5 * (traj.events[-1].time + traj.horizon)))
+        report = verify_domination(dataclasses.replace(traj, events=events))
+        assert not report.replay_consistent and not report.passed
+        assert report.violations == []
 
     def test_event_count_matches_brute_filter(self):
         traj = glauber_run(seed=15, m=1.0, z=3.0, T=2.0)
@@ -472,8 +485,8 @@ class TestVerification:
         counts = []
         for s in range(1000):
             traj = simulate(Configuration(window), kernel, 0.0, 1.0, seed=s)
-            final = traj.config_at(1.0)
-            counts.extend(final.count_in(c) for c in cells)
+            final = config_at(traj, 1.0)
+            counts.extend(count_in(final, c) for c in cells)
         counts = np.array(counts)
         lam = 2.5  # per unit cell over T=1
         kmax = int(stats.poisson.ppf(0.999, lam)) + 1
@@ -491,7 +504,7 @@ class TestRestrictAndLog:
         assert all(ev.time <= 1.0 for ev in half.events)
         assert half.events == [ev for ev in traj.events if ev.time <= 1.0]
         for t in (0.0, 0.25, 0.7, 1.0):
-            assert half.config_at(t).ids() == traj.config_at(t).ids()
+            assert config_at(half, t).ids() == config_at(traj, t).ids()
         assert set(half.phantom_ids()) <= set(traj.phantom_ids())
 
     def test_event_log_round_trip(self, tmp_path):
@@ -594,7 +607,7 @@ class TestPresenceSweep:
     def assert_sweep_matches(traj, times):
         ids = traj.phantom_ids()
         for t, mask in zip(times, traj.presence_masks(times)):
-            assert [pid for pid, on in zip(ids, mask) if on] == traj.present_ids(t, "right"), t
+            assert [pid for pid, on in zip(ids, mask) if on] == traj.present_ids(t), t
 
     @staticmethod
     def assert_left_limits_match(traj, dt=1 / 64):
@@ -605,7 +618,7 @@ class TestPresenceSweep:
         before = [float(grid[int(np.searchsorted(grid, t)) - 1]) for t in times]
         ids = traj.phantom_ids()
         for t, mask in zip(times, traj.presence_masks(before)):
-            assert [pid for pid, on in zip(ids, mask) if on] == traj.present_ids(t, "left"), t
+            assert [pid for pid, on in zip(ids, mask) if on] == present_ids(traj, t, "left"), t
 
     @staticmethod
     def grid_and_segment_starts(traj, dt=1 / 64):

@@ -364,6 +364,11 @@ class TestEmitPlotdata:
                      "--observables", str(obs), "--out", str(tmp_path / "p")])
         assert code == 2
         assert not (tmp_path / "p").exists()
+        # a file where the run directory should be
+        code = main(["emit-plotdata", "--artifacts", str(obs),
+                     "--observables", str(obs), "--out", str(tmp_path / "p")])
+        assert code == 2
+        assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("artifact", ["manifest.json", "events.jsonl", "marks.csv"])
     def test_missing_run_artifact_exit_2(self, tmp_path, capsys, artifact):
@@ -387,7 +392,10 @@ class TestEmitPlotdata:
     @pytest.mark.parametrize("corruption", ["missing_id_rows", "unknown_id_death",
                                             "truncated_line", "ragged_marks",
                                             "repeated_mark_row", "not_an_event_record",
-                                            "unordered_events", "blank_marks"])
+                                            "unordered_events", "blank_marks",
+                                            "header_not_an_object", "window_without_side",
+                                            "gamma0_record_without_id",
+                                            "kernel_without_z"])
     def test_corrupt_run_exit_2_before_output(self, tmp_path, capsys, corruption):
         cfg = write_config(tmp_path, horizon=0.25)
         out = tmp_path / "run"
@@ -410,6 +418,19 @@ class TestEmitPlotdata:
             assert json.loads(records[0])["t"] < json.loads(records[last])["t"]
             records.insert(0, records.pop(last))
             (out / "events.jsonl").write_text("\n".join([header] + records) + "\n")
+        elif corruption.startswith(("header", "window", "gamma0", "kernel")):
+            header, *records = (out / "events.jsonl").read_text().splitlines()
+            header = json.loads(header)
+            if corruption == "header_not_an_object":
+                header = []
+            elif corruption == "window_without_side":
+                header["window"] = {}
+            elif corruption == "gamma0_record_without_id":
+                del header["gamma0"][0]["id"]
+            else:
+                assert header["kernel"]["variant"] == "glauber"
+                del header["kernel"]["z"]
+            (out / "events.jsonl").write_text("\n".join([json.dumps(header)] + records) + "\n")
         elif corruption in ("unknown_id_death", "not_an_event_record"):
             record = ({"t": 0.25, "kind": "death", "id": 999, "position": [1.0, 1.0]}
                       if corruption == "unknown_id_death" else {"t": 0.25})

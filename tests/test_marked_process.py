@@ -28,7 +28,7 @@ from bdspin.spin_sde import (
     integrate_marks_ensemble,
     tanh_diffusion,
 )
-from oracles import birth_events
+from oracles import birth_events, config_at, count_in, position_of
 from test_birth_death import same_time_trajectory
 
 
@@ -61,7 +61,7 @@ def cadlag_reference(mt, g, eps_t, atol=1e-9, left_points=4):
     violations, max_modulus = [], 0.0
     for ev in support_events:
         t, j = ev.time, mt.marks.index_of(ev.time)
-        right, left = traj.config_at(t, "right"), traj.config_at(t, "left")
+        right, left = config_at(traj, t, "right"), config_at(traj, t, "left")
         value = pairing(right, j)
         if j + 1 < len(grid):
             if grid[j + 1] - t > eps_t * (1 + 1e-9):
@@ -80,7 +80,7 @@ def cadlag_reference(mt, g, eps_t, atol=1e-9, left_points=4):
         for i in range(max(0, j - left_points), j):
             if grid[i] < seg_lo:
                 continue
-            dev = abs(pairing(traj.config_at(float(grid[i])), i) - v_limit)
+            dev = abs(pairing(config_at(traj, float(grid[i])), i) - v_limit)
             bound = g.spin_lipschitz * len(in_support(left)) * modulus(left, i, j) + atol
             if dev > bound:
                 violations.append({"kind": "left_limit_value", "t": t, "id": ev.id,
@@ -227,11 +227,11 @@ class TestCombine:
         gen = rng.keyed_generator(seed, rng.SAMPLING)
         for j in gen.choice(len(path.grid), size=25):
             t = float(path.grid[j])
-            config = traj.config_at(t)
+            config = config_at(traj, t)
             points = records[j]["points"]
             assert [p["id"] for p in points] == config.ids()
             for p in points:
-                assert p["position"] == config.position_of(p["id"]).tolist()
+                assert p["position"] == position_of(config, p["id"]).tolist()
                 assert p["mark"] == float(path.values[j, col[p["id"]]])
 
     def test_presence_interval_oracle(self, tmp_path):
@@ -285,7 +285,7 @@ class TestCountingJumps:
             assert d == births - deaths
         n_in_box_events = sum(1 for ev in traj.events if box.contains(ev.position))
         assert len(jumps) <= n_in_box_events
-        assert series[0] == traj.gamma0.count_in(box)
+        assert series[0] == count_in(traj.gamma0, box)
 
 
 class TestCadlag:
@@ -316,7 +316,7 @@ class TestCadlag:
         series = mt.observable_series(g)
         col = {pid: k for k, pid in enumerate(path.ids)}
         left = sum(point_value(g, pos, path.values[j, col[pid]])
-                   for pid, pos in traj.config_at(ev.time, "left").items()
+                   for pid, pos in config_at(traj, ev.time, "left").items()
                    if g.support.contains(pos))
         assert series[j] - left == 1.0
 

@@ -38,6 +38,8 @@ from oracles import (
     ids_within,
     neighbor_count,
     ovsjannikov_bound_constant,
+    position_of,
+    radial_norm,
     weighted_lp_norm,
     weighted_lp_norm_from_radii,
 )
@@ -76,7 +78,7 @@ class TestWeightedNorms:
                                                  gen.standard_normal(len(config)))}
         alpha, p = 0.4, 2.5
         want = sum(
-            math.exp(-alpha * window.radial_norm(pos)) * abs(marks[pid]) ** p
+            math.exp(-alpha * radial_norm(window, pos)) * abs(marks[pid]) ** p
             for pid, pos in config.items()
         ) ** (1 / p)
         assert weighted_lp_norm(config, marks, alpha, p) == pytest.approx(want, rel=1e-12)
@@ -181,7 +183,7 @@ def reference_random_matrix(config, radius, growth_c, growth_k, seed):
     gen = rng.keyed_generator(seed, rng.SAMPLING)
     matrix = np.zeros((len(ids), len(ids)))
     for i, pid in enumerate(ids):
-        hits = ids_within(config, config.position_of(pid), radius)
+        hits = ids_within(config, position_of(config, pid), radius)
         cap = growth_c * len(hits) ** growth_k
         for qid, _ in hits:
             matrix[i, index_of[qid]] = cap * (2.0 * gen.random() - 1.0)
@@ -192,7 +194,7 @@ def reference_validation_error(config, matrix, radius, growth_c, growth_k):
     """First error the point-by-point locality and magnitude checks raise."""
     ids = config.ids()
     for i, pid in enumerate(ids):
-        hits = ids_within(config, config.position_of(pid), radius)
+        hits = ids_within(config, position_of(config, pid), radius)
         allowed = {qid for qid, _ in hits}
         for j, qid in enumerate(ids):
             if matrix[i, j] != 0.0 and qid not in allowed:
@@ -271,7 +273,7 @@ def dense_coupling(config, coupling_b, growth_k, radius):
     index_of = {pid: i for i, pid in enumerate(ids)}
     coupling = np.zeros((len(ids), len(ids)))
     for i, pid in enumerate(ids):
-        hits = ids_within(config, config.position_of(pid), radius)
+        hits = ids_within(config, position_of(config, pid), radius)
         for qid, _ in hits:
             coupling[i, index_of[qid]] = coupling_b * len(hits) ** growth_k
     return coupling
@@ -340,7 +342,7 @@ class TestGronwallInequality:
         report = check_gronwall_inequality(config, coupling_b, 1.0, np.array([b0]),
                                            1.0, 0.1, 0.6, 0.5, 1.0)
         # rho(t) = b exp(B t): sup at t = T
-        r = window.radial_norm([1.0, 1.0])
+        r = radial_norm(window, [1.0, 1.0])
         want = math.exp(-0.6 * r) * b0 * math.exp(coupling_b)
         assert report.passed
         assert abs(report.measured_value - want) < 1e-6

@@ -34,7 +34,7 @@ from bdspin.spin_sde import (
     zero_pair,
 )
 
-from oracles import _keyed_normals, neighbors_within
+from oracles import _keyed_normals, explicit_noise, neighbors_within
 from test_birth_death import same_time_trajectory
 from test_spin_sde import default_coeffs, make_glauber_traj, shared_noise
 
@@ -174,12 +174,14 @@ class TestAgainstReference:
         traj = make_glauber_traj(seed=7)
         coeffs = default_coeffs()
         noise = shared_noise(traj, ICFG, 99)
-        assert_same_path(integrate_marks(traj, coeffs, INIT, ICFG, 0, noise=noise),
-                         reference_solve(traj, coeffs, INIT, ICFG, 0, noise=noise))
+        with explicit_noise(noise):
+            path = integrate_marks(traj, coeffs, INIT, ICFG, 0)
+        assert_same_path(path, reference_solve(traj, coeffs, INIT, ICFG, 0, noise=noise))
         ens = np.stack([shared_noise(traj, ICFG, s) for s in (1, 2)], axis=2)
-        assert_same_path(
-            integrate_marks_ensemble(traj, coeffs, INIT, ICFG, 0, 2, noise=ens),
-            reference_solve(traj, coeffs, INIT, ICFG, 0, noise=ens, n_replicas=2))
+        with explicit_noise(ens):
+            path = integrate_marks_ensemble(traj, coeffs, INIT, ICFG, 0, 2)
+        assert_same_path(path,
+                         reference_solve(traj, coeffs, INIT, ICFG, 0, noise=ens, n_replicas=2))
 
     def test_tamed_scheme(self):
         traj = make_glauber_traj(seed=8)
@@ -235,5 +237,6 @@ class TestNoiseContract:
         coeffs = default_coeffs()
         grid = build_time_grid(traj.horizon, ICFG.dt, [ev.time for ev in traj.events])
         noise = _keyed_normals(21, traj.phantom_ids(), len(grid) - 1)
-        assert_same_path(integrate_marks(traj, coeffs, INIT, ICFG, 21, noise=noise),
-                         integrate_marks(traj, coeffs, INIT, ICFG, 21))
+        with explicit_noise(noise):
+            path = integrate_marks(traj, coeffs, INIT, ICFG, 21)
+        assert_same_path(path, integrate_marks(traj, coeffs, INIT, ICFG, 21))

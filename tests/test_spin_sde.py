@@ -35,7 +35,8 @@ from bdspin.spin_sde import (
     _spearman,
 )
 from bdspin.spin_sde import _projection_mismatch
-from oracles import assemble_diffusion, assemble_drift, strong_order_study
+from oracles import (assemble_diffusion, assemble_drift, explicit_noise, position_of,
+                     strong_order_study)
 import dataclasses
 
 
@@ -118,7 +119,7 @@ class TestAssembly:
             for qid in traj.phantom_ids():
                 if qid == pid:
                     continue
-                d = window.distance(gamma0.position_of(pid), gamma0.position_of(qid))
+                d = window.distance(position_of(gamma0, pid), position_of(gamma0, qid))
                 if d <= coeffs.radius:
                     drift += float(coeffs.pair.func(np.float64(marks[pid]),
                                                     np.float64(marks[qid]), d))
@@ -212,7 +213,8 @@ class TestIntegration:
         ids = traj.phantom_ids()
         zeros = np.zeros((len(build_time_grid(0.5, 1 / 16, [e.time for e in traj.events])) - 1,
                           len(ids)))
-        path = integrate_marks(traj, coeffs, init, icfg, seed=0, noise=zeros)
+        with explicit_noise(zeros):
+            path = integrate_marks(traj, coeffs, init, icfg, seed=0)
         grid = path.grid
         marks0 = {pid: 0.7 for pid in ids}
         h = float(grid[1] - grid[0])
@@ -228,7 +230,8 @@ class TestIntegration:
         ids = traj.phantom_ids()
         grid = build_time_grid(0.5, 1 / 16, [e.time for e in traj.events])
         ones = np.ones((len(grid) - 1, len(ids)))
-        path = integrate_marks(traj, coeffs, init, icfg, seed=0, noise=ones)
+        with explicit_noise(ones):
+            path = integrate_marks(traj, coeffs, init, icfg, seed=0)
         h = float(grid[1] - grid[0])
         marks0 = {pid: 0.9 for pid in ids}
         for k, pid in enumerate(ids):
@@ -359,12 +362,12 @@ class TestProjection:
             n_births = len([e for e in traj.events if e.kind == "birth" and e.time > 0.5])
             if n_births == 0:
                 continue  # phantom identical on both horizons: sharing is harmless
-            full, short = (
-                integrate_marks(tr, default_coeffs(kappa=0.4), InitialMarkPolicy.constant(0.1),
-                                icfg, seed, noise=shared_noise(tr, icfg, seed))
-                for tr in (traj, traj.restrict(0.5))
-            )
-            assert _projection_mismatch(full, short) is not None
+            paths = []  # the full and the restricted solve
+            for tr in (traj, traj.restrict(0.5)):
+                with explicit_noise(shared_noise(tr, icfg, seed)):
+                    paths.append(integrate_marks(tr, default_coeffs(kappa=0.4),
+                                                 InitialMarkPolicy.constant(0.1), icfg, seed))
+            assert _projection_mismatch(*paths) is not None
             return
         pytest.fail("no run with late births found")
 

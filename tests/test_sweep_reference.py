@@ -19,7 +19,7 @@ from bdspin.birth_death import (BoundViolationError, ConstantBirthKernel,
                                 GlauberBirthKernel, gaussian_potential, sample_driving_process,
                                 simulate, step_potential)
 from bdspin.geometry import Configuration, Window, poisson_configuration
-from oracles import neighbor_count, reference_simulate
+from oracles import config_at, neighbor_count, present_ids, reference_simulate
 
 GLAUBER_STEP = GlauberBirthKernel(2.0, step_potential(0.5, 1.0))
 # a wide gaussian on a dense window: a candidate sees 8 or more neighbors,
@@ -116,7 +116,7 @@ def test_events_equal_reference_in_small_blocks(monkeypatch, name):
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 def test_gaussian_case_sums_eight_or_more_neighbors(boundary):
     traj = simulate(case_gamma0(f"glauber_gauss_2d_{boundary}", 1), GLAUBER_GAUSS, 0.5, 0.5, 1)
-    half = traj.config_at(0.25)
+    half = config_at(traj, 0.25)
     seen = [neighbor_count(half, dp.x, GLAUBER_GAUSS.phi.range) for dp in traj.driving]
     assert np.median(seen) >= 8
 
@@ -186,7 +186,7 @@ def test_pair_lists_follow_the_present_count(monkeypatch, kernel, horizon):
     assert calls["driving"] == 1
     want, start = [], 0
     while kernel is not CONSTANT and start < len(traj.driving):
-        held = len(traj.present_ids(traj.driving[start].s, "left"))
+        held = len(present_ids(traj, traj.driving[start].s, "left"))
         size = min(max(held, 16), len(traj.driving) - start)
         want.append((held + size, kernel.interaction_range))
         start += size
