@@ -249,6 +249,8 @@ def neighbor_pairs(window: Window, positions: np.ndarray,
         raise ValueError("radius must be positive")
     pts = window.wrap(np.asarray(positions, dtype=float).reshape(-1, window.dim))
     n = len(pts)
+    if n * n > np.iinfo(np.intp).max:
+        raise ValueError(f"{n} points: the pair key src * n + dst overflows")
     ncells = max(1, int(window.side / cell_size_above(radius)))
     # row i's candidates are by_cell[lo[i, k]:hi[i, k]] over its cells k
     if ncells < 3:
@@ -286,7 +288,9 @@ def neighbor_pairs(window: Window, positions: np.ndarray,
         dist = window.row_distances(pts[dst], pts[src])
         near = dist <= radius
         src, dst, dist = src[near], dst[near], dist[near]
-        order = np.lexsort((dst, src))
+        # each (src, dst) appears once, so the key has no ties and its sort
+        # is lexsort's (src, dst) order
+        order = np.argsort(src * n + dst)
         parts.append((src[order], dst[order], dist[order]))
         a = b
     src, dst, dist = (np.concatenate(col) for col in zip(*parts))

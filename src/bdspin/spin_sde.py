@@ -14,13 +14,16 @@ each step.  Wiener increments for particle k at step j are a pure function of
 (seed, k, j), which makes solves pathwise comparable across volume cutoffs,
 horizons and replicas.
 
-A solve walks the grid once, alongside the trajectory's presence sweep.  The
-in-radius pairs of the phantom configuration are found once
-(``geometry.neighbor_pairs``).  The path is constant between jumps, and a
-jump changes only the edges of the particle born or dying, so at each
-segment start only those edges are re-evaluated.  Each particle's keyed
-stream is drawn up to its death step and stored only over its lifetime;
-marks frozen by a volume cutoff draw nothing.  The mark array stays dense
+A solve walks the grid once and the event log alongside it.  The in-radius
+pairs of the phantom configuration are found once
+(``geometry.neighbor_pairs``).  The configuration changes by one birth or
+death at a time, and an event changes only the edges of its particle: the
+walk applies each event where the grid reaches its time, re-evaluates that
+particle's edges and gathers the active set and the alive edges again only
+after a step that applied an event.  Each particle's keyed stream is drawn
+up to its death step and stored only over its lifetime; marks frozen by a
+volume cutoff draw nothing.  The streams' keys come from one vectorised
+pass per seed (``rng.keyed_streams``).  The mark array stays dense
 (grid x phantom).
 """
 from __future__ import annotations
@@ -35,8 +38,7 @@ import numpy as np
 
 from . import rng
 from .birth_death import Trajectory
-from .geometry import (Box, Configuration, Window, concat_ranges, neighbor_pairs,
-                       poisson_configuration)
+from .geometry import Box, Configuration, Window, neighbor_pairs, poisson_configuration
 
 
 class IntegrationBlowUpError(RuntimeError):
@@ -380,12 +382,14 @@ def _keyed_slices(seeds: Sequence[int], ids: Sequence[int], first: np.ndarray,
     """
     lengths = stop - first
     out = np.empty((int(lengths.sum()), len(seeds)))
-    at = 0
-    for k in np.flatnonzero(lengths):
-        for r, seed in enumerate(seeds):
-            gen = rng.keyed_generator(seed, rng.BROWNIAN, ids[k])
-            out[at:at + lengths[k], r] = gen.standard_normal(stop[k])[first[k]:]
-        at += lengths[k]
+    moving = np.flatnonzero(lengths).tolist()
+    ends = np.cumsum(lengths)
+    starts, ends = (ends - lengths).tolist(), ends.tolist()
+    first, stop = first.tolist(), stop.tolist()
+    for r, seed in enumerate(seeds):
+        streams = rng.keyed_streams(seed, rng.BROWNIAN, [ids[k] for k in moving])
+        for k, gen in zip(moving, streams):
+            out[starts[k]:ends[k], r] = gen.standard_normal(stop[k])[first[k]:]
     return out
 
 
@@ -430,61 +434,73 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
     values = np.empty(shape)
     values[0] = z0 if not ensemble else z0[:, None]
 
-    # The path is constant between jumps: a segment starts at 0 and at every
-    # event time, all of which lie on the grid.  Edge e (sorted by src, dst)
-    # is alive while src[e] moves and dst[e] is present; at a segment start
-    # only the edges incident to particles whose presence changed are
-    # re-evaluated.  ``incident[incident_ptr[k]:incident_ptr[k + 1]]`` are the
-    # edges with k as an end.
+    # The solve walks the event log alongside the grid: step j first applies
+    # every event with time <= grid[j] (all event times lie on the grid; one
+    # at T is never applied).  Edge e (sorted by src, dst) is alive while
+    # src[e] moves and dst[e] is present, and an event changes only the edges
+    # with its particle k as an end, ``incident[incident_ptr[k]:
+    # incident_ptr[k + 1]]``.  Only after a step that applied an event are
+    # the active set and the alive edges gathered again; ``act`` ascends and
+    # ``live`` keeps (src, dst) order, so ``np.add.at`` adds each particle's
+    # pair terms in one fixed order.
+    column = {pid: k for k, pid in enumerate(ids)}
+    log = [(ev.time, column[ev.id], ev.kind == "birth") for ev in traj.events]
     ends = np.concatenate((src, dst))
     by_end = np.argsort(ends, kind="stable")
     incident = np.concatenate((np.arange(len(src)),) * 2)[by_end]
-    incident_ptr = np.searchsorted(ends[by_end], np.arange(n_ids + 1))
-    alive = np.zeros(len(src), dtype=bool)
-    before = np.zeros(n_ids, dtype=bool)
+    incident_ptr = np.searchsorted(ends[by_end], np.arange(n_ids + 1)).tolist()
+    present = np.zeros(n_ids, dtype=bool)
+    present[[column[pid] for pid in traj.gamma0.ids()]] = True
+    act_mask = present & ~frozen_mask
+    alive = act_mask[src] & present[dst]
+    moves = (~frozen_mask).tolist()
     local = np.zeros(n_ids, dtype=np.intp)
-    segment_starts = {ev.time for ev in traj.events}
+    times = grid.tolist()
+    widths = np.diff(grid)
+    h_steps, sqrt_h = widths.tolist(), np.sqrt(widths).tolist()
     tamed = icfg.scheme == "tamed"
+    e, stale = 0, True
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, present in enumerate(traj.presence_masks(grid[:-1])):
+        for j in range(n_steps):
             z = values[j]
             values[j + 1] = z
-            if j == 0 or grid[j] in segment_starts:
-                changed = np.flatnonzero(present != before)
-                before[:] = present
-                touched = incident[concat_ranges(incident_ptr[changed],
-                                                 incident_ptr[changed + 1])]
-                act_mask = present & ~frozen_mask
+            while e < len(log) and log[e][0] <= times[j]:
+                _, k, birth = log[e]
+                present[k] = birth
+                act_mask[k] = birth and moves[k]
+                touched = incident[incident_ptr[k]:incident_ptr[k + 1]]
                 alive[touched] = act_mask[src[touched]] & present[dst[touched]]
-                act = np.flatnonzero(act_mask)
-                live = np.flatnonzero(alive)
+                e, stale = e + 1, True
+            if stale:
+                act = act_mask.nonzero()[0]
+                live = alive.nonzero()[0]
                 esrc, edst, edist = src[live], dst[live], dist[live]
                 local[act] = np.arange(act.size)
                 lsrc = local[esrc]  # position of each edge's source in act
                 noise_at = base[act]
                 if ensemble:
                     edist = edist[:, None]
+                stale = False
             if act.size == 0:
                 continue
-            h = float(grid[j + 1] - grid[j])
             z_act = z[act]
             drift = np.empty_like(z_act)  # own buffer: add.at accumulates into it
             drift[...] = coeffs.single.func(z_act)
-            diffusion = np.zeros_like(z_act)
+            diffusion = np.zeros(z_act.shape)
             if esrc.size:
                 z_src, z_dst = z[esrc], z[edst]
                 np.add.at(drift, lsrc, coeffs.pair.func(z_src, z_dst, edist))
                 np.add.at(diffusion, lsrc, coeffs.diffusion.func(z_src, z_dst, edist))
-            incr = h * drift
+            incr = h_steps[j] * drift
             if tamed:
                 incr = incr / (1.0 + np.abs(incr))
-            step = incr + diffusion * (math.sqrt(h) * flat[noise_at + j])
+            step = incr + diffusion * (sqrt_h[j] * flat[noise_at + j])
             new = z_act + step
-            if not np.all(np.isfinite(new)):
+            if not np.isfinite(new).all():
                 bad = np.argwhere(~np.isfinite(new))[0]
                 pid = ids[int(act[bad[0]])]
-                t = float(grid[j + 1])
+                t = times[j + 1]
                 raise IntegrationBlowUpError(f"blow-up at (id={pid}, t={t})", id=pid, t=t)
             values[j + 1][act] = new
 
@@ -563,6 +579,19 @@ class BoundsCheckReport:
                 "violations": self.violations, "worst": self.worst}
 
 
+def _add_rows(out: np.ndarray, src: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``np.add.at(out, src, vals)`` over whole rows, bit for bit; returns ``out``.
+
+    Pair e adds row ``vals[e]`` to row ``out[src[e]]`` in place, in pair
+    order, which is the order add.at adds each item in.  That is one add per
+    pair, where add.at loops over every item of a (pairs x samples) array,
+    and, unlike a gather per degree, it makes no (rows x samples) temporary.
+    """
+    for e, row in enumerate(src.tolist()):
+        out[row] += vals[e]
+    return out
+
+
 def check_drift_diffusion_bounds(coeffs: CoefficientSet, sample_size: int = 10_000,
                                  seed: int = 0,
                                  config: Configuration | None = None) -> BoundsCheckReport:
@@ -581,37 +610,27 @@ def check_drift_diffusion_bounds(coeffs: CoefficientSet, sample_size: int = 10_0
     if n_pts == 0:
         return BoundsCheckReport(True, sample_size, 0, 0, None)
     src, dst, dist = neighbor_pairs(config.window, config.positions_array(), coeffs.radius)
-    deg = np.zeros(n_pts)
-    if src.size:
-        np.add.at(deg, src, 1.0)
-    n_x = deg + 1.0  # closed neighborhood count includes the point itself
+    n_x = np.bincount(src, minlength=n_pts) + 1.0  # the point itself counts
 
     gen = rng.keyed_generator(seed, rng.SAMPLING)
     scales = np.array([0.3, 1.0, 3.0, 10.0])[gen.integers(0, 4, size=sample_size)]
     z1 = gen.standard_normal((n_pts, sample_size)) * scales
     z2 = gen.standard_normal((n_pts, sample_size)) * scales
+    dd = dist[:, None]
 
     def fields(z):
-        drift = coeffs.single.func(z)
-        diffusion = np.zeros_like(z)
-        if src.size:
-            dd = dist[:, None]
-            np.add.at(drift, src, coeffs.pair.func(z[src], z[dst], dd))
-            np.add.at(diffusion, src, coeffs.diffusion.func(z[src], z[dst], dd))
+        drift = _add_rows(coeffs.single.func(z), src, coeffs.pair.func(z[src], z[dst], dd))
+        diffusion = _add_rows(np.zeros_like(z), src, coeffs.diffusion.func(z[src], z[dst], dd))
         return drift, diffusion
 
     phi1, psi1 = fields(z1)
     phi2, psi2 = fields(z2)
-    psi0 = np.zeros(n_pts)
-    if src.size:
-        np.add.at(psi0, src, coeffs.diffusion.func(np.zeros_like(dist),
-                                                   np.zeros_like(dist), dist))
+    psi0 = np.bincount(src, weights=coeffs.diffusion.func(np.zeros_like(dist),
+                                                          np.zeros_like(dist), dist),
+                       minlength=n_pts)
 
     def neighbor_sum(arr):
-        out = np.zeros_like(arr)
-        if src.size:
-            np.add.at(out, src, arr[dst])
-        return out
+        return _add_rows(np.zeros_like(arr), src, arr[dst])
 
     a_bar = coeffs.pair.lipschitz
     m_diff = coeffs.diffusion.lipschitz

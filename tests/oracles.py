@@ -38,8 +38,8 @@ from bdspin.geometry import Box, Configuration, Window
 from bdspin.scales import _bound_value, _cut_radius, _neighborhoods
 from bdspin.marked_process import MarkedTrajectory
 from bdspin.spin_sde import (CoefficientSet, InitialMarkPolicy, IntegratorConfig, MarkPath,
-                             _keyed_slices, integrate_marks_ensemble, linear_drift,
-                             linear_self_diffusion, zero_pair)
+                             integrate_marks_ensemble, linear_drift, linear_self_diffusion,
+                             zero_pair)
 
 
 # -- accessors the library does not need ----------------------------------------
@@ -605,11 +605,11 @@ def explicit_noise(dense: np.ndarray) -> Iterator[None]:
 
 
 def _keyed_normals(seed: int, ids: Sequence[int], n_steps: int) -> np.ndarray:
-    """The first ``n_steps`` normals of every keyed stream, shape (n_steps, ids)."""
-    n_ids = len(ids)
-    flat = _keyed_slices([seed], ids, np.zeros(n_ids, dtype=np.intp),
-                         np.full(n_ids, n_steps, dtype=np.intp))
-    return flat.reshape(n_ids, n_steps).T
+    """The first ``n_steps`` normals of every keyed stream, shape (n_steps, ids),
+    each from its own ``rng.keyed_generator``: a SeedSequence, a Philox and a
+    Generator per stream, with none of the solve's shared key derivation."""
+    return np.array([rng.keyed_generator(seed, rng.BROWNIAN, pid).standard_normal(n_steps)
+                     for pid in ids]).reshape(len(ids), n_steps).T
 
 
 @dataclass

@@ -1,11 +1,14 @@
 """The mark solve against a reference implementation of the same scheme.
 
-``reference_solve`` rebuilds every segment's active set and edge list from all
+``reference_solve`` reads the present set from ``Trajectory.presence_masks``
+at every grid time, rebuilds each segment's active set and edge list from all
 phantom edges, finds the edges with a per-point ``neighbors_within`` loop and
-draws the keyed noise as one dense (steps x phantom) array.  The library solve
-updates only the edges of particles whose presence changed and stores each
-keyed stream only over its particle's lifetime; both must give bit-identical
-paths.
+draws the keyed noise as one dense (steps x phantom) array, one SeedSequence
+per stream.  The library solve walks the event log itself, re-evaluates only
+the edges of the particle each event touches, derives the stream keys in one
+vectorised pass and stores each keyed stream only over its particle's
+lifetime; both must give bit-identical paths, also on the edge cases of the
+walk (``TestEventWalkEdgeCases``).
 """
 
 import math
@@ -14,7 +17,8 @@ import numpy as np
 import pytest
 
 from bdspin import rng
-from bdspin.birth_death import GlauberBirthKernel, simulate, step_potential
+from bdspin.birth_death import (ConstantBirthKernel, Event, GlauberBirthKernel, Trajectory,
+                                simulate, step_potential)
 from bdspin.geometry import Box, Configuration, Window, poisson_configuration
 from bdspin.spin_sde import (
     CoefficientSet,
@@ -228,6 +232,79 @@ class TestAgainstReference:
         with pytest.raises(IntegrationBlowUpError) as want:
             reference_solve(traj, coeffs, init, icfg, 0)
         assert got.value.witness == want.value.witness
+
+
+def hand_traj(events, points=((1.0, 1.0), (1.6, 1.2), (2.0, 2.0), (3.0, 3.0)),
+              horizon=1.0):
+    """A hand-built path on an open side-4 window: ``points`` at time 0, then
+    ``events``."""
+    window = Window(4.0, 2, "open")
+    gamma0 = Configuration(window, list(enumerate(points)))
+    return Trajectory(window=window, gamma0=gamma0, kernel=ConstantBirthKernel(1.0),
+                      death_rate=1.0, horizon=horizon, seed=0, events=events)
+
+
+class TestEventWalkEdgeCases:
+    """Logs at the edges of the event walk: an event on a lattice time, at
+    T, none at all, no particle at all, and births and deaths at one time."""
+
+    icfg = IntegratorConfig(dt=0.125)
+    coeffs = default_coeffs(rho=1.5, J=0.5, kappa=0.4)
+
+    def check(self, traj, *, n_replicas=None, box=None):
+        if n_replicas is not None:
+            got = integrate_marks_ensemble(traj, self.coeffs, INIT, self.icfg, 3, n_replicas)
+        elif box is not None:
+            got = finite_volume_solve(traj, self.coeffs, INIT, self.icfg, box, 3)
+        else:
+            got = integrate_marks(traj, self.coeffs, INIT, self.icfg, 3)
+        assert_same_path(got, reference_solve(traj, self.coeffs, INIT, self.icfg, 3,
+                                              frozen_box=box, n_replicas=n_replicas))
+        return got
+
+    def test_events_on_lattice_times(self):
+        traj = hand_traj([Event(0.25, "birth", 4, (1.3, 1.5)), Event(0.5, "death", 1, (1.6, 1.2)),
+                          Event(0.625, "birth", 5, (2.2, 1.8)), Event(0.75, "death", 4, (1.3, 1.5))])
+        path = self.check(traj)
+        assert len(path.grid) == 9  # the lattice alone: no event added a time
+        k = path.ids.index(4)
+        assert np.all(path.values[:3, k] == INIT.value)  # absent up to its birth step
+        assert path.values[3, k] != INIT.value
+        assert np.all(path.values[6:, k] == path.values[6, k])  # frozen from its death
+        self.check(traj, n_replicas=2)
+
+    def test_events_at_horizon_are_never_applied(self):
+        events = [Event(0.3, "birth", 4, (1.3, 1.5))]
+        at_t = [Event(1.0, "death", 0, (1.0, 1.0)), Event(1.0, "birth", 5, (1.2, 1.1))]
+        path = self.check(hand_traj(events + at_t))
+        assert np.all(path.values[:, path.ids.index(5)] == INIT.value)
+        without = integrate_marks(hand_traj(events), self.coeffs, INIT, self.icfg, 3)
+        assert np.array_equal(path.values[:, :5], without.values)
+
+    def test_no_events(self):
+        traj = hand_traj([])
+        path = self.check(traj)
+        assert np.all(path.values[-1] != INIT.value)  # every point moves on every step
+        self.check(traj, n_replicas=3)
+        self.check(traj, box=Box((0.5, 0.5), (1.8, 1.8)))
+
+    def test_empty_phantom(self):
+        traj = hand_traj([], points=())
+        path = self.check(traj)
+        assert path.ids == [] and path.values.shape == (9, 0)
+        self.check(traj, n_replicas=2)
+
+    def test_same_time_trajectory_ensemble(self):
+        self.check(same_time_trajectory(), n_replicas=3)
+
+    def test_birth_and_death_at_one_time_outside_the_box(self):
+        traj = hand_traj([Event(0.3, "birth", 4, (3.2, 3.2)), Event(0.3, "death", 4, (3.2, 3.2)),
+                          Event(0.6, "birth", 5, (1.8, 1.9)), Event(0.6, "death", 5, (1.8, 1.9)),
+                          Event(0.6, "birth", 6, (3.4, 3.0))])
+        path = self.check(traj, box=Box((0.0, 0.0), (2.5, 2.5)))
+        for pid in (3, 4, 6):  # outside the box: frozen throughout
+            assert np.all(path.values[:, path.ids.index(pid)] == INIT.value)
+        self.check(traj)
 
 
 class TestNoiseContract:

@@ -8,7 +8,7 @@ import pytest
 
 from bdspin import rng
 from bdspin.birth_death import ConstantBirthKernel, GlauberBirthKernel, simulate, step_potential
-from bdspin.geometry import Box, Configuration, Window, poisson_configuration
+from bdspin.geometry import Box, Configuration, Window, neighbor_pairs, poisson_configuration
 from bdspin.spin_sde import (
     CoefficientSet,
     InitialMarkPolicy,
@@ -34,7 +34,7 @@ from bdspin.spin_sde import (
     zero_pair,
     _spearman,
 )
-from bdspin.spin_sde import _projection_mismatch
+from bdspin.spin_sde import _add_rows, _projection_mismatch
 from oracles import (assemble_diffusion, assemble_drift, explicit_noise, position_of,
                      strong_order_study)
 import dataclasses
@@ -397,6 +397,20 @@ class TestBoundsCheck:
         report = check_drift_diffusion_bounds(coeffs, sample_size=100, seed=1,
                                               config=config)
         assert report.passed
+
+    @pytest.mark.parametrize("seed,radius", [(0, 1.0), (1, 1.7), (2, 0.2)])
+    def test_row_sums_equal_add_at(self, seed, radius):
+        config = poisson_configuration(Window(6.0, 2, "periodic"), 1.0, seed=seed)
+        src, _, _ = neighbor_pairs(config.window, config.positions_array(), radius)
+        n = len(config)
+        gen = rng.keyed_generator(seed, rng.SAMPLING)
+        # terms spanning ten decades, so that any change of order shows in the bits
+        base = gen.standard_normal((n, 300)) * 10.0 ** gen.integers(-5, 5, (n, 300))
+        vals = gen.standard_normal((len(src), 300)) * 10.0 ** gen.integers(-5, 5, (len(src), 300))
+        want = base.copy()
+        np.add.at(want, src, vals)
+        got = _add_rows(base.copy(), src, vals)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_misdeclared_lipschitz_caught(self):
         good = CoefficientSet(zero_drift(), linear_coupling(1.0), zero_diffusion(), 1.0)
