@@ -338,8 +338,12 @@ class Trajectory:
     right-continuous, deaths and births take effect at their own time.
     ``phantom_positions`` holds everything that ever lived.  A log with a
     death of an id that is not present, a birth of an id already in the
-    phantom, or an event earlier than the one before it is rejected with a
-    ValueError.
+    phantom, a birth position of another dimension than the window's, or an
+    event earlier than the one before it is rejected with a ValueError.
+    The pass also derives the phantom table, whose row k, the mark column k
+    of every solve, is the k-th smallest id: ``phantom_xy`` (wrapped),
+    ``births``, ``deaths`` (inf for a survivor), ``in_gamma0`` and the log as
+    ``column_log`` tuples ``(time, row, is_birth)`` of Python values.
     """
 
     window: Window
@@ -353,9 +357,15 @@ class Trajectory:
     driving: list[DrivingPoint] | None = None
     presence: dict[int, tuple[float, float | None]] = field(init=False)
     phantom_positions: dict[int, tuple[float, ...]] = field(init=False)
-    _phantom_cache: Configuration | None = field(default=None, init=False, repr=False)
+    phantom_xy: np.ndarray = field(init=False, repr=False, compare=False)
+    births: np.ndarray = field(init=False, repr=False, compare=False)
+    deaths: np.ndarray = field(init=False, repr=False, compare=False)
+    in_gamma0: np.ndarray = field(init=False, repr=False, compare=False)
+    column_log: list[tuple[float, int, bool]] = field(init=False, repr=False, compare=False)
+    _ids: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        dim = self.window.dim
         presence = {pid: (0.0, None) for pid in self.gamma0.ids()}
         positions = {pid: tuple(map(float, pos)) for pid, pos in self.gamma0.items()}
         last = -math.inf
@@ -365,6 +375,8 @@ class Trajectory:
                                  f"after an event at t={last} (the log must be time-ordered)")
             last = ev.time
             if ev.kind == "birth" and ev.id not in presence:
+                if len(ev.position) != dim:
+                    raise ValueError(f"event log: birth of id {ev.id} at t={ev.time} is not {dim}-d")
                 presence[ev.id] = (ev.time, None)
                 positions[ev.id] = ev.position
             elif ev.kind == "death" and ev.id in presence and presence[ev.id][1] is None:
@@ -375,13 +387,24 @@ class Trajectory:
         self.presence = presence
         self.phantom_positions = positions
 
+        self._ids = ids = sorted(presence)
+        row = {pid: k for k, pid in enumerate(ids)}
+        self.phantom_xy = self.window.wrap(
+            np.array([positions[pid] for pid in ids], dtype=float).reshape(len(ids), dim))
+        self.births = np.array([presence[pid][0] for pid in ids], dtype=float)
+        self.deaths = np.array([math.inf if presence[pid][1] is None else presence[pid][1]
+                                for pid in ids], dtype=float)
+        self.in_gamma0 = np.zeros(len(ids), dtype=bool)
+        self.in_gamma0[[row[pid] for pid in self.gamma0.ids()]] = True
+        self.column_log = [(ev.time, row[ev.id], ev.kind == "birth") for ev in self.events]
+
     def phantom(self) -> Configuration:
-        if self._phantom_cache is None:
-            self._phantom_cache = Configuration(self.window, dict(self.phantom_positions))
-        return self._phantom_cache
+        """Everything that ever lived, as a configuration."""
+        return Configuration(self.window, self.phantom_positions)
 
     def phantom_ids(self) -> list[int]:
-        return sorted(self.phantom_positions)
+        """The phantom ids in ascending order: row k of the phantom table."""
+        return list(self._ids)
 
     def _check_time(self, t: float) -> None:
         if not 0.0 <= t <= self.horizon:
@@ -394,7 +417,7 @@ class Trajectory:
                       if birth <= t and (death is None or t < death))
 
     def presence_masks(self, times: Iterable[float]) -> Iterator[np.ndarray]:
-        """Right-continuous present mask over ``phantom_ids()`` at each time.
+        """Right-continuous present mask over the phantom table's rows at each time.
 
         ``times`` must be non-decreasing.  One forward pass over the event
         log: the mask starts from gamma0 and applies, in log order, every
@@ -402,10 +425,8 @@ class Trajectory:
         in ``present_ids(t)``.  The same array is updated in place
         and yielded for every time; copy it to keep it.
         """
-        index_of = {pid: k for k, pid in enumerate(self.phantom_ids())}
-        mask = np.zeros(len(index_of), dtype=bool)
-        mask[[index_of[pid] for pid in self.gamma0.ids()]] = True
-        events = self.events
+        mask = self.in_gamma0.copy()
+        log = self.column_log
         e = 0
         last = 0.0
         for t in times:
@@ -413,8 +434,8 @@ class Trajectory:
             if t < last:
                 raise ValueError(f"times must be non-decreasing, got {t} after {last}")
             last = t
-            while e < len(events) and events[e].time <= t:
-                mask[index_of[events[e].id]] = events[e].kind == "birth"
+            while e < len(log) and log[e][0] <= t:
+                mask[log[e][1]] = log[e][2]
                 e += 1
             yield mask
 
@@ -594,11 +615,10 @@ def verify_domination(traj: Trajectory) -> DominationReport:
     replayed = simulate(traj.gamma0, traj.kernel, traj.death_rate, traj.horizon, traj.seed)
     replay_consistent = replayed.events == traj.events
 
-    born = {ev.id: ev for ev in traj.events if ev.kind == "birth"}
     candidate_keys = {(dp.s, dp.x): dp for dp in traj.driving}
-    for pid, ev in born.items():
-        if (ev.time, ev.position) not in candidate_keys:
-            violations.append({"kind": "missing_candidate", "id": pid, "t": ev.time})
+    for ev in traj.events:
+        if ev.kind == "birth" and (ev.time, ev.position) not in candidate_keys:
+            violations.append({"kind": "missing_candidate", "id": ev.id, "t": ev.time})
 
     gen = rng.keyed_generator(0, rng.SAMPLING)
     times = np.linspace(0.0, traj.horizon, 9)[1:]
@@ -619,11 +639,9 @@ def verify_domination(traj: Trajectory) -> DominationReport:
     margins = []
     for t in times:
         # phantom up to t = gamma_0 plus all births accepted by time t
-        phantom_pts = [pos for pid, pos in traj.gamma0.items()]
-        phantom_pts += [np.asarray(ev.position) for ev in born.values() if ev.time <= t]
-        phantom_arr = np.array(phantom_pts) if phantom_pts else np.zeros((0, dim))
+        phantom_arr = traj.phantom_xy[traj.births <= t]
         for box in boxes:
-            lhs = int(np.sum(box.contains_many(phantom_arr))) if len(phantom_arr) else 0
+            lhs = int(np.count_nonzero(box.contains_many(phantom_arr)))
             n_cand = (
                 int(np.sum((cand_s <= t) & box.contains_many(cand_x)))
                 if len(cand_x) else 0
@@ -672,9 +690,7 @@ def verify_counting_identity(traj: Trajectory) -> bool:
     x = np.array([dp.x for dp in traj.driving]).reshape(-1, dim)
     lifetimes = np.array([traj.initial_lifetimes[pid] for pid in traj.gamma0.ids()])
     x0 = traj.gamma0.positions_array()
-    phantom = np.array([traj.phantom_positions[pid]
-                        for pid in traj.phantom_ids()]).reshape(-1, dim)
-    inside = [(box.contains_many(x), box.contains_many(x0), box.contains_many(phantom))
+    inside = [(box.contains_many(x), box.contains_many(x0), box.contains_many(traj.phantom_xy))
               for box in boxes]
 
     for t, present in zip(times, traj.presence_masks(times)):

@@ -79,7 +79,9 @@ def _get(obj: dict, field: str, path: str, typ=None, default=...):
             return default
         raise ConfigError(f"{path}{field}: missing required field")
     value = obj[field]
-    if typ is not None and not isinstance(value, typ):
+    # a JSON true is a Python bool, which is an int: it is not a number here
+    if typ is not None and (not isinstance(value, typ)
+                            or isinstance(value, bool) and typ is not bool):
         raise ConfigError(f"{path}{field}: expected {typ}, got {type(value).__name__}")
     return value
 
@@ -104,7 +106,7 @@ class RunConfig:
     kernel: object
     death_rate: float
     horizon: float
-    init_config_spec: dict
+    initial: Configuration | float  # explicit gamma0, or a Poisson intensity
     init_marks: InitialMarkPolicy
     coeffs: CoefficientSet
     icfg: IntegratorConfig
@@ -117,13 +119,11 @@ class RunConfig:
     raw: dict
 
     def build_gamma0(self, seed: int) -> Configuration:
-        spec = self.init_config_spec
-        if spec["kind"] == "poisson":
-            from .geometry import poisson_configuration
+        if isinstance(self.initial, Configuration):
+            return self.initial
+        from .geometry import poisson_configuration
 
-            return poisson_configuration(self.window, spec["intensity"], seed)
-        return Configuration(self.window,
-                             [(rec["id"], rec["position"]) for rec in spec["points"]])
+        return poisson_configuration(self.window, self.initial, seed)
 
 
 def _build_init_marks(spec: dict, window: Window) -> InitialMarkPolicy:
@@ -182,11 +182,14 @@ def load_config(path, *, seed_override: int | None = None,
         raise ConfigError(f"schema: expected {SCHEMA_ID!r}, got {schema!r}")
 
     wspec = _get(raw, "window", "", dict)
-    window = Window(
-        _positive(_get(wspec, "side", "window.", (int, float)), "window.side"),
-        int(_get(wspec, "dim", "window.", int)),
-        _get(wspec, "boundary", "window.", str, default="periodic"),
-    )
+    try:
+        window = Window(
+            _positive(_get(wspec, "side", "window.", (int, float)), "window.side"),
+            _get(wspec, "dim", "window.", int),
+            _get(wspec, "boundary", "window.", str, default="periodic"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"window: {exc}") from None
 
     kspec = _get(raw, "kernel", "", dict)
     try:
@@ -200,14 +203,17 @@ def load_config(path, *, seed_override: int | None = None,
     ispec = _get(raw, "initial_configuration", "", dict)
     ikind = _get(ispec, "kind", "initial_configuration.", str)
     if ikind == "poisson":
-        _nonnegative(_get(ispec, "intensity", "initial_configuration.", (int, float)),
-                     "initial_configuration.intensity")
+        initial = _nonnegative(_get(ispec, "intensity", "initial_configuration.", (int, float)),
+                               "initial_configuration.intensity")
     elif ikind == "explicit":
         pts = _get(ispec, "points", "initial_configuration.", list)
         for i, rec in enumerate(pts):
-            if "id" not in rec or "position" not in rec:
-                raise ConfigError(
-                    f"initial_configuration.points[{i}]: needs id and position")
+            if not isinstance(rec, dict) or "id" not in rec or "position" not in rec:
+                raise ConfigError(f"initial_configuration.points[{i}]: needs id and position")
+        try:
+            initial = Configuration(window, [(rec["id"], rec["position"]) for rec in pts])
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"initial_configuration.points: {exc}") from None
     else:
         raise ConfigError(f"initial_configuration.kind: unknown kind {ikind!r}")
 
@@ -260,7 +266,7 @@ def load_config(path, *, seed_override: int | None = None,
     resolved = dict(raw)
     resolved["seed"] = seed
     resolved["replicas"] = replicas
-    return RunConfig(window, kernel, death_rate, horizon, ispec, init_marks, coeffs,
+    return RunConfig(window, kernel, death_rate, horizon, initial, init_marks, coeffs,
                      icfg, scale, seed, replicas, mark_stride, snapshot_stride,
                      persist_driving, resolved)
 
@@ -434,6 +440,8 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed,
                       replicas_override=args.replicas)
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
+    if not suites:
+        raise ConfigError(f"suite: no suite named (valid: {', '.join(SUITES)})")
     for s in suites:
         if s not in SUITES:
             raise ConfigError(f"suite: unknown suite {s!r} (valid: {', '.join(SUITES)})")

@@ -67,8 +67,9 @@ class MarkedTrajectory:
     """Positions and marks assembled on the integration grid.
 
     Build it with ``combine``, which checks that the mark columns are the
-    phantom ids in ascending order, so column k of a row is the mark of
-    ``base.phantom_ids()[k]``.
+    phantom ids in ascending order, so column k of a row is the mark of the
+    particle in row k of the trajectory's phantom table: position
+    ``base.phantom_xy[k]``, entry k of each presence mask.
     """
 
     base: Trajectory
@@ -78,23 +79,13 @@ class MarkedTrajectory:
     def grid(self) -> np.ndarray:
         return self.marks.grid
 
-    def _phantom_positions(self) -> np.ndarray:
-        """Phantom positions in ascending id order, the order of the presence
-        masks and the mark columns (wrapped on a torus, as the simulation
-        stores them)."""
-        ids = self.base.phantom_ids()
-        window = self.base.window
-        return window.wrap(
-            np.array([self.base.phantom_positions[pid] for pid in ids], dtype=float)
-            .reshape(len(ids), window.dim))
-
     def observable_series(self, g: Observable) -> np.ndarray:
         """<g, state> at every grid time (right-continuous values).
 
         One presence sweep walks the grid; each value sums over the present
         points in ascending id order.
         """
-        positions = self._phantom_positions()
+        positions = self.base.phantom_xy
         inside = g.support.contains_many(positions)
         out = np.zeros(len(self.grid))
         for j, present in enumerate(self.base.presence_masks(self.grid)):
@@ -152,7 +143,7 @@ def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
     traj = mt.base
     grid = mt.grid
     values = mt.marks.values
-    positions = mt._phantom_positions()
+    positions = traj.phantom_xy
     inside = g.support.contains_many(positions)
     event_times = [ev.time for ev in traj.events]
     support_events: dict[float, list] = {}
@@ -236,7 +227,7 @@ def write_marked_snapshots(path, mt: MarkedTrajectory, stride: int = 1) -> None:
     if mt.marks.values.ndim != 2:
         raise ValueError("marked snapshots need a single-replica mark path")
     prefixes = [f'{{"id": {pid}, "position": {json.dumps(pos)}, "mark": '
-                for pid, pos in zip(mt.base.phantom_ids(), mt._phantom_positions().tolist())]
+                for pid, pos in zip(mt.base.phantom_ids(), mt.base.phantom_xy.tolist())]
     # json.dumps writes a non-finite float as NaN or Infinity, not its repr
     fmt = repr if np.isfinite(mt.marks.values).all() else json.dumps
     with open(path, "w") as fh:

@@ -393,35 +393,24 @@ def _keyed_slices(seeds: Sequence[int], ids: Sequence[int], first: np.ndarray,
     return out
 
 
-def _initial_vector(traj: Trajectory, ids: Sequence[int],
-                    init: InitialMarkPolicy) -> np.ndarray:
-    return np.array([init.evaluate(np.asarray(traj.phantom_positions[pid])) for pid in ids],
-                    dtype=float)
-
-
 def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
            icfg: IntegratorConfig, seed: int, *,
            frozen_box: Box | None = None,
            n_replicas: int | None = None) -> MarkPath:
     ids = traj.phantom_ids()
     n_ids = len(ids)
-    positions = np.array([traj.phantom_positions[pid] for pid in ids],
-                         dtype=float).reshape(n_ids, traj.window.dim)
-    src, dst, dist = neighbor_pairs(traj.window, positions, coeffs.radius)
+    src, dst, dist = neighbor_pairs(traj.window, traj.phantom_xy, coeffs.radius)
     grid = integration_grid(traj, icfg.dt)
     n_steps = len(grid) - 1
 
     frozen_mask = np.zeros(n_ids, dtype=bool)
     if frozen_box is not None:
-        frozen_mask = ~frozen_box.contains_many(positions)
+        frozen_mask = ~frozen_box.contains_many(traj.phantom_xy)
 
     # Noise of particle k at step j is flat[base[k] + j].  Keyed streams are
     # stored only for the steps on which k moves: present and not frozen.
-    births = np.array([traj.presence[pid][0] for pid in ids])
-    deaths = np.array([math.inf if traj.presence[pid][1] is None
-                       else traj.presence[pid][1] for pid in ids])
-    first = np.searchsorted(grid[:-1], births, "left")
-    stop = np.where(frozen_mask, first, np.searchsorted(grid[:-1], deaths, "left"))
+    first = np.searchsorted(grid[:-1], traj.births, "left")
+    stop = np.where(frozen_mask, first, np.searchsorted(grid[:-1], traj.deaths, "left"))
     ensemble = n_replicas is not None
     seeds = [rng.replica_seed(seed, r) for r in range(n_replicas)] if ensemble else [seed]
     flat = _keyed_slices(seeds, ids, first, stop)
@@ -429,7 +418,7 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
         flat = flat[:, 0]
     base = np.cumsum(stop - first) - stop
 
-    z0 = _initial_vector(traj, ids, init)
+    z0 = np.array([init.evaluate(x) for x in traj.phantom_xy], dtype=float)
     shape = (n_steps + 1, n_ids) if not ensemble else (n_steps + 1, n_ids, n_replicas)
     values = np.empty(shape)
     values[0] = z0 if not ensemble else z0[:, None]
@@ -443,14 +432,12 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
     # the active set and the alive edges gathered again; ``act`` ascends and
     # ``live`` keeps (src, dst) order, so ``np.add.at`` adds each particle's
     # pair terms in one fixed order.
-    column = {pid: k for k, pid in enumerate(ids)}
-    log = [(ev.time, column[ev.id], ev.kind == "birth") for ev in traj.events]
+    log = traj.column_log
     ends = np.concatenate((src, dst))
     by_end = np.argsort(ends, kind="stable")
     incident = np.concatenate((np.arange(len(src)),) * 2)[by_end]
     incident_ptr = np.searchsorted(ends[by_end], np.arange(n_ids + 1)).tolist()
-    present = np.zeros(n_ids, dtype=bool)
-    present[[column[pid] for pid in traj.gamma0.ids()]] = True
+    present = traj.in_gamma0.copy()
     act_mask = present & ~frozen_mask
     alive = act_mask[src] & present[dst]
     moves = (~frozen_mask).tolist()
@@ -504,7 +491,7 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
                 raise IntegrationBlowUpError(f"blow-up at (id={pid}, t={t})", id=pid, t=t)
             values[j + 1][act] = new
 
-    return MarkPath(grid, list(ids), values)
+    return MarkPath(grid, ids, values)
 
 
 # -- public solve operations ----------------------------------------------------
@@ -547,17 +534,14 @@ def frozen_mark_deviation(path: MarkPath, traj: Trajectory) -> float:
 
     The integrator contract makes this exactly 0.0.
     """
+    if path.ids != traj.phantom_ids():
+        raise ValueError("mark path columns are not the trajectory's phantom ids")
     worst = 0.0
     grid = path.grid
-    for k, pid in enumerate(path.ids):
-        birth, death = traj.presence[pid]
-        absent = (grid[:-1] < birth) & (grid[1:] <= birth)
-        if death is not None:
-            absent |= grid[:-1] >= death
-        if not absent.any():
-            continue
+    for k, (birth, death) in enumerate(zip(traj.births.tolist(), traj.deaths.tolist())):
+        absent = ((grid[:-1] < birth) & (grid[1:] <= birth)) | (grid[:-1] >= death)
         steps = np.abs(np.diff(path.values[:, k], axis=0))
-        worst = max(worst, float(steps[absent].max()))
+        worst = max(worst, float(steps[absent].max(initial=0.0)))
     return worst
 
 
@@ -713,7 +697,7 @@ def cutoff_convergence_study(traj: Trajectory, coeffs: CoefficientSet,
     if p < coeffs.single.growth_power:
         raise ValueError(f"moment order p={p} below drift growth power "
                          f"{coeffs.single.growth_power}")
-    radii = traj.phantom().radial_norms()  # ascending id order, matches MarkPath ids
+    radii = traj.window.radial_norms(traj.phantom_xy)  # the MarkPath columns' order
     weights = np.exp(-beta * radii)
     per_box_means: list[np.ndarray] = [None] * len(boxes)
     for seed in seeds:

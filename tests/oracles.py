@@ -691,14 +691,15 @@ def reference_to_csv(marks: MarkPath, path, stride: int = 1) -> None:
 
 def reference_write_marked_snapshots(path, mt: MarkedTrajectory, stride: int = 1) -> None:
     """``write_marked_snapshots`` through ``json.dumps``, one dict per point."""
-    ids = mt.base.phantom_ids()
-    coords = [[float(c) for c in pos] for pos in mt._phantom_positions()]
-    rows = range(0, len(mt.grid), stride)
+    traj = mt.base
+    ids = sorted(traj.phantom_positions)
+    coords = [traj.window.wrap(traj.phantom_positions[pid]).tolist() for pid in ids]
     with open(path, "w") as fh:
-        for j, present in zip(rows, mt.base.presence_masks(mt.grid[::stride])):
+        for j in range(0, len(mt.grid), stride):
             row = mt.marks.values[j]
-            points = [{"id": ids[k], "position": coords[k], "mark": float(row[k])}
-                      for k in np.flatnonzero(present)]
+            present = set(traj.present_ids(float(mt.grid[j])))
+            points = [{"id": pid, "position": coords[k], "mark": float(row[k])}
+                      for k, pid in enumerate(ids) if pid in present]
             fh.write(json.dumps({"t": float(mt.grid[j]), "points": points}) + "\n")
 
 

@@ -16,6 +16,7 @@ from bdspin.birth_death import (
     Event,
     FecundityBirthKernel,
     GlauberBirthKernel,
+    gaussian_potential,
     read_event_log,
     sample_driving_process,
     simulate,
@@ -564,6 +565,7 @@ class TestDerivedPresence:
         Event(0.8, "birth", 1, (3.0, 3.0)),  # an initial id born
         Event(0.9, "birth", 4, (3.5, 0.5)),  # a dead id born again
         Event(0.9, "move", 1, (3.0, 3.0)),
+        Event(0.9, "birth", 5, (3.0, 2.0, 1.0)),  # a 3-d position in a 2-d window
     ])
     def test_malformed_log_rejected(self, event):
         traj = same_time_trajectory()
@@ -600,6 +602,63 @@ class TestDerivedPresence:
         want = sorted(set(traj.gamma0.ids()) | {ev.id for ev in cut})
         assert short.phantom().ids() == short.phantom_ids() == want
         assert len(want) < len(traj.phantom_ids())
+
+
+class TestPhantomTable:
+    """The table ``Trajectory`` derives once: row k is the k-th smallest id."""
+
+    @staticmethod
+    def assert_table_matches(traj):
+        ids = traj.phantom_ids()
+        assert ids == sorted(traj.presence) == sorted(traj.phantom_positions)
+        window = traj.window
+        assert traj.phantom_xy.shape == (len(ids), window.dim)
+        assert traj.phantom_xy.tolist() == [
+            window.wrap(np.asarray(traj.phantom_positions[pid], dtype=float)).tolist()
+            for pid in ids]
+        assert traj.births.tolist() == [traj.presence[pid][0] for pid in ids]
+        assert traj.deaths.tolist() == [math.inf if traj.presence[pid][1] is None
+                                        else traj.presence[pid][1] for pid in ids]
+        assert [ids[k] for k in np.flatnonzero(traj.in_gamma0)] == traj.gamma0.ids()
+        assert [(t, ids[k], birth) for t, k, birth in traj.column_log] == [
+            (ev.time, ev.id, ev.kind == "birth") for ev in traj.events]
+        # the solve's per-step loop reads Python values, not numpy scalars
+        assert all(type(t) is float and type(k) is int and type(birth) is bool
+                   for t, k, birth in traj.column_log)
+        for t in [0.0] + [ev.time for ev in traj.events] + [traj.horizon]:
+            present = (traj.births <= t) & (t < traj.deaths)
+            assert [ids[k] for k in np.flatnonzero(present)] == traj.present_ids(t), t
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_glauber_run(self, seed):
+        self.assert_table_matches(glauber_run(seed, m=1.0, z=2.0, T=1.5))
+
+    def test_open_establishment_run(self):
+        # the open golden config: establishment kernel, gaussian damping
+        window = Window(4.0, 2, "open")
+        kernel = EstablishmentBirthKernel(step_potential(1.0, 1.2), step_potential(0.1, 0.6),
+                                          gaussian_potential(0.4, 0.5, 1.0), bound=40.0)
+        traj = simulate(poisson_configuration(window, 1.0, seed=11), kernel, 0.7, 0.75, 11)
+        assert any(ev.kind == "birth" for ev in traj.events)
+        self.assert_table_matches(traj)
+
+    def test_same_time_trajectory(self):
+        traj = same_time_trajectory()
+        self.assert_table_matches(traj)
+        assert traj.column_log == [(0.25, 2, True), (0.5, 0, False), (0.5, 3, True),
+                                   (0.75, 4, True), (0.75, 4, False)]
+
+    def test_restricted_trajectory(self):
+        traj = glauber_run(seed=31, m=1.0, T=2.0, z=2.0)
+        short = traj.restrict(1.0)
+        self.assert_table_matches(short)
+        assert len(short.phantom_ids()) < len(traj.phantom_ids())
+
+    def test_empty_phantom(self):
+        window = Window(3.0, 2, "periodic")
+        traj = simulate(Configuration(window, []), ConstantBirthKernel(0.0), 1.0, 1.0, seed=0)
+        assert traj.phantom_ids() == [] and traj.phantom_xy.shape == (0, 2)
+        self.assert_table_matches(traj)
 
 
 class TestPresenceSweep:

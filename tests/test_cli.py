@@ -76,11 +76,36 @@ class TestSimulate:
         events = [json.loads(l) for l in lines[1:]]
         assert events and all(ev["kind"] == "birth" for ev in events)
 
-    def test_invalid_config_exit_2_names_field(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, death_rate=-1.0)
-        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize("overrides,field", [
+        ({"death_rate": -1.0}, "death_rate"),
+        ({"window": {"side": 4.0, "dim": 0}}, "window: dimension"),
+        ({"window": {"side": 4.0, "dim": 2, "boundary": "klein"}}, "window: unknown boundary"),
+        ({"initial_configuration": {"kind": "explicit", "points": [7]}},
+         "initial_configuration.points[0]"),
+        ({"initial_configuration": {"kind": "explicit", "points": [
+            {"id": 1, "position": [1.0, 1.0]}, {"id": 1, "position": [2.0, 2.0]}]}},
+         "initial_configuration.points: duplicate point id 1"),
+        ({"initial_configuration": {"kind": "explicit",
+                                    "points": [{"id": 1, "position": [1.0, 1.0, 1.0]}]}},
+         "initial_configuration.points: position has dimension"),
+        ({"window": {"side": 4.0, "dim": 2, "boundary": "open"},
+          "initial_configuration": {"kind": "explicit",
+                                    "points": [{"id": 1, "position": [5.0, 1.0]}]}},
+         "initial_configuration.points: point 1 lies outside"),
+        ({"seed": True}, "seed: expected"),
+        ({"horizon": True}, "horizon: expected"),
+        ({"output": {"mark_stride": True}}, "output.mark_stride: expected"),
+    ], ids=["negative_death_rate", "dim_0", "klein_boundary", "point_not_an_object",
+            "duplicate_point_id", "point_wrong_dim", "point_outside_open_window",
+            "seed_true", "horizon_true", "mark_stride_true"])
+    def test_invalid_config_exit_2_names_field(self, tmp_path, capsys, overrides, field):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == 2
-        assert "death_rate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err, err
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -260,12 +285,17 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--out", str(out),
                      "--suite", "cadlag"]) == 0
 
-    def test_unknown_suite_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("suite,message", [("nonsense", "unknown suite"),
+                                               (",", "no suite named"),
+                                               (" ", "no suite named")],
+                             ids=["nonsense", "comma", "blank"])
+    def test_unknown_suite_exit_2(self, tmp_path, capsys, suite, message):
         cfg = write_config(tmp_path)
-        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r"),
-                     "--suite", "nonsense"])
+        out = tmp_path / "r"
+        code = main(["verify", "--config", str(cfg), "--out", str(out), "--suite", suite])
         assert code == 2
-        assert "unknown suite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failing_suite_exit_1(self, tmp_path, capsys):
         # misdeclared diffusion Lipschitz constant: bounds suite must fail
@@ -395,7 +425,7 @@ class TestEmitPlotdata:
                                             "unordered_events", "blank_marks",
                                             "header_not_an_object", "window_without_side",
                                             "gamma0_record_without_id",
-                                            "kernel_without_z"])
+                                            "kernel_without_z", "birth_position_wrong_dim"])
     def test_corrupt_run_exit_2_before_output(self, tmp_path, capsys, corruption):
         cfg = write_config(tmp_path, horizon=0.25)
         out = tmp_path / "run"
@@ -431,6 +461,13 @@ class TestEmitPlotdata:
                 assert header["kernel"]["variant"] == "glauber"
                 del header["kernel"]["z"]
             (out / "events.jsonl").write_text("\n".join([json.dumps(header)] + records) + "\n")
+        elif corruption == "birth_position_wrong_dim":  # a 3-d birth in a 2-d window
+            header, *records = (out / "events.jsonl").read_text().splitlines()
+            records = [json.loads(r) for r in records]
+            birth = next(r for r in records if r["kind"] == "birth")
+            birth["position"].append(1.0)
+            (out / "events.jsonl").write_text(
+                "\n".join([header] + [json.dumps(r) for r in records]) + "\n")
         elif corruption in ("unknown_id_death", "not_an_event_record"):
             record = ({"t": 0.25, "kind": "death", "id": 999, "position": [1.0, 1.0]}
                       if corruption == "unknown_id_death" else {"t": 0.25})

@@ -70,3 +70,16 @@ def test_guard_flags_an_unused_name():
 def test_every_definition_is_reached():
     found = unreached({p.stem: p.read_text() for p in MODULES})
     assert sorted(found) == sorted(ALLOWED)
+
+
+# the id-keyed views of a trajectory; everything else reads its phantom table
+ID_KEYED = {"presence", "phantom_positions"}
+
+
+def test_only_birth_death_reads_the_id_keyed_phantom():
+    """``Trajectory.__post_init__`` derives the phantom table, whose row k is
+    the k-th smallest phantom id, and no other module derives it again."""
+    readers = {p.stem: Counter(name for name in _names(ast.parse(p.read_text()))
+                               if name in ID_KEYED)
+               for p in MODULES if p.stem != "birth_death"}
+    assert {module: dict(reads) for module, reads in readers.items() if reads} == {}

@@ -1,7 +1,9 @@
 """The mark solve against a reference implementation of the same scheme.
 
-``reference_solve`` reads the present set from ``Trajectory.presence_masks``
-at every grid time, rebuilds each segment's active set and edge list from all
+``reference_solve`` orders the columns by ``sorted(phantom_positions)`` and
+reads the present set from ``Trajectory.presence`` at every grid time and the
+positions from ``Trajectory.phantom_positions``, not from the trajectory's
+phantom table.  It rebuilds each segment's active set and edge list from all
 phantom edges, finds the edges with a per-point ``neighbors_within`` loop and
 draws the keyed noise as one dense (steps x phantom) array, one SeedSequence
 per stream.  The library solve walks the event log itself, re-evaluates only
@@ -26,7 +28,6 @@ from bdspin.spin_sde import (
     IntegrationBlowUpError,
     IntegratorConfig,
     MarkPath,
-    _initial_vector,
     build_time_grid,
     constant_diffusion,
     cubic_drift,
@@ -45,7 +46,7 @@ from test_spin_sde import default_coeffs, make_glauber_traj, shared_noise
 
 def reference_edges(traj, radius):
     """Directed in-radius pairs over the phantom, one point at a time."""
-    ids = traj.phantom_ids()
+    ids = sorted(traj.phantom_positions)
     index_of = {pid: k for k, pid in enumerate(ids)}
     phantom = Configuration(traj.window, dict(traj.phantom_positions))
     src, dst, dist = [], [], []
@@ -78,8 +79,13 @@ def reference_solve(traj, coeffs, init, icfg, seed, *, frozen_box=None, noise=No
         for k, pid in enumerate(ids):
             if not frozen_box.contains(traj.phantom_positions[pid]):
                 frozen_mask[k] = True
+    # present on [birth, death)
+    born = np.array([traj.presence[pid][0] for pid in ids])
+    died = np.array([math.inf if traj.presence[pid][1] is None else traj.presence[pid][1]
+                     for pid in ids])
 
-    z0 = _initial_vector(traj, ids, init)
+    z0 = np.array([init.evaluate(np.asarray(traj.phantom_positions[pid], dtype=float))
+                   for pid in ids], dtype=float)
     shape = (n_steps + 1, n_ids) if not ensemble else (n_steps + 1, n_ids, n_replicas)
     values = np.empty(shape)
     values[0] = z0 if not ensemble else z0[:, None]
@@ -87,7 +93,8 @@ def reference_solve(traj, coeffs, init, icfg, seed, *, frozen_box=None, noise=No
     tamed = icfg.scheme == "tamed"
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, present in enumerate(traj.presence_masks(grid[:-1])):
+        for j, t in enumerate(grid[:-1]):
+            present = (born <= t) & (t < died)
             z = values[j]
             values[j + 1] = z
             if j == 0 or grid[j] in segment_starts:
