@@ -336,7 +336,7 @@ class Trajectory:
     maps each id to (birth_time, death_time); death_time is None for points
     alive at the horizon.  A point is present on [birth, death): the path is
     right-continuous, deaths and births take effect at their own time.
-    ``phantom_positions`` holds everything that ever lived.  A log with a
+    The phantom is everything that ever lived.  A log with a
     death of an id that is not present, a birth of an id already in the
     phantom, a birth position of another dimension than the window's, or an
     event earlier than the one before it is rejected with a ValueError.
@@ -356,7 +356,6 @@ class Trajectory:
     initial_lifetimes: dict[int, float] = field(default_factory=dict)
     driving: list[DrivingPoint] | None = None
     presence: dict[int, tuple[float, float | None]] = field(init=False)
-    phantom_positions: dict[int, tuple[float, ...]] = field(init=False)
     phantom_xy: np.ndarray = field(init=False, repr=False, compare=False)
     births: np.ndarray = field(init=False, repr=False, compare=False)
     deaths: np.ndarray = field(init=False, repr=False, compare=False)
@@ -385,7 +384,6 @@ class Trajectory:
                 raise ValueError(f"event log: invalid {ev.kind} of id {ev.id} at t={ev.time}"
                                  " (a birth needs a new id, a death a present one)")
         self.presence = presence
-        self.phantom_positions = positions
 
         self._ids = ids = sorted(presence)
         row = {pid: k for k, pid in enumerate(ids)}
@@ -397,10 +395,6 @@ class Trajectory:
         self.in_gamma0 = np.zeros(len(ids), dtype=bool)
         self.in_gamma0[[row[pid] for pid in self.gamma0.ids()]] = True
         self.column_log = [(ev.time, row[ev.id], ev.kind == "birth") for ev in self.events]
-
-    def phantom(self) -> Configuration:
-        """Everything that ever lived, as a configuration."""
-        return Configuration(self.window, self.phantom_positions)
 
     def phantom_ids(self) -> list[int]:
         """The phantom ids in ascending order: row k of the phantom table."""
@@ -588,15 +582,6 @@ class DominationReport:
     min_margin: int
     violations: list[dict]
     replay_consistent: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": self.checks,
-            "min_margin": self.min_margin,
-            "violations": self.violations,
-            "replay_consistent": self.replay_consistent,
-        }
 
 
 def verify_domination(traj: Trajectory) -> DominationReport:

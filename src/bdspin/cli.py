@@ -19,7 +19,7 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +98,13 @@ def _nonnegative(value, name):
     return float(value)
 
 
+def _numbers(values: list, name: str) -> list:
+    """``values`` if each is a number (a JSON true is a bool, not a number)."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ConfigError(f"{name}: expected numbers, got {values!r}")
+    return values
+
+
 @dataclass
 class RunConfig:
     """Fully validated and resolved run description."""
@@ -147,7 +154,8 @@ def _build_init_marks(spec: dict, window: Window) -> InitialMarkPolicy:
 def _build_coeffs(spec: dict) -> CoefficientSet:
     def piece(group: str, sub: dict):
         kind = _get(sub, "kind", f"coefficients.{group}.", str)
-        params = _get(sub, "params", f"coefficients.{group}.", list, default=[])
+        params = _numbers(_get(sub, "params", f"coefficients.{group}.", list, default=[]),
+                          f"coefficients.{group}.params")
         try:
             factory = COEFFICIENT_LIBRARY[group][kind]
         except KeyError:
@@ -192,6 +200,13 @@ def load_config(path, *, seed_override: int | None = None,
         raise ConfigError(f"window: {exc}") from None
 
     kspec = _get(raw, "kernel", "", dict)
+    # the kernels take their rates and potential params unchecked
+    for key in ("z", "b_max"):
+        _nonnegative(_get(kspec, key, "kernel.", (int, float), default=0), f"kernel.{key}")
+    for key in ("a", "c", "phi"):
+        if isinstance(kspec.get(key), dict):
+            _numbers(_get(kspec[key], "params", f"kernel.{key}.", list, default=[]),
+                     f"kernel.{key}.params")
     try:
         kernel = kernel_from_descriptor(kspec)
     except (KeyError, ValueError, TypeError) as exc:
@@ -377,7 +392,7 @@ def run_suite(cfg: RunConfig, suite: str) -> dict:
     seed = cfg.seed
     if suite == "bounds":
         report = check_drift_diffusion_bounds(cfg.coeffs, sample_size=10_000, seed=seed)
-        return {"suite": suite, **report.to_json_obj()}
+        return {"suite": suite, **asdict(report)}
 
     gamma0 = cfg.build_gamma0(seed)
     traj = simulate(gamma0, cfg.kernel, cfg.death_rate, cfg.horizon, seed)
@@ -385,22 +400,21 @@ def run_suite(cfg: RunConfig, suite: str) -> dict:
     if suite == "domination":
         report = verify_domination(traj)
         ok_identity = verify_counting_identity(traj)
-        obj = report.to_json_obj()
+        obj = asdict(report)
         obj["counting_identity"] = ok_identity
         obj["passed"] = obj["passed"] and ok_identity
         return {"suite": suite, **obj}
 
     if suite == "gronwall":
         gen = rng.keyed_generator(seed, rng.SAMPLING)
-        config = traj.phantom()
-        b_vec = np.abs(gen.standard_normal(len(config)))
+        b_vec = np.abs(gen.standard_normal(len(traj.phantom_xy)))
         report = check_gronwall_inequality(
-            config, coupling_b=0.2, growth_k=1.0, b_vec=b_vec,
+            traj.window, traj.phantom_xy, coupling_b=0.2, growth_k=1.0, b_vec=b_vec,
             horizon=min(cfg.horizon, 0.5), alpha=cfg.scale.alpha, beta=cfg.scale.beta,
             q=cfg.scale.q, radius=cfg.coeffs.radius,
             alpha_star=cfg.scale.alpha_star, alpha_sup=cfg.scale.alpha_sup,
         )
-        return {"suite": suite, **report.to_json_obj()}
+        return {"suite": suite, **asdict(report)}
 
     if suite == "cutoff":
         report = cutoff_convergence_study(
@@ -408,7 +422,7 @@ def run_suite(cfg: RunConfig, suite: str) -> dict:
             cfg.scale.alpha, cfg.scale.beta, cfg.scale.p,
             seeds=[rng.replica_seed(seed, r) for r in range(max(cfg.replicas, 5))],
         )
-        obj = report.to_json_obj()
+        obj = asdict(report)
         obj["passed"] = report.nonincreasing or report.spearman_rho < -0.8
         return {"suite": suite, **obj}
 
@@ -420,7 +434,7 @@ def run_suite(cfg: RunConfig, suite: str) -> dict:
         ]
         c1, c2 = conservative_moment_constants(cfg.coeffs, cfg.scale.p, cfg.horizon)
         report = check_moment_growth(paths, traj, cfg.coeffs, cfg.scale, c1, c2)
-        return {"suite": suite, **report.to_json_obj()}
+        return {"suite": suite, **asdict(report)}
 
     if suite == "cadlag":
         path = integrate_marks(traj, cfg.coeffs, cfg.init_marks, cfg.icfg, seed)
@@ -430,7 +444,7 @@ def run_suite(cfg: RunConfig, suite: str) -> dict:
         for g in _random_observables(cfg.window, 8, seed):
             rep = cadlag_check(marked, g, eps_t=cfg.icfg.dt)
             passed = passed and rep.passed
-            reports.append({"observable": g.name, **rep.to_json_obj()})
+            reports.append({"observable": g.name, **asdict(rep)})
         return {"suite": suite, "passed": passed, "observables": reports}
 
     raise ConfigError(f"suite: unknown suite {suite!r}")
@@ -442,9 +456,11 @@ def cmd_verify(args) -> int:
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
     if not suites:
         raise ConfigError(f"suite: no suite named (valid: {', '.join(SUITES)})")
-    for s in suites:
+    for i, s in enumerate(suites):
         if s not in SUITES:
             raise ConfigError(f"suite: unknown suite {s!r} (valid: {', '.join(SUITES)})")
+        if s in suites[:i]:
+            raise ConfigError(f"suite: {s!r} is named twice")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     all_passed = True

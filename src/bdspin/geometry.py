@@ -139,7 +139,7 @@ class Window:
 class Configuration:
     """Finite set of identified points: a validated id -> position map.
 
-    Ids are distinct, positions are finite points of the window (wrapped onto
+    Ids are distinct integers, positions are finite points of the window (wrapped onto
     the torus in periodic mode) and no two points share a position.  It holds
     no neighbor index: ``neighbor_pairs`` finds every in-radius pair of a
     position array, and the thinning sweep reads its slices.
@@ -155,6 +155,9 @@ class Configuration:
         owner: dict[tuple[float, ...], int] = {}
         items = points.items() if isinstance(points, Mapping) else points
         for pid, position in items:
+            # a JSON true or 1.5 is not an id; a numpy integer is
+            if not isinstance(pid, (int, np.integer)) or isinstance(pid, bool):
+                raise TypeError(f"point id {pid!r} is not an integer")
             pid = int(pid)
             if pid in self._pos:
                 raise ValueError(f"duplicate point id {pid}")
@@ -198,10 +201,6 @@ class Configuration:
         if not self._pos:
             return np.zeros((0, self.window.dim))
         return np.stack([self._pos[pid] for pid in self.ids()])
-
-    def radial_norms(self) -> np.ndarray:
-        """|x| of every point (ascending id order), relative to the window anchor."""
-        return self.window.radial_norms(self.positions_array())
 
     # -- serialization -------------------------------------------------------
 

@@ -115,12 +115,6 @@ class CadlagReport:
     max_right_modulus: float
     min_support_gap: float
 
-    def to_json_obj(self) -> dict:
-        return {"passed": self.passed, "events_checked": self.events_checked,
-                "violations": self.violations,
-                "max_right_modulus": self.max_right_modulus,
-                "min_support_gap": self.min_support_gap}
-
 
 def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
                  atol: float = 1e-9) -> CadlagReport:

@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Configuration, neighbor_pairs
+from .geometry import Window, neighbor_pairs
 from .spin_sde import CoefficientSet, MarkPath
 
 
@@ -45,34 +45,30 @@ class ScaleParams:
         if self.p < 1.0:
             raise ValueError("p must be >= 1")
 
-    def descriptor(self) -> dict:
-        return {"alpha_star": self.alpha_star, "alpha_sup": self.alpha_sup,
-                "alpha": self.alpha, "beta": self.beta, "p": self.p, "q": self.q}
-
 
 # -- the operator constant L -------------------------------------------------------
 
 
-def _neighborhoods(config: Configuration,
+def _neighborhoods(window: Window, positions: np.ndarray,
                    radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Directed in-radius pairs ``(src, dst)`` of distinct points and the
-    closed in-radius count n_x of every point (ascending id order)."""
-    src, dst, _ = neighbor_pairs(config.window, config.positions_array(), radius)
-    return src, dst, (np.bincount(src, minlength=len(config)) + 1).astype(float)
+    """Directed in-radius pairs ``(src, dst)`` of distinct rows of
+    ``positions`` and the closed in-radius count n_x of every row."""
+    src, dst, _ = neighbor_pairs(window, positions, radius)
+    return src, dst, (np.bincount(src, minlength=len(positions)) + 1).astype(float)
 
 
-def _cut_radius(config: Configuration, counts: np.ndarray, growth_k: float, q: float,
+def _cut_radius(norms: np.ndarray, counts: np.ndarray, growth_k: float, q: float,
                 alpha_star: float, alpha_sup: float) -> tuple[float, int]:
     """Check the scale indices; return the smallest cut radius R of the
     operator bound, beyond which every point has n_x <= |x|^(q/2k), and the
-    number n_{0,R} of points within R of the anchor."""
+    number n_{0,R} of points within R of the anchor.  ``norms`` and
+    ``counts`` give |x| and n_x of each point."""
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     if growth_k < 1:
         raise ValueError("k must be >= 1")
     if not 0.0 <= alpha_star <= alpha_sup:
         raise ValueError("need 0 <= alpha_star <= alpha_sup")
-    norms = config.radial_norms()
     violates = counts > norms ** (q / (2.0 * growth_k))
     r_cut = float(norms[violates].max()) if violates.any() else 0.0
     n_0r = int(np.sum(norms <= r_cut)) if len(norms) else 0
@@ -174,11 +170,6 @@ class GronwallReport:
     constants_used: dict
     grid_info: dict
 
-    def to_json_obj(self) -> dict:
-        return {"passed": self.passed, "bound_value": self.bound_value,
-                "measured_value": self.measured_value, "slack": self.slack,
-                "constants_used": self.constants_used, "grid_info": self.grid_info}
-
 
 def _extremal_solution(row: np.ndarray, src: np.ndarray, dst: np.ndarray,
                        b_vec: np.ndarray, horizon: float) -> tuple[np.ndarray, int, int]:
@@ -215,11 +206,10 @@ def _extremal_solution(row: np.ndarray, src: np.ndarray, dst: np.ndarray,
     return rho, steps, sweeps
 
 
-def check_gronwall_inequality(config: Configuration, coupling_b: float, growth_k: float,
-                              b_vec: np.ndarray, horizon: float,
+def check_gronwall_inequality(window: Window, positions: np.ndarray, coupling_b: float,
+                              growth_k: float, b_vec: np.ndarray, horizon: float,
                               alpha: float, beta: float, q: float, radius: float, *,
-                              alpha_star: float | None = None,
-                              alpha_sup: float | None = None) -> GronwallReport:
+                              alpha_star: float, alpha_sup: float) -> GronwallReport:
     """Solve the extremal equation of the integral inequality
 
         rho_x(t) = B n_x^k sum_{|y-x| <= radius} int_0^t rho_y(s) ds + b_x
@@ -228,7 +218,8 @@ def check_gronwall_inequality(config: Configuration, coupling_b: float, growth_k
 
         sum_x e^{-beta|x|} sup_t rho_x(t) <= K_T(alpha, beta) sum_x e^{-alpha|x|} b_x
 
-    with K_T built from the operator constant of the coupling matrix.
+    with K_T built from the operator constant of the coupling matrix, over
+    the points x given as the rows of ``positions`` in ``window``.
     The y-sum runs over the closed neighborhood (y = x included).  C and b
     are nonnegative, so rho does not decrease and sup_t rho = rho(T).
     ``grid_info`` gives the solve's step count plus one (``points``) and the
@@ -238,22 +229,20 @@ def check_gronwall_inequality(config: Configuration, coupling_b: float, growth_k
         raise ValueError("beta must exceed alpha")
     if not coupling_b >= 0:
         raise ValueError("coupling_b must be nonnegative")
-    if len(config) == 0:
+    if len(positions) == 0:
         raise ValueError("empty configuration")
     b_arr = np.asarray(b_vec, dtype=float)
-    if b_arr.shape != (len(config),) or not np.all(b_arr >= 0):
+    if b_arr.shape != (len(positions),) or not np.all(b_arr >= 0):
         raise ValueError("b_vec must be nonnegative and match the configuration")
 
-    alpha_star = alpha if alpha_star is None else alpha_star
-    alpha_sup = beta if alpha_sup is None else alpha_sup
-    src, dst, counts = _neighborhoods(config, radius)
-    r_cut, n_0r = _cut_radius(config, counts, growth_k, q, alpha_star, alpha_sup)
+    radii = window.radial_norms(positions)
+    src, dst, counts = _neighborhoods(window, positions, radius)
+    r_cut, n_0r = _cut_radius(radii, counts, growth_k, q, alpha_star, alpha_sup)
     l_value = _bound_value(coupling_b, q, radius, n_0r, alpha_star, alpha_sup)
     k_t = gronwall_series_constant(alpha, beta, q, l_value, horizon)
     rho, steps, sweeps = _extremal_solution(coupling_b * counts**growth_k, src, dst,
                                             b_arr, horizon)
 
-    radii = config.radial_norms()
     measured = float(np.sum(np.exp(-beta * radii) * rho))
     bound = k_t.value * float(np.sum(np.exp(-alpha * radii) * b_arr))
     return GronwallReport(
@@ -284,12 +273,6 @@ class MomentGrowthReport:
     slack: float
     empirical_c1: float
     constants_used: dict
-
-    def to_json_obj(self) -> dict:
-        return {"passed": self.passed, "bound_value": self.bound_value,
-                "measured_value": self.measured_value, "slack": self.slack,
-                "empirical_c1": self.empirical_c1,
-                "constants_used": self.constants_used}
 
 
 def conservative_moment_constants(coeffs: CoefficientSet, p: float,
@@ -326,11 +309,10 @@ def check_moment_growth(paths: Sequence[MarkPath], traj, coeffs: CoefficientSet,
                          f"{coeffs.single.growth_power}")
     if not paths:
         raise ValueError("need at least one solved path")
-    phantom = traj.phantom()
     ids = paths[0].ids
-    if ids != phantom.ids():
+    if ids != traj.phantom_ids():
         raise ValueError("paths do not cover the trajectory phantom")
-    radii = phantom.radial_norms()
+    radii = traj.window.radial_norms(traj.phantom_xy)
     grid = paths[0].grid
     p = params.p
 
@@ -351,10 +333,10 @@ def check_moment_growth(paths: Sequence[MarkPath], traj, coeffs: CoefficientSet,
 
     # the counts and the cut radius do not depend on the prefactor c, so the
     # bisection below evaluates only L(c) and K_T afresh
-    _, _, counts = _neighborhoods(phantom, coeffs.radius)
+    _, _, counts = _neighborhoods(traj.window, traj.phantom_xy, coeffs.radius)
     c2_norm = float(np.sum(w_alpha * (c2 * counts**2) ** p) ** (1.0 / p))
     base = init_moment + c2_norm
-    _, n_0r = _cut_radius(phantom, counts, 2.0, params.q, params.alpha_star,
+    _, n_0r = _cut_radius(radii, counts, 2.0, params.q, params.alpha_star,
                           params.alpha_sup)
 
     def bound_for(c: float) -> float:
@@ -387,6 +369,6 @@ def check_moment_growth(paths: Sequence[MarkPath], traj, coeffs: CoefficientSet,
         measured_value=measured,
         slack=bound - measured,
         empirical_c1=empirical,
-        constants_used={"c1": c1, "c2": c2, **params.descriptor(),
+        constants_used={"c1": c1, "c2": c2, **asdict(params),
                         "radius": coeffs.radius, "replicas": len(paths)},
     )

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import rng
 from .birth_death import Trajectory
-from .geometry import Box, Configuration, Window, neighbor_pairs, poisson_configuration
+from .geometry import Box, Window, neighbor_pairs, poisson_configuration
 
 
 class IntegrationBlowUpError(RuntimeError):
@@ -558,10 +558,6 @@ class BoundsCheckReport:
     violations: int
     worst: dict | None
 
-    def to_json_obj(self) -> dict:
-        return {"passed": self.passed, "samples": self.samples, "points": self.points,
-                "violations": self.violations, "worst": self.worst}
-
 
 def _add_rows(out: np.ndarray, src: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """``np.add.at(out, src, vals)`` over whole rows, bit for bit; returns ``out``.
@@ -577,22 +573,18 @@ def _add_rows(out: np.ndarray, src: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def check_drift_diffusion_bounds(coeffs: CoefficientSet, sample_size: int = 10_000,
-                                 seed: int = 0,
-                                 config: Configuration | None = None) -> BoundsCheckReport:
+                                 seed: int = 0) -> BoundsCheckReport:
     """Sample random mark states and assert the envelope inequalities implied
     by the declared constants (Lipschitz/growth of the pair terms, growth and
-    one-sided dissipativity of the single-site term).
+    one-sided dissipativity of the single-site term), on the points of a
+    unit-intensity Poisson sample of the periodic side-6 square (seed + 1).
 
     A misdeclared constant (for example a Lipschitz constant below the true
     one) shows up as a reported violation with a witness.
     """
-    if config is None:
-        window = Window(6.0, 2, "periodic")
-        config = poisson_configuration(window, 1.0, seed=seed + 1)
+    config = poisson_configuration(Window(6.0, 2, "periodic"), 1.0, seed=seed + 1)
     ids = config.ids()
     n_pts = len(ids)
-    if n_pts == 0:
-        return BoundsCheckReport(True, sample_size, 0, 0, None)
     src, dst, dist = neighbor_pairs(config.window, config.positions_array(), coeffs.radius)
     n_x = np.bincount(src, minlength=n_pts) + 1.0  # the point itself counts
 
@@ -666,14 +658,6 @@ class CutoffStudyReport:
     estimates: list[float]  # sup_t of the seed-mean p-th moment of the cutoff error
     spearman_rho: float
     nonincreasing: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "boxes": [b.descriptor() for b in self.boxes],
-            "estimates": self.estimates,
-            "spearman_rho": self.spearman_rho,
-            "nonincreasing": self.nonincreasing,
-        }
 
 
 def _spearman(x, y) -> float:

@@ -6,10 +6,11 @@ own pieces: ``ovsjannikov_bound_constant`` computes its L with the same
 ``scales._cut_radius`` and ``scales._bound_value`` as the ``gronwall`` and
 ``moments`` reports, and ``strong_order_study`` solves with
 ``integrate_marks_ensemble`` on noise aggregated from the finest lattice,
-passed in through ``explicit_noise``.  The accessors at the top (``config_at``
-and the left limit of ``present_ids``, ``position_of``, ``count_in``,
-``radial_norm``, ``box_volume``) are what the tests read of the library
-objects beyond what the library itself needs.  The artifact writers
+passed in through ``explicit_noise``.  The accessors at the top
+(``phantom_positions``, ``config_at`` and the left limit of ``present_ids``,
+``position_of``, ``count_in``, ``radial_norm``, ``radial_norms``,
+``box_volume``) are what the tests read of the library objects beyond what
+the library itself needs.  The artifact writers
 and reader at the end are the per-value ``csv``/``json`` versions that the
 library's string-joining writers and C-parsed reader must match.
 
@@ -71,6 +72,19 @@ def radial_norm(window: Window, x) -> float:
     return window.distance(x, window.descriptor()["norm_origin"])
 
 
+def radial_norms(config: Configuration) -> np.ndarray:
+    """|x| of every point of ``config`` in ascending id order."""
+    return config.window.radial_norms(config.positions_array())
+
+
+def phantom_positions(traj: Trajectory) -> dict[int, tuple[float, ...]]:
+    """Position of everything that ever lived, by id, from ``gamma0`` and the
+    birth events alone, not from the trajectory's phantom table."""
+    positions = {pid: tuple(map(float, pos)) for pid, pos in traj.gamma0.items()}
+    positions.update((ev.id, ev.position) for ev in traj.events if ev.kind == "birth")
+    return positions
+
+
 def present_ids(traj: Trajectory, t: float, side: str = "right") -> list[int]:
     """Ids of gamma_t (side='right', as ``Trajectory.present_ids``) or of the
     left limit gamma_{t-} (side='left'), which is gamma_0 at t = 0."""
@@ -85,7 +99,8 @@ def present_ids(traj: Trajectory, t: float, side: str = "right") -> list[int]:
 
 def config_at(traj: Trajectory, t: float, side: str = "right") -> Configuration:
     """The configuration gamma_t or gamma_{t-}, rebuilt from ``traj.presence``."""
-    return Configuration(traj.window, [(pid, traj.phantom_positions[pid])
+    positions = phantom_positions(traj)
+    return Configuration(traj.window, [(pid, positions[pid])
                                        for pid in present_ids(traj, t, side)])
 
 
@@ -313,7 +328,7 @@ def log_bound_constant(config: Configuration, radius: float) -> float:
     if len(config) == 0:
         raise ValueError("empty configuration")
     best = 0.0
-    norms = config.radial_norms()
+    norms = radial_norms(config)
     for (pid, pos), r in zip(config.items(), norms):
         n = neighbor_count(config, pos, radius)
         best = max(best, n / (1.0 + math.log1p(r)))
@@ -334,7 +349,7 @@ def weighted_tail_sum(config: Configuration, alpha: float, k: int, radius: float
     if radius <= 0:
         raise ValueError("radius must be positive")
     total = 0.0
-    norms = config.radial_norms()
+    norms = radial_norms(config)
     for (pid, pos), r in zip(config.items(), norms):
         n = neighbor_count(config, pos, radius)
         total += math.exp(-alpha * r) * n**k
@@ -418,7 +433,7 @@ def weighted_lp_norm(config: Configuration, marks: Mapping[int, float] | np.ndar
         values = np.asarray(marks, dtype=float)
         if values.shape != (len(ids),):
             raise ValueError("marks array does not match the configuration size")
-    return weighted_lp_norm_from_radii(config.radial_norms(), values, alpha, p)
+    return weighted_lp_norm_from_radii(radial_norms(config), values, alpha, p)
 
 
 class OvsjannikovMatrix:
@@ -432,7 +447,7 @@ class OvsjannikovMatrix:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (n, n):
             raise ValueError(f"matrix shape {matrix.shape} does not match {n} points")
-        src, dst, counts = _neighborhoods(config, radius)
+        src, dst, counts = _neighborhoods(config.window, config.positions_array(), radius)
         outside = matrix != 0.0
         outside[src, dst] = False
         np.fill_diagonal(outside, False)
@@ -462,7 +477,7 @@ class OvsjannikovMatrix:
                growth_k: float, seed: int) -> "OvsjannikovMatrix":
         """Entries uniform in [-C n_x^k, C n_x^k] on in-radius pairs (diagonal
         included), drawn row by row in ascending id order."""
-        src, dst, counts = _neighborhoods(config, radius)
+        src, dst, counts = _neighborhoods(config.window, config.positions_array(), radius)
         closed = np.eye(len(config), dtype=bool)
         closed[src, dst] = True
         rows, cols = np.nonzero(closed)  # row-major: by row, then column
@@ -493,12 +508,12 @@ def ovsjannikov_bound_constant(config: Configuration, growth_c: float, growth_k:
     smallest such R is found by scanning the finite configuration.  A given R
     below that smallest one raises ValueError.
     """
-    _, _, counts = _neighborhoods(config, radius)
-    smallest, n_0r = _cut_radius(config, counts, growth_k, q, alpha_star, alpha_sup)
+    _, _, counts = _neighborhoods(config.window, config.positions_array(), radius)
+    norms = radial_norms(config)
+    smallest, n_0r = _cut_radius(norms, counts, growth_k, q, alpha_star, alpha_sup)
     if r_cut is None:
         r_cut = smallest
     else:
-        norms = config.radial_norms()
         if smallest > r_cut:  # the farthest point that breaks the R-condition
             worst = int(np.argmax(np.where(counts > norms ** (q / (2.0 * growth_k)),
                                            norms, -np.inf)))
@@ -520,7 +535,7 @@ def check_operator_bound(matrix: OvsjannikovMatrix, bound: float, alpha: float,
     """
     if beta <= alpha:
         raise ValueError("beta must exceed alpha")
-    radii = matrix.config.radial_norms()
+    radii = radial_norms(matrix.config)
     gen = rng.keyed_generator(seed, rng.SAMPLING)
     factor = bound / (beta - alpha) ** q
     violations = 0
@@ -545,7 +560,7 @@ def assemble_drift(pid: int, t: float, marks: Mapping[int, float],
                    traj: Trajectory, coeffs: CoefficientSet) -> float:
     """Drift of one mark at one time: 0 when the particle is absent, else the
     single-site term plus the pair sum over current in-radius neighbors."""
-    if pid not in traj.phantom_positions:
+    if pid not in traj.presence:
         raise KeyError(f"unknown id {pid}")
     if pid not in traj.present_ids(t):
         return 0.0
@@ -561,7 +576,7 @@ def assemble_drift(pid: int, t: float, marks: Mapping[int, float],
 def assemble_diffusion(pid: int, t: float, marks: Mapping[int, float],
                        traj: Trajectory, coeffs: CoefficientSet) -> float:
     """Diffusion of one mark at one time; 0 when absent, no single-site term."""
-    if pid not in traj.phantom_positions:
+    if pid not in traj.presence:
         raise KeyError(f"unknown id {pid}")
     if pid not in traj.present_ids(t):
         return 0.0
@@ -692,8 +707,9 @@ def reference_to_csv(marks: MarkPath, path, stride: int = 1) -> None:
 def reference_write_marked_snapshots(path, mt: MarkedTrajectory, stride: int = 1) -> None:
     """``write_marked_snapshots`` through ``json.dumps``, one dict per point."""
     traj = mt.base
-    ids = sorted(traj.phantom_positions)
-    coords = [traj.window.wrap(traj.phantom_positions[pid]).tolist() for pid in ids]
+    positions = phantom_positions(traj)
+    ids = sorted(positions)
+    coords = [traj.window.wrap(positions[pid]).tolist() for pid in ids]
     with open(path, "w") as fh:
         for j in range(0, len(mt.grid), stride):
             row = mt.marks.values[j]

@@ -58,6 +58,7 @@ from oracles import (
     check_operator_bound,
     death_events,
     ovsjannikov_bound_constant,
+    radial_norms,
     strong_order_study,
     weighted_lp_norm_from_radii,
 )
@@ -239,9 +240,10 @@ def test_criterion_09b_gronwall_random_instances():
             gen = rng.keyed_generator(seed, rng.SAMPLING)
             b_vec = np.abs(gen.standard_normal(len(config)))
             report = check_gronwall_inequality(
-                config, coupling_b=0.2, growth_k=1.0, b_vec=b_vec, horizon=0.5,
-                alpha=0.1, beta=0.6, q=0.5, radius=1.0)
-            assert report.passed, (seed, report.to_json_obj())
+                window, config.positions_array(), coupling_b=0.2, growth_k=1.0,
+                b_vec=b_vec, horizon=0.5, alpha=0.1, beta=0.6, q=0.5, radius=1.0,
+                alpha_star=0.1, alpha_sup=0.6)
+            assert report.passed, (seed, dataclasses.asdict(report))
             assert math.isfinite(report.bound_value), seed
             # the exact solve against two independent oracles on the dense coupling
             coupling = dense_coupling(config, 0.2, 1.0, 1.0)
@@ -300,7 +302,7 @@ def test_criterion_11_norm_monotonicity():
     with criterion("criterion 11: norm scale monotonicity on 1e4 triples"):
         window = Window(10.0, 2, "open")
         config = poisson_configuration(window, 1.0, seed=0)
-        radii = config.radial_norms()
+        radii = radial_norms(config)
         gen = rng.keyed_generator(11, rng.SAMPLING)
         for _ in range(10_000):
             values = 10.0 ** gen.uniform(-3, 3) * gen.standard_normal(len(radii))

@@ -29,7 +29,8 @@ from bdspin.birth_death import (
 from bdspin.geometry import Box, Configuration, Window, poisson_configuration
 from bdspin.spin_sde import build_time_grid
 from oracles import (TemperedWeight, birth_events, check_rate_perturbation_bound, config_at,
-                     count_in, death_events, event_count_in, present_ids, rate_at)
+                     count_in, death_events, event_count_in, phantom_positions, present_ids,
+                     rate_at)
 
 
 def glauber_run(seed, z=1.5, side=5.0, T=1.0, m=0.5, init_intensity=0.5, c=0.8, rho=1.0):
@@ -549,10 +550,11 @@ class TestDerivedPresence:
         traj = same_time_trajectory()
         assert traj.presence == {0: (0.0, 0.5), 1: (0.0, None), 2: (0.25, None),
                                  3: (0.5, None), 4: (0.75, 0.75)}
-        assert traj.phantom_positions == {0: (1.0, 1.0), 1: (3.0, 3.0), 2: (2.0, 2.0),
-                                          3: (0.5, 3.5), 4: (3.5, 0.5)}
+        assert traj.phantom_ids() == [0, 1, 2, 3, 4]
+        assert traj.phantom_xy.tolist() == [[1.0, 1.0], [3.0, 3.0], [2.0, 2.0],
+                                            [0.5, 3.5], [3.5, 0.5]]
 
-    @pytest.mark.parametrize("name", ["presence", "phantom_positions"])
+    @pytest.mark.parametrize("name", ["presence", "phantom_xy"])
     def test_not_a_constructor_input(self, name):
         traj = same_time_trajectory()
         with pytest.raises(TypeError):
@@ -592,16 +594,18 @@ class TestDerivedPresence:
                     for pid, (birth, death) in traj.presence.items() if birth <= h}
             short = traj.restrict(h)
             assert short.presence == want
-            assert short.phantom_positions == {pid: traj.phantom_positions[pid] for pid in want}
+            assert short.phantom_ids() == sorted(want)
+            rows = np.searchsorted(traj.phantom_ids(), sorted(want))
+            assert short.phantom_xy.tolist() == traj.phantom_xy[rows].tolist()
 
     def test_replace_derives_a_fresh_phantom(self):
         traj = glauber_run(seed=4, m=1.0, z=2.0)
-        assert traj.phantom().ids() == traj.phantom_ids()
+        assert traj.phantom_ids() == sorted(phantom_positions(traj))
         cut = [ev for ev in traj.events if ev.time <= 0.5]
         short = dataclasses.replace(traj, events=cut)
         want = sorted(set(traj.gamma0.ids()) | {ev.id for ev in cut})
-        assert short.phantom().ids() == short.phantom_ids() == want
-        assert len(want) < len(traj.phantom_ids())
+        assert short.phantom_ids() == sorted(phantom_positions(short)) == want
+        assert len(short.phantom_xy) == len(want) < len(traj.phantom_ids())
 
 
 class TestPhantomTable:
@@ -610,12 +614,12 @@ class TestPhantomTable:
     @staticmethod
     def assert_table_matches(traj):
         ids = traj.phantom_ids()
-        assert ids == sorted(traj.presence) == sorted(traj.phantom_positions)
+        positions = phantom_positions(traj)
+        assert ids == sorted(traj.presence) == sorted(positions)
         window = traj.window
         assert traj.phantom_xy.shape == (len(ids), window.dim)
         assert traj.phantom_xy.tolist() == [
-            window.wrap(np.asarray(traj.phantom_positions[pid], dtype=float)).tolist()
-            for pid in ids]
+            window.wrap(np.asarray(positions[pid], dtype=float)).tolist() for pid in ids]
         assert traj.births.tolist() == [traj.presence[pid][0] for pid in ids]
         assert traj.deaths.tolist() == [math.inf if traj.presence[pid][1] is None
                                         else traj.presence[pid][1] for pid in ids]

@@ -92,12 +92,35 @@ class TestSimulate:
           "initial_configuration": {"kind": "explicit",
                                     "points": [{"id": 1, "position": [5.0, 1.0]}]}},
          "initial_configuration.points: point 1 lies outside"),
+        ({"initial_configuration": {"kind": "explicit",
+                                    "points": [{"id": 1.5, "position": [1.0, 1.0]}]}},
+         "initial_configuration.points: point id 1.5 is not an integer"),
+        ({"initial_configuration": {"kind": "explicit",
+                                    "points": [{"id": True, "position": [1.0, 1.0]}]}},
+         "initial_configuration.points: point id True is not an integer"),
         ({"seed": True}, "seed: expected"),
         ({"horizon": True}, "horizon: expected"),
         ({"output": {"mark_stride": True}}, "output.mark_stride: expected"),
+        ({"kernel": {"variant": "glauber", "z": "2",
+                     "phi": {"name": "step", "params": [0.5, 1.0]}}}, "kernel.z: expected"),
+        ({"kernel": {"variant": "glauber", "z": -1.0,
+                     "phi": {"name": "step", "params": [0.5, 1.0]}}}, "kernel.z: must be"),
+        ({"kernel": {"variant": "glauber", "z": True,
+                     "phi": {"name": "step", "params": [0.5, 1.0]}}}, "kernel.z: expected"),
+        ({"kernel": {"variant": "glauber", "z": 2.0,
+                     "phi": {"name": "step", "params": [True, 1.0]}}},
+         "kernel.phi.params: expected numbers"),
+        ({"coefficients": {"single": {"kind": "cubic", "params": [True]},
+                           "pair": {"kind": "exchange", "params": [0.3]},
+                           "diffusion": {"kind": "tanh", "params": [0.25]},
+                           "radius": 1.0}},
+         "coefficients.single.params: expected numbers"),
     ], ids=["negative_death_rate", "dim_0", "klein_boundary", "point_not_an_object",
             "duplicate_point_id", "point_wrong_dim", "point_outside_open_window",
-            "seed_true", "horizon_true", "mark_stride_true"])
+            "point_id_fractional", "point_id_true",
+            "seed_true", "horizon_true", "mark_stride_true", "kernel_z_string",
+            "kernel_z_negative", "kernel_z_true", "kernel_phi_param_true",
+            "coefficient_param_true"])
     def test_invalid_config_exit_2_names_field(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "o"
@@ -287,8 +310,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite,message", [("nonsense", "unknown suite"),
                                                (",", "no suite named"),
-                                               (" ", "no suite named")],
-                             ids=["nonsense", "comma", "blank"])
+                                               (" ", "no suite named"),
+                                               ("bounds,bounds", "'bounds' is named twice")],
+                             ids=["nonsense", "comma", "blank", "repeated"])
     def test_unknown_suite_exit_2(self, tmp_path, capsys, suite, message):
         cfg = write_config(tmp_path)
         out = tmp_path / "r"
@@ -425,6 +449,7 @@ class TestEmitPlotdata:
                                             "unordered_events", "blank_marks",
                                             "header_not_an_object", "window_without_side",
                                             "gamma0_record_without_id",
+                                            "gamma0_id_fractional", "gamma0_id_true",
                                             "kernel_without_z", "birth_position_wrong_dim"])
     def test_corrupt_run_exit_2_before_output(self, tmp_path, capsys, corruption):
         cfg = write_config(tmp_path, horizon=0.25)
@@ -457,6 +482,11 @@ class TestEmitPlotdata:
                 header["window"] = {}
             elif corruption == "gamma0_record_without_id":
                 del header["gamma0"][0]["id"]
+            elif corruption == "gamma0_id_fractional":  # int() would give the id back
+                header["gamma0"][-1]["id"] += 0.5
+            elif corruption == "gamma0_id_true":  # int() would give 1, the id it replaces
+                assert header["gamma0"][1]["id"] == 1
+                header["gamma0"][1]["id"] = True
             else:
                 assert header["kernel"]["variant"] == "glauber"
                 del header["kernel"]["z"]
@@ -522,7 +552,8 @@ class TestEmitPlotdata:
         assert any(ev.kind == "death" for ev in traj.events)
         loaded = _load_run_dir(out).base
         assert loaded.presence == traj.presence
-        assert loaded.phantom_positions == traj.phantom_positions
+        assert loaded.phantom_ids() == traj.phantom_ids()
+        assert loaded.phantom_xy.tolist() == traj.phantom_xy.tolist()
 
     def test_ensemble_aggregate_rows_match_grid(self, tmp_path):
         cfg = write_config(tmp_path, replicas=3, horizon=0.25)

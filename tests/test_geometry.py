@@ -251,6 +251,14 @@ class TestNeighborQueries:
         with pytest.raises(ValueError, match="duplicate point id 3"):
             Configuration(torus, [(3, [0.0, 1.0]), (3, [2.0, 2.0])])
 
+    def test_ids_are_integers(self):
+        window = Window(5.0, 2, "open")
+        ids = Configuration(window, [(np.int64(3), [1.0, 1.0])]).ids()
+        assert ids == [3] and type(ids[0]) is int
+        for pid in (1.5, True, "1", np.float64(1.0)):
+            with pytest.raises(TypeError, match="is not an integer"):
+                Configuration(window, [(pid, [1.0, 1.0])])
+
     def test_outside_window_rejected_open(self):
         window = Window(5.0, 2, "open")
         with pytest.raises(ValueError, match="outside"):

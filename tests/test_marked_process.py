@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from bdspin.spin_sde import (
     integrate_marks_ensemble,
     tanh_diffusion,
 )
-from oracles import birth_events, config_at, count_in, position_of
+from oracles import birth_events, config_at, count_in, phantom_positions, position_of
 from test_birth_death import same_time_trajectory
 
 
@@ -164,10 +165,11 @@ class TestArrayObservable:
         for g in (counting_observable(box), mark_sum_observable(box),
                   Observable(lambda pos, mark: mark**2 + pos[:, 0], box, "mix")):
             want = []
+            positions = phantom_positions(traj)
             for j, t in enumerate(path.grid):
                 present, total = set(traj.present_ids(float(t))), 0.0
                 for k, pid in enumerate(path.ids):
-                    pos = traj.phantom_positions[pid]
+                    pos = positions[pid]
                     if pid in present and box.contains(np.array(pos)):
                         total += point_value(g, pos, path.values[j, k])
                 want.append(total)
@@ -342,7 +344,7 @@ class TestCadlag:
             for g in (counting_observable(box), mark_sum_observable(box),
                       Observable(lambda pos, mark: mark, box, "blind")):
                 for eps_t, atol in ((1 / 16, 1e-9), (1 / 64, 1e-9), (1 / 16, -1.0)):
-                    got = cadlag_check(mt, g, eps_t=eps_t, atol=atol).to_json_obj()
+                    got = asdict(cadlag_check(mt, g, eps_t=eps_t, atol=atol))
                     assert got == cadlag_reference(mt, g, eps_t, atol)
                     kinds |= {v["kind"] for v in got["violations"]}
         assert kinds == {"grid_coarser_than_eps", "right_continuity", "left_limit_value"}

@@ -72,8 +72,8 @@ def test_every_definition_is_reached():
     assert sorted(found) == sorted(ALLOWED)
 
 
-# the id-keyed views of a trajectory; everything else reads its phantom table
-ID_KEYED = {"presence", "phantom_positions"}
+# the id-keyed view of a trajectory; everything else reads its phantom table
+ID_KEYED = {"presence"}
 
 
 def test_only_birth_death_reads_the_id_keyed_phantom():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import mpmath
 import numpy as np
@@ -38,8 +39,10 @@ from oracles import (
     ids_within,
     neighbor_count,
     ovsjannikov_bound_constant,
+    phantom_positions,
     position_of,
     radial_norm,
+    radial_norms,
     weighted_lp_norm,
     weighted_lp_norm_from_radii,
 )
@@ -87,7 +90,7 @@ class TestWeightedNorms:
         gen = rng.keyed_generator(7, rng.SAMPLING)
         window = Window(10.0, 2, "open")
         config = poisson_configuration(window, 0.8, seed=3)
-        radii = config.radial_norms()
+        radii = radial_norms(config)
         for _ in range(500):
             values = 10.0 ** gen.uniform(-2, 2) * gen.standard_normal(len(config))
             alpha = float(2.0 * gen.random())
@@ -125,7 +128,7 @@ class TestOperatorBound:
         window = Window(10.0, 2, "open")
         config = poisson_configuration(window, 1.5, seed=2)
         got = ovsjannikov_bound_constant(config, 1.0, 2.0, 0.6, 1.0, 0.0, 1.0)
-        norms = config.radial_norms()
+        norms = radial_norms(config)
         counts = np.array([neighbor_count(config, pos, 1.0) for _, pos in config.items()])
         beyond = norms > got.r_cut
         assert np.all(counts[beyond] <= norms[beyond] ** (0.6 / 4.0))
@@ -309,7 +312,7 @@ def picard_measurement(config, coupling, b_vec, horizon, beta, grid_points=256,
         disagreement = float(np.max(np.abs(rho_fine[:, ::2] - rho))) / scale
         grid, rho = finer, rho_fine
         if disagreement < agreement_tol:
-            radii = config.radial_norms()
+            radii = radial_norms(config)
             return float(np.sum(np.exp(-beta * radii) * rho.max(axis=1)))
     raise RuntimeError("grid refinement did not reach the agreement tolerance")
 
@@ -320,7 +323,16 @@ def expm_measurement(config, coupling, b_vec, horizon, beta):
     from scipy.sparse.linalg import expm_multiply
 
     rho = expm_multiply(horizon * csr_matrix(coupling), b_vec)
-    return float(np.sum(np.exp(-beta * config.radial_norms()) * rho))
+    return float(np.sum(np.exp(-beta * radial_norms(config)) * rho))
+
+
+def gronwall_check(config, *args):
+    """``check_gronwall_inequality`` over the points of ``config``, with
+    ``args`` (coupling_b, growth_k, b_vec, horizon, alpha, beta, q, radius)
+    and the scale alpha_star = alpha, alpha_sup = beta."""
+    alpha, beta = args[4], args[5]
+    return check_gronwall_inequality(config.window, config.positions_array(), *args,
+                                     alpha_star=alpha, alpha_sup=beta)
 
 
 class TestGronwallInequality:
@@ -328,10 +340,10 @@ class TestGronwallInequality:
         window = Window(6.0, 2, "open")
         config = poisson_configuration(window, 1.0, seed=4)
         b = np.abs(rng.keyed_generator(4, rng.SAMPLING).standard_normal(len(config)))
-        report = check_gronwall_inequality(config, 0.0, 1.0, b, 1.0, 0.1, 0.6, 0.5, 1.0)
+        report = gronwall_check(config, 0.0, 1.0, b, 1.0, 0.1, 0.6, 0.5, 1.0)
         assert report.passed
         assert report.constants_used["K_T"] == 1.0
-        radii = config.radial_norms()
+        radii = radial_norms(config)
         assert report.measured_value == pytest.approx(
             float(np.sum(np.exp(-0.6 * radii) * b)), rel=1e-12)
 
@@ -339,8 +351,8 @@ class TestGronwallInequality:
         window = Window(4.0, 2, "open")
         config = Configuration(window, [(0, [1.0, 1.0])])
         coupling_b, b0 = 1.3, 0.8
-        report = check_gronwall_inequality(config, coupling_b, 1.0, np.array([b0]),
-                                           1.0, 0.1, 0.6, 0.5, 1.0)
+        report = gronwall_check(config, coupling_b, 1.0, np.array([b0]),
+                                1.0, 0.1, 0.6, 0.5, 1.0)
         # rho(t) = b exp(B t): sup at t = T
         r = radial_norm(window, [1.0, 1.0])
         want = math.exp(-0.6 * r) * b0 * math.exp(coupling_b)
@@ -353,7 +365,7 @@ class TestGronwallInequality:
         config = poisson_configuration(window, 0.8, seed=seed)
         gen = rng.keyed_generator(seed, rng.SAMPLING)
         b = np.abs(gen.standard_normal(len(config)))
-        report = check_gronwall_inequality(config, 0.2, 1.0, b, 0.5, 0.1, 0.6, 0.5, 1.0)
+        report = gronwall_check(config, 0.2, 1.0, b, 0.5, 0.1, 0.6, 0.5, 1.0)
         assert report.passed
         assert math.isfinite(report.bound_value)
         assert report.slack >= 0
@@ -366,8 +378,8 @@ class TestGronwallInequality:
     def test_matches_picard_and_expm_oracles(self, boundary, coupling_b, growth_k, horizon):
         config = poisson_configuration(Window(5.0, 2, boundary), 1.2, seed=9)
         b = np.abs(rng.keyed_generator(9, rng.SAMPLING).standard_normal(len(config)))
-        report = check_gronwall_inequality(config, coupling_b, growth_k, b, horizon,
-                                           0.1, 0.6, 0.5, 1.0)
+        report = gronwall_check(config, coupling_b, growth_k, b, horizon,
+                                0.1, 0.6, 0.5, 1.0)
         coupling = dense_coupling(config, coupling_b, growth_k, 1.0)
         got = report.measured_value
         assert got == pytest.approx(expm_measurement(config, coupling, b, horizon, 0.6),
@@ -381,8 +393,8 @@ class TestGronwallInequality:
 
     def test_grid_info_and_zero_data(self):
         config = poisson_configuration(Window(6.0, 2, "open"), 1.0, seed=4)
-        report = check_gronwall_inequality(config, 0.2, 1.0, np.zeros(len(config)),
-                                           0.5, 0.1, 0.6, 0.5, 1.0)
+        report = gronwall_check(config, 0.2, 1.0, np.zeros(len(config)),
+                                0.5, 0.1, 0.6, 0.5, 1.0)
         assert report.measured_value == 0.0
         assert report.grid_info["picard_iterations"] == 1
         assert set(report.grid_info) == {"points", "picard_iterations"}
@@ -392,9 +404,9 @@ class TestGronwallInequality:
         b = np.ones(len(config))
         for bad in (b[1:], -b, np.where(np.arange(len(b)) == 0, np.nan, b)):
             with pytest.raises(ValueError, match="b_vec"):
-                check_gronwall_inequality(config, 0.2, 1.0, bad, 0.5, 0.1, 0.6, 0.5, 1.0)
+                gronwall_check(config, 0.2, 1.0, bad, 0.5, 0.1, 0.6, 0.5, 1.0)
         with pytest.raises(ValueError, match="coupling_b"):
-            check_gronwall_inequality(config, -0.2, 1.0, b, 0.5, 0.1, 0.6, 0.5, 1.0)
+            gronwall_check(config, -0.2, 1.0, b, 0.5, 0.1, 0.6, 0.5, 1.0)
 
     def test_pairs_built_once(self, monkeypatch):
         config = poisson_configuration(Window(8.0, 2, "open"), 0.8, seed=2)
@@ -407,7 +419,7 @@ class TestGronwallInequality:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(scales, "neighbor_pairs", counting)
-        report = check_gronwall_inequality(config, 0.2, 1.0, b, 0.5, 0.1, 0.6, 0.5, 1.0)
+        report = gronwall_check(config, 0.2, 1.0, b, 0.5, 0.1, 0.6, 0.5, 1.0)
         assert report.passed
         assert len(calls) == 1
 
@@ -449,7 +461,7 @@ class TestMomentGrowth:
         report = check_moment_growth(paths, traj, coeffs, params, c1, c2)
         assert report.passed
         # oracle: E X^4 = mu^4 + 6 mu^2 v + 3 v^2 for X ~ N(mu, v), per particle
-        radii = traj.phantom().radial_norms()
+        radii = traj.window.radial_norms(traj.phantom_xy)
         grid = paths[0].grid
         mu = x0 * np.exp(-lam * grid)
         v = kappa**2 * (1 - np.exp(-2 * lam * grid)) / (2 * lam)
@@ -486,8 +498,8 @@ class TestMomentGrowth:
 def reference_moment_growth(paths, traj, coeffs, params, c1, c2, series_tol=1e-12):
     """check_moment_growth with the operator constant L recomputed from
     per-point neighbor counts at every bisection step."""
-    phantom = traj.phantom()
-    radii = phantom.radial_norms()
+    phantom = Configuration(traj.window, phantom_positions(traj))
+    radii = radial_norms(phantom)
     grid = paths[0].grid
     p = params.p
     alive = np.array([present.copy() for present in traj.presence_masks(grid)])
@@ -539,7 +551,9 @@ def reference_moment_growth(paths, traj, coeffs, params, c1, c2, series_tol=1e-1
     return MomentGrowthReport(
         passed=measured <= bound * (1 + 1e-9), bound_value=bound, measured_value=measured,
         slack=bound - measured, empirical_c1=empirical,
-        constants_used={"c1": c1, "c2": c2, **params.descriptor(),
+        constants_used={"c1": c1, "c2": c2, "alpha_star": params.alpha_star,
+                        "alpha_sup": params.alpha_sup, "alpha": params.alpha,
+                        "beta": params.beta, "p": params.p, "q": params.q,
                         "radius": coeffs.radius, "replicas": len(paths)})
 
 
@@ -566,7 +580,7 @@ class TestMomentGrowthReference:
         got = check_moment_growth(paths, traj, coeffs, params, c1, c2)
         want = reference_moment_growth(paths, traj, coeffs, params, c1, c2)
         assert got.empirical_c1 > 0.0
-        assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
+        assert json.dumps(asdict(got)) == json.dumps(asdict(want))
 
     def test_neighbor_counts_built_once(self, monkeypatch):
         traj, coeffs, paths = glauber_moment_case()

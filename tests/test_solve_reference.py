@@ -1,9 +1,9 @@
 """The mark solve against a reference implementation of the same scheme.
 
-``reference_solve`` orders the columns by ``sorted(phantom_positions)`` and
-reads the present set from ``Trajectory.presence`` at every grid time and the
-positions from ``Trajectory.phantom_positions``, not from the trajectory's
-phantom table.  It rebuilds each segment's active set and edge list from all
+``reference_solve`` orders the columns by ``sorted(phantom_positions(traj))``
+and reads the present set from ``Trajectory.presence`` at every grid time and
+the positions from ``oracles.phantom_positions``, which rebuilds them from
+gamma0 and the birth events, not from the trajectory's phantom table.  It rebuilds each segment's active set and edge list from all
 phantom edges, finds the edges with a per-point ``neighbors_within`` loop and
 draws the keyed noise as one dense (steps x phantom) array, one SeedSequence
 per stream.  The library solve walks the event log itself, re-evaluates only
@@ -39,16 +39,17 @@ from bdspin.spin_sde import (
     zero_pair,
 )
 
-from oracles import _keyed_normals, explicit_noise, neighbors_within
+from oracles import _keyed_normals, explicit_noise, neighbors_within, phantom_positions
 from test_birth_death import same_time_trajectory
 from test_spin_sde import default_coeffs, make_glauber_traj, shared_noise
 
 
 def reference_edges(traj, radius):
     """Directed in-radius pairs over the phantom, one point at a time."""
-    ids = sorted(traj.phantom_positions)
+    positions = phantom_positions(traj)
+    ids = sorted(positions)
     index_of = {pid: k for k, pid in enumerate(ids)}
-    phantom = Configuration(traj.window, dict(traj.phantom_positions))
+    phantom = Configuration(traj.window, positions)
     src, dst, dist = [], [], []
     for pid in ids:
         for qid, d in neighbors_within(phantom, pid, radius):
@@ -61,6 +62,7 @@ def reference_edges(traj, radius):
 
 def reference_solve(traj, coeffs, init, icfg, seed, *, frozen_box=None, noise=None,
                     n_replicas=None):
+    positions = phantom_positions(traj)
     ids, src, dst, dist = reference_edges(traj, coeffs.radius)
     grid = build_time_grid(traj.horizon, icfg.dt, [ev.time for ev in traj.events])
     n_steps = len(grid) - 1
@@ -77,14 +79,14 @@ def reference_solve(traj, coeffs, init, icfg, seed, *, frozen_box=None, noise=No
     frozen_mask = np.zeros(n_ids, dtype=bool)
     if frozen_box is not None:
         for k, pid in enumerate(ids):
-            if not frozen_box.contains(traj.phantom_positions[pid]):
+            if not frozen_box.contains(positions[pid]):
                 frozen_mask[k] = True
     # present on [birth, death)
     born = np.array([traj.presence[pid][0] for pid in ids])
     died = np.array([math.inf if traj.presence[pid][1] is None else traj.presence[pid][1]
                      for pid in ids])
 
-    z0 = np.array([init.evaluate(np.asarray(traj.phantom_positions[pid], dtype=float))
+    z0 = np.array([init.evaluate(np.asarray(positions[pid], dtype=float))
                    for pid in ids], dtype=float)
     shape = (n_steps + 1, n_ids) if not ensemble else (n_steps + 1, n_ids, n_replicas)
     values = np.empty(shape)

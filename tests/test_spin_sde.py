@@ -35,8 +35,8 @@ from bdspin.spin_sde import (
     _spearman,
 )
 from bdspin.spin_sde import _add_rows, _projection_mismatch
-from oracles import (assemble_diffusion, assemble_drift, explicit_noise, position_of,
-                     strong_order_study)
+from oracles import (assemble_diffusion, assemble_drift, explicit_noise, phantom_positions,
+                     position_of, strong_order_study)
 import dataclasses
 
 
@@ -276,8 +276,7 @@ class TestFiniteVolume:
         init = InitialMarkPolicy.constant(0.4)
         # a degenerate box that contains no phantom point freezes all marks
         degenerate = Box((0.0, 0.0), (0.0, 0.0))
-        phantom = traj.phantom()
-        if any(degenerate.contains(pos) for _, pos in phantom.items()):
+        if degenerate.contains_many(traj.phantom_xy).any():
             pytest.skip("degenerate corner hit a point")
         path = finite_volume_solve(traj, coeffs, init, icfg, degenerate, seed=2)
         assert np.all(path.values == path.values[0])
@@ -303,8 +302,9 @@ class TestFiniteVolume:
         init = InitialMarkPolicy.constant(1.0)
         full = integrate_marks(traj, coeffs, init, icfg, seed=4)
         inner = traj.window.box.scaled(0.3)
+        positions = phantom_positions(traj)
         deep = [k for k, pid in enumerate(full.ids)
-                if inner.scaled(0.5).contains(traj.phantom_positions[pid])]
+                if inner.scaled(0.5).contains(positions[pid])]
         assert deep
         sups = []
         for f in (0.3, 0.6, 0.9):
@@ -392,10 +392,7 @@ class TestBoundsCheck:
     def test_equal_states_trivially_tight(self):
         coeffs = default_coeffs()
         # Z1 == Z2 collapses the Lipschitz inequalities to 0 <= 0
-        window = Window(4.0, 2, "periodic")
-        config = poisson_configuration(window, 1.0, seed=2)
-        report = check_drift_diffusion_bounds(coeffs, sample_size=100, seed=1,
-                                              config=config)
+        report = check_drift_diffusion_bounds(coeffs, sample_size=100, seed=1)
         assert report.passed
 
     @pytest.mark.parametrize("seed,radius", [(0, 1.0), (1, 1.7), (2, 0.2)])
