@@ -26,7 +26,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -320,11 +320,8 @@ def sample_driving_process(window: Window, horizon: float, b_max: float,
     u = b_max * gen.random(n)
     r = gen.standard_exponential(n)
     order = np.argsort(times, kind="stable")
-    return [
-        DrivingPoint(float(times[i]), tuple(float(c) for c in pos[i]),
-                     float(u[i]), float(r[i]), rank)
-        for rank, i in enumerate(order)
-    ]
+    return list(map(DrivingPoint, times[order].tolist(), map(tuple, pos[order].tolist()),
+                    u[order].tolist(), r[order].tolist(), range(n)))
 
 
 @dataclass
@@ -400,38 +397,21 @@ class Trajectory:
         """The phantom ids in ascending order: row k of the phantom table."""
         return list(self._ids)
 
-    def _check_time(self, t: float) -> None:
-        if not 0.0 <= t <= self.horizon:
-            raise ValueError(f"time {t} outside [0, {self.horizon}]")
-
     def present_ids(self, t: float) -> list[int]:
         """Ids of gamma_t, the right-continuous state at time t."""
-        self._check_time(t)
-        return sorted(pid for pid, (birth, death) in self.presence.items()
-                      if birth <= t and (death is None or t < death))
+        if not 0.0 <= t <= self.horizon:
+            raise ValueError(f"time {t} outside [0, {self.horizon}]")
+        return [self._ids[k] for k in np.flatnonzero(self.present_at(t)).tolist()]
 
-    def presence_masks(self, times: Iterable[float]) -> Iterator[np.ndarray]:
-        """Right-continuous present mask over the phantom table's rows at each time.
+    def present_at(self, t: float | np.ndarray) -> np.ndarray:
+        """Right-continuous present mask over the phantom table's rows at t.
 
-        ``times`` must be non-decreasing.  One forward pass over the event
-        log: the mask starts from gamma0 and applies, in log order, every
-        event with time <= t, so entry k is True iff ``phantom_ids()[k]`` is
-        in ``present_ids(t)``.  The same array is updated in place
-        and yielded for every time; copy it to keep it.
+        Row k is present iff ``births[k] <= t < deaths[k]``, which is the
+        log replayed up to t: a birth and a death of one row at t leave it
+        absent.  A column of times, ``times[:, None]``, gives a times x
+        phantom mask.
         """
-        mask = self.in_gamma0.copy()
-        log = self.column_log
-        e = 0
-        last = 0.0
-        for t in times:
-            self._check_time(t)
-            if t < last:
-                raise ValueError(f"times must be non-decreasing, got {t} after {last}")
-            last = t
-            while e < len(log) and log[e][0] <= t:
-                mask[log[e][1]] = log[e][2]
-                e += 1
-            yield mask
+        return (self.births <= t) & (t < self.deaths)
 
     def restrict(self, horizon: float) -> "Trajectory":
         """The same path observed only on [0, horizon]; ids are unchanged."""
@@ -648,7 +628,7 @@ def verify_counting_identity(traj: Trajectory) -> bool:
     """Replay the counting identity behind the path construction.
 
     At 6 times t and in 6 boxes L (the window, then random ones), gamma_t(L)
-    from the presence sweep must equal the direct count over driving
+    from the phantom table's lifetimes must equal the direct count over driving
     candidates (accepted, survival mark beyond m(t-s)) plus surviving initial
     points.  The acceptance decisions are recomputed by a fresh replay
     sweep, not read from the event log.
@@ -678,7 +658,7 @@ def verify_counting_identity(traj: Trajectory) -> bool:
     inside = [(box.contains_many(x), box.contains_many(x0), box.contains_many(traj.phantom_xy))
               for box in boxes]
 
-    for t, present in zip(times, traj.presence_masks(times)):
+    for t, present in zip(times, traj.present_at(times[:, None])):
         alive = born & (s <= t) & (r > m * (t - s))
         alive0 = lifetimes > m * t
         for in_x, in_x0, in_phantom in inside:

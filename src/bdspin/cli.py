@@ -528,11 +528,17 @@ def _observable_from_spec(spec: dict, i: int) -> Observable:
     if not isinstance(spec, dict):
         raise ConfigError(f"observables[{i}]: expected an object")
     name = _get(spec, "name", f"observables[{i}].", str)
+    # the name becomes <name>.csv and <name>_aggregate.csv inside --out
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError(f"observables[{i}].name: {name!r} is not a plain file name")
     kind = _get(spec, "kind", f"observables[{i}].", str)
     bspec = _get(spec, "box", f"observables[{i}].", dict)
+    lo, hi = (_numbers(_get(bspec, key, f"observables[{i}].box.", list),
+                       f"observables[{i}].box.{key}") for key in ("lo", "hi"))
+    if any(map(math.isnan, lo + hi)):  # a JSON NaN: a box that holds no point
+        raise ConfigError(f"observables[{i}].box: NaN coordinate")
     try:
-        box = Box(tuple(_get(bspec, "lo", f"observables[{i}].box.", list)),
-                  tuple(_get(bspec, "hi", f"observables[{i}].box.", list)))
+        box = Box(tuple(lo), tuple(hi))
     except ValueError as exc:
         raise ConfigError(f"observables[{i}].box: {exc}") from None
     if kind == "count":
@@ -558,6 +564,13 @@ def cmd_emit_plotdata(args) -> int:
     if not isinstance(specs, list):
         raise ConfigError("observables: expected a list of observable specs")
     observables = [_observable_from_spec(s, i) for i, s in enumerate(specs)]
+    writer_of: dict[str, int] = {}
+    for i, g in enumerate(observables):
+        for name in (f"{g.name}.csv", f"{g.name}_aggregate.csv"):
+            if name in writer_of:
+                raise ConfigError(f"observables[{i}].name: {g.name!r} would overwrite "
+                                  f"{name} of observables[{writer_of[name]}]")
+            writer_of[name] = i
 
     replica_dirs = sorted(d for d in artifacts.iterdir()
                           if d.is_dir() and d.name.startswith("replica_"))
@@ -573,7 +586,11 @@ def cmd_emit_plotdata(args) -> int:
         except ValueError as exc:
             print(f"corrupt run directory {d}: {exc}", file=sys.stderr)
             return 2
-    # only a run that loaded gets an output directory
+    dim = runs[0].base.window.dim
+    for i, g in enumerate(observables):
+        if g.support.dim != dim:
+            raise ConfigError(f"observables[{i}].box: {g.support.dim}-d, the run is {dim}-d")
+    # only a run that loaded, with observables it can pair, gets an output directory
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if not observables:

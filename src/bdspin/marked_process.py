@@ -1,12 +1,13 @@
 """The combined marked trajectory: positions plus marks, and its regularity.
 
 The marked state at a grid time pairs each present particle with its mark.
-Who is present comes from the trajectory's forward presence sweep, and each
-consumer here (observable series, snapshots, the cadlag check) walks that
-sweep once.  The topology of the marked state is probed operationally,
-through pairings with bounded observables of spatially compact support; the
-cadlag check verifies right-continuity and existence of left limits of those
-pairings at every jump time, at the resolution of the integrator grid.
+Every consumer here (observable series, snapshots, the cadlag check) reads
+who is present off the trajectory's phantom table with
+``Trajectory.present_at``.  The topology of the marked state is probed
+operationally, through pairings with bounded observables of spatially
+compact support; the cadlag check verifies right-continuity and existence of
+left limits of those pairings at every jump time, at the resolution of the
+integrator grid.
 """
 from __future__ import annotations
 
@@ -69,7 +70,7 @@ class MarkedTrajectory:
     Build it with ``combine``, which checks that the mark columns are the
     phantom ids in ascending order, so column k of a row is the mark of the
     particle in row k of the trajectory's phantom table: position
-    ``base.phantom_xy[k]``, entry k of each presence mask.
+    ``base.phantom_xy[k]``, entry k of each ``base.present_at`` mask.
     """
 
     base: Trajectory
@@ -82,14 +83,15 @@ class MarkedTrajectory:
     def observable_series(self, g: Observable) -> np.ndarray:
         """<g, state> at every grid time (right-continuous values).
 
-        One presence sweep walks the grid; each value sums over the present
-        points in ascending id order.
+        Each value sums over the points present in the support, in
+        ascending id order.
         """
         positions = self.base.phantom_xy
-        inside = g.support.contains_many(positions)
+        cols = np.flatnonzero(g.support.contains_many(positions))
+        present = self.base.present_at(self.grid[:, None])[:, cols]
         out = np.zeros(len(self.grid))
-        for j, present in enumerate(self.base.presence_masks(self.grid)):
-            ks = np.flatnonzero(present & inside)
+        for j, row in enumerate(present):
+            ks = cols[row]
             out[j] = g.pairing(positions[ks], self.marks.values[j, ks])
         return out
 
@@ -128,17 +130,16 @@ def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
     live on the integrator grid; ``eps_t`` caps how far right of the event the
     stability point may be taken.
 
-    The event log is time-sorted (``Trajectory`` rejects any other).  One
-    presence sweep visits, for each support event time t = grid[j], first
-    grid[j-1] and then t: the grid holds every event time, so the state is
-    constant on [grid[j-1], t) and the first visit gives gamma_{t-}, the
-    second gamma_t.
+    The event log is time-sorted (``Trajectory`` rejects any other).  For
+    each support event time t = grid[j], the state at grid[j-1] is gamma_{t-}
+    (the grid holds every event time, so the state is constant on
+    [grid[j-1], t)) and the state at t is gamma_t.
     """
     traj = mt.base
     grid = mt.grid
     values = mt.marks.values
     positions = traj.phantom_xy
-    inside = g.support.contains_many(positions)
+    cols = np.flatnonzero(g.support.contains_many(positions))
     event_times = [ev.time for ev in traj.events]
     support_events: dict[float, list] = {}
     for ev in traj.events:
@@ -156,15 +157,14 @@ def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
         return float(np.max(np.abs(values[j1, ks] - values[j0, ks])))
 
     index = [mt.marks.index_of(t) for t in times]
-    visits = [s for t, j in zip(times, index) for s in (grid[max(j - 1, 0)], t)]
-    masks = traj.presence_masks(visits)
+    lefts = traj.present_at(grid[[max(j - 1, 0) for j in index], None])[:, cols]
+    rights = traj.present_at(grid[index, None])[:, cols]
 
     violations: list[dict] = []
     max_modulus = 0.0
     checked = 0
-    for t, j in zip(times, index):
-        left = np.flatnonzero(next(masks) & inside)
-        right = np.flatnonzero(next(masks) & inside)
+    for t, j, left_row, right_row in zip(times, index, lefts, rights):
+        left, right = cols[left_row], cols[right_row]
         value = pairing(right, j)
         v_limit = pairing(left, j)
         # left side: grid points below the event inside the same constant
@@ -224,10 +224,10 @@ def write_marked_snapshots(path, mt: MarkedTrajectory, stride: int = 1) -> None:
                 for pid, pos in zip(mt.base.phantom_ids(), mt.base.phantom_xy.tolist())]
     # json.dumps writes a non-finite float as NaN or Infinity, not its repr
     fmt = repr if np.isfinite(mt.marks.values).all() else json.dumps
+    present = mt.base.present_at(mt.grid[::stride, None])
     with open(path, "w") as fh:
-        for j, present in zip(range(0, len(mt.grid), stride),
-                              mt.base.presence_masks(mt.grid[::stride])):
-            cols = np.flatnonzero(present)
+        for j, row in zip(range(0, len(mt.grid), stride), present):
+            cols = np.flatnonzero(row)
             points = "}, ".join(map(operator.add, map(prefixes.__getitem__, cols.tolist()),
                                     map(fmt, mt.marks.values[j, cols].tolist())))
             fh.write(f'{{"t": {float(mt.grid[j])!r}, "points": ['

@@ -156,6 +156,12 @@ def gronwall_series_constant(alpha: float, beta: float, q: float, bound_l: float
             raise RuntimeError("series truncation did not trigger; check parameters")
 
 
+def _k_t_times(k_t: float, weighted_sum: float) -> float:
+    """A growth bound, K_T times a weighted sum over the points.  A sum over
+    no points is 0.0, and so is the bound, also where K_T is inf."""
+    return k_t * weighted_sum if weighted_sum else 0.0
+
+
 # -- generalized Gronwall inequality check ------------------------------------------
 
 
@@ -190,7 +196,7 @@ def _extremal_solution(row: np.ndarray, src: np.ndarray, dst: np.ndarray,
         return row * (v + np.bincount(src, weights=v[dst], minlength=n))
 
     # C >= 0, so its row sums C 1 give ||C||_inf
-    steps = max(1, math.ceil(horizon * float(np.max(apply(np.ones(n))))))
+    steps = max(1, math.ceil(horizon * float(np.max(apply(np.ones(n)), initial=0.0))))
     h = horizon / steps
     rho = b_vec
     sweeps = 0
@@ -200,7 +206,7 @@ def _extremal_solution(row: np.ndarray, src: np.ndarray, dst: np.ndarray,
             term = h * apply(term) / j
             rho = rho + term
             # written so that a NaN (from overflow) also ends the series
-            if not term.max() > sys.float_info.epsilon * rho.max():
+            if not term.max(initial=0.0) > sys.float_info.epsilon * rho.max(initial=0.0):
                 break
         sweeps = max(sweeps, j)
     return rho, steps, sweeps
@@ -229,8 +235,6 @@ def check_gronwall_inequality(window: Window, positions: np.ndarray, coupling_b:
         raise ValueError("beta must exceed alpha")
     if not coupling_b >= 0:
         raise ValueError("coupling_b must be nonnegative")
-    if len(positions) == 0:
-        raise ValueError("empty configuration")
     b_arr = np.asarray(b_vec, dtype=float)
     if b_arr.shape != (len(positions),) or not np.all(b_arr >= 0):
         raise ValueError("b_vec must be nonnegative and match the configuration")
@@ -244,7 +248,7 @@ def check_gronwall_inequality(window: Window, positions: np.ndarray, coupling_b:
                                             b_arr, horizon)
 
     measured = float(np.sum(np.exp(-beta * radii) * rho))
-    bound = k_t.value * float(np.sum(np.exp(-alpha * radii) * b_arr))
+    bound = _k_t_times(k_t.value, float(np.sum(np.exp(-alpha * radii) * b_arr)))
     return GronwallReport(
         passed=measured <= bound * (1 + 1e-9),
         bound_value=bound,
@@ -316,7 +320,7 @@ def check_moment_growth(paths: Sequence[MarkPath], traj, coeffs: CoefficientSet,
     grid = paths[0].grid
     p = params.p
 
-    alive = np.array([present.copy() for present in traj.presence_masks(grid)])
+    alive = traj.present_at(grid[:, None])
 
     w_beta = np.exp(-params.beta * radii)
     w_alpha = np.exp(-params.alpha * radii)
@@ -344,7 +348,7 @@ def check_moment_growth(paths: Sequence[MarkPath], traj, coeffs: CoefficientSet,
                                params.alpha_sup)
         k_t = gronwall_series_constant(params.alpha, params.beta, params.q,
                                        l_value, traj.horizon, 1e-12)
-        return c * k_t.value * base
+        return _k_t_times(c * k_t.value, base)
 
     bound = bound_for(c1)
     # smallest prefactor that still dominates the measurement (diagnostic)

@@ -536,13 +536,11 @@ def frozen_mark_deviation(path: MarkPath, traj: Trajectory) -> float:
     """
     if path.ids != traj.phantom_ids():
         raise ValueError("mark path columns are not the trajectory's phantom ids")
-    worst = 0.0
     grid = path.grid
-    for k, (birth, death) in enumerate(zip(traj.births.tolist(), traj.deaths.tolist())):
-        absent = ((grid[:-1] < birth) & (grid[1:] <= birth)) | (grid[:-1] >= death)
-        steps = np.abs(np.diff(path.values[:, k], axis=0))
-        worst = max(worst, float(steps[absent].max(initial=0.0)))
-    return worst
+    # step j is absent when its particle is born at or after its end, or
+    # died at or before its start
+    absent = (grid[1:, None] <= traj.births) | (grid[:-1, None] >= traj.deaths)
+    return float(np.abs(np.diff(path.values, axis=0))[absent].max(initial=0.0))
 
 
 # -- verification studies ---------------------------------------------------------

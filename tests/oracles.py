@@ -7,7 +7,7 @@ own pieces: ``ovsjannikov_bound_constant`` computes its L with the same
 ``moments`` reports, and ``strong_order_study`` solves with
 ``integrate_marks_ensemble`` on noise aggregated from the finest lattice,
 passed in through ``explicit_noise``.  The accessors at the top
-(``phantom_positions``, ``config_at`` and the left limit of ``present_ids``,
+(``phantom_positions``, ``config_at`` and ``present_ids``, a log replay,
 ``position_of``, ``count_in``, ``radial_norm``, ``radial_norms``,
 ``box_volume``) are what the tests read of the library objects beyond what
 the library itself needs.  The artifact writers
@@ -87,18 +87,30 @@ def phantom_positions(traj: Trajectory) -> dict[int, tuple[float, ...]]:
 
 def present_ids(traj: Trajectory, t: float, side: str = "right") -> list[int]:
     """Ids of gamma_t (side='right', as ``Trajectory.present_ids``) or of the
-    left limit gamma_{t-} (side='left'), which is gamma_0 at t = 0."""
+    left limit gamma_{t-} (side='left'), which is gamma_0 at t = 0.
+
+    A replay of the event log from gamma0, not a reading of the phantom
+    table: gamma_t applies every event at a time <= t in log order,
+    gamma_{t-} every event before t.
+    """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    right = traj.present_ids(t)  # also rejects a t outside [0, T]
-    if side == "right" or t == 0.0:
-        return right
-    return sorted(pid for pid, (birth, death) in traj.presence.items()
-                  if birth < t and (death is None or t <= death))
+    if not 0.0 <= t <= traj.horizon:
+        raise ValueError(f"time {t} outside [0, {traj.horizon}]")
+    left = side == "left" and t > 0.0
+    present = set(traj.gamma0.ids())
+    for ev in traj.events:
+        if ev.time > t or left and ev.time == t:
+            break
+        if ev.kind == "birth":
+            present.add(ev.id)
+        else:
+            present.remove(ev.id)
+    return sorted(present)
 
 
 def config_at(traj: Trajectory, t: float, side: str = "right") -> Configuration:
-    """The configuration gamma_t or gamma_{t-}, rebuilt from ``traj.presence``."""
+    """The configuration gamma_t or gamma_{t-}, rebuilt from the event log."""
     positions = phantom_positions(traj)
     return Configuration(traj.window, [(pid, positions[pid])
                                        for pid in present_ids(traj, t, side)])

@@ -345,9 +345,9 @@ def counting_identity_path(case):
 
 def death_moved_to_horizon(traj):
     """The path with its first death before T/2 moved to T in the event log.
-    The presence sweep and ``presence`` (read by ``config_at``) both follow
-    the log: the point then outlives its survival mark at the checks in
-    [t, T)."""
+    The phantom table's lifetimes (read by ``present_at``) and ``config_at``'s
+    log replay both follow the log: the point then outlives its survival
+    mark at the checks in [t, T)."""
     ev = next(ev for ev in traj.events if ev.kind == "death" and ev.time < traj.horizon / 2)
     events = [e for e in traj.events if e is not ev]
     events.append(Event(traj.horizon, "death", ev.id, ev.position))
@@ -630,8 +630,7 @@ class TestPhantomTable:
         assert all(type(t) is float and type(k) is int and type(birth) is bool
                    for t, k, birth in traj.column_log)
         for t in [0.0] + [ev.time for ev in traj.events] + [traj.horizon]:
-            present = (traj.births <= t) & (t < traj.deaths)
-            assert [ids[k] for k in np.flatnonzero(present)] == traj.present_ids(t), t
+            assert traj.present_ids(t) == present_ids(traj, t), t
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_glauber_run(self, seed):
@@ -666,21 +665,26 @@ class TestPhantomTable:
 
 
 class TestPresenceSweep:
+    """``present_at`` against the log replay of ``oracles.present_ids``."""
+
     @staticmethod
-    def assert_sweep_matches(traj, times):
+    def assert_masks_match(traj, times):
         ids = traj.phantom_ids()
-        for t, mask in zip(times, traj.presence_masks(times)):
-            assert [pid for pid, on in zip(ids, mask) if on] == traj.present_ids(t), t
+        masks = traj.present_at(np.asarray(times)[:, None])
+        assert masks.shape == (len(times), len(ids))
+        for t, mask in zip(times, masks):
+            assert traj.present_at(t).tolist() == mask.tolist(), t
+            assert [pid for pid, on in zip(ids, mask) if on] == present_ids(traj, t), t
 
     @staticmethod
     def assert_left_limits_match(traj, dt=1 / 64):
-        # the grid holds every event time, so the sweep state at the grid
-        # point just before an event time t is gamma_{t-}
+        # the grid holds every event time, so the state at the grid point
+        # just before an event time t is gamma_{t-}
         grid = build_time_grid(traj.horizon, dt, [ev.time for ev in traj.events])
         times = sorted({ev.time for ev in traj.events})
         before = [float(grid[int(np.searchsorted(grid, t)) - 1]) for t in times]
         ids = traj.phantom_ids()
-        for t, mask in zip(times, traj.presence_masks(before)):
+        for t, mask in zip(times, traj.present_at(np.array(before)[:, None])):
             assert [pid for pid, on in zip(ids, mask) if on] == present_ids(traj, t, "left"), t
 
     @staticmethod
@@ -694,12 +698,12 @@ class TestPresenceSweep:
         traj = glauber_run(seed, m=1.0, z=2.0, T=1.5)
         times = self.grid_and_segment_starts(traj)
         assert times[0] == 0.0 and times[-1] == traj.horizon
-        self.assert_sweep_matches(traj, times)
+        self.assert_masks_match(traj, times)
         self.assert_left_limits_match(traj)
 
     def test_restricted_trajectory(self):
         traj = glauber_run(seed=31, m=1.0, T=2.0, z=2.0).restrict(1.0)
-        self.assert_sweep_matches(traj, self.grid_and_segment_starts(traj))
+        self.assert_masks_match(traj, self.grid_and_segment_starts(traj))
         self.assert_left_limits_match(traj)
 
     def test_repeated_times_and_pure_death(self):
@@ -707,22 +711,27 @@ class TestPresenceSweep:
         gamma0 = poisson_configuration(window, 2.0, seed=4)
         traj = simulate(gamma0, ConstantBirthKernel(0.0), 2.0, 1.0, seed=4)
         times = sorted([0.0, 0.0, 1.0, 1.0] + [ev.time for ev in traj.events] * 2)
-        self.assert_sweep_matches(traj, times)
+        self.assert_masks_match(traj, times)
         self.assert_left_limits_match(traj)
 
     def test_birth_and_death_at_the_same_time(self):
         traj = same_time_trajectory()
         times = [0.0, 0.25, 0.4, 0.5, 0.5, 0.6, 0.75, 0.9, 1.0]
-        self.assert_sweep_matches(traj, times)
-        masks = [mask.copy() for mask in traj.presence_masks([0.5, 0.75])]
-        assert masks[0].tolist() == [False, True, True, True, False]
-        assert masks[1].tolist() == [False, True, True, True, False]
+        self.assert_masks_match(traj, times)
+        assert traj.present_at(0.5).tolist() == [False, True, True, True, False]
+        assert traj.present_at(0.75).tolist() == [False, True, True, True, False]
         self.assert_left_limits_match(traj)
         self.assert_left_limits_match(traj, dt=0.25)
 
-    def test_decreasing_times_rejected(self):
+    def test_empty_phantom(self):
+        window = Window(3.0, 2, "periodic")
+        traj = simulate(Configuration(window, []), ConstantBirthKernel(0.0), 1.0, 1.0, seed=0)
+        assert traj.present_at(np.array([0.0, 0.5, 1.0])[:, None]).shape == (3, 0)
+        assert traj.present_ids(0.5) == []
+
+    def test_present_ids_rejects_a_time_outside_the_horizon(self):
         traj = glauber_run(seed=2)
-        with pytest.raises(ValueError, match="non-decreasing"):
-            list(traj.presence_masks([0.5, 0.25]))
         with pytest.raises(ValueError, match="outside"):
-            list(traj.presence_masks([traj.horizon + 0.5]))
+            traj.present_ids(traj.horizon + 0.5)
+        with pytest.raises(ValueError, match="outside"):
+            traj.present_ids(-0.5)

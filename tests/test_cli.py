@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bdspin.birth_death import simulate
-from bdspin.cli import _load_run_dir, load_config, main
+from bdspin.cli import SUITES, _load_run_dir, load_config, main
 from test_golden_artifacts import OPEN_CONFIG
 
 
@@ -286,6 +286,28 @@ class TestVerify:
         assert rep["passed"]
         assert rep["bound_value"] >= rep["measured_value"]
 
+    @pytest.mark.parametrize("overrides", [
+        {"kernel": {"variant": "constant", "z": 0.0},
+         "initial_configuration": {"kind": "poisson", "intensity": 0.0}},
+        {"kernel": OPEN_CONFIG["kernel"],
+         "initial_configuration": {"kind": "explicit", "points": []}},
+    ], ids=["constant_z0_intensity0", "establishment_empty_gamma0"])
+    def test_every_suite_passes_on_an_empty_phantom(self, tmp_path, overrides):
+        # the growth bounds are K_T times a sum over no points: 0.0, not
+        # inf * 0.0 = NaN, and gronwall takes a configuration with no points
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "rep"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--suite", ",".join(SUITES)]) == 0
+        for suite in SUITES:
+            constants = []
+            rep = json.loads((out / f"{suite}_report.json").read_text(),
+                             parse_constant=constants.append)
+            assert rep["passed"] and "NaN" not in constants, suite
+        for suite in ("gronwall", "moments"):
+            rep = json.loads((out / f"{suite}_report.json").read_text())
+            assert rep["measured_value"] == rep["bound_value"] == rep["slack"] == 0.0, suite
+
     def test_gronwall_constant_near_double_max_is_finite(self, tmp_path):
         # README config, side 6, T 1, seed 301: L = 32.31 and K_T = 1.70e308,
         # a representable double whose log exceeds 709
@@ -409,6 +431,30 @@ class TestEmitPlotdata:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "observables" in err
         assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("specs, message", [
+        ([{"lo": ["a", 0]}], "observables[0].box.lo: expected numbers, got ['a', 0]"),
+        ([{"lo": [True, 0]}], "observables[0].box.lo: expected numbers, got [True, 0]"),
+        ([{}, {"hi": [1, math.nan]}], "observables[1].box: NaN coordinate"),
+        ([{"lo": [0, 0, 0], "hi": [1, 1, 1]}], "observables[0].box: 3-d, the run is 2-d"),
+        ([{"name": "../x"}], "observables[0].name: '../x' is not a plain file name"),
+        ([{}, {}], "observables[1].name: 'a' would overwrite a.csv of observables[0]"),
+    ], ids=["string_coordinate", "bool_coordinate", "nan_coordinate", "box_of_another_dim",
+            "name_with_a_path", "name_twice"])
+    def test_bad_observable_spec_exit_2_before_output(self, tmp_path, capsys, specs, message):
+        cfg = write_config(tmp_path, horizon=0.125)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        obs = self.make_observables(tmp_path, [
+            {"name": spec.pop("name", "a"), "kind": "count",
+             "box": {"lo": spec.pop("lo", [0, 0]), "hi": spec.pop("hi", [1, 1])}}
+            for spec in specs])
+        code = main(["emit-plotdata", "--artifacts", str(out),
+                     "--observables", str(obs), "--out", str(tmp_path / "p")])
+        assert code == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
+        assert not (tmp_path / "p").exists() and not (tmp_path / "x.csv").exists()
 
     def test_missing_artifacts_exit_2(self, tmp_path):
         obs = self.make_observables(tmp_path, [

@@ -41,7 +41,7 @@ def point_value(g, pos, mark):
 def cadlag_reference(mt, g, eps_t, atol=1e-9, left_points=4):
     """The cadlag check with every state rebuilt by ``config_at``: gamma_t and
     gamma_{t-} at each support event, and the state at each left grid point.
-    An oracle for the presence sweep in ``cadlag_check``."""
+    An oracle for the ``present_at`` masks in ``cadlag_check``."""
     traj, grid, values = mt.base, mt.grid, mt.marks.values
     col = {pid: k for k, pid in enumerate(mt.marks.ids)}
     support_events = [ev for ev in traj.events if g.support.contains(ev.position)]

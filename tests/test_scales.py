@@ -41,6 +41,7 @@ from oracles import (
     ovsjannikov_bound_constant,
     phantom_positions,
     position_of,
+    present_ids,
     radial_norm,
     radial_norms,
     weighted_lp_norm,
@@ -502,7 +503,8 @@ def reference_moment_growth(paths, traj, coeffs, params, c1, c2, series_tol=1e-1
     radii = radial_norms(phantom)
     grid = paths[0].grid
     p = params.p
-    alive = np.array([present.copy() for present in traj.presence_masks(grid)])
+    ids = traj.phantom_ids()
+    alive = np.array([np.isin(ids, present_ids(traj, float(t))) for t in grid])
     w_beta = np.exp(-params.beta * radii)
     w_alpha = np.exp(-params.alpha * radii)
     lhs_sum = np.zeros(len(grid))
