@@ -192,12 +192,12 @@ class GlauberBirthKernel(BirthKernel):
 
 
 @dataclass(frozen=True)
-class FecundityBirthKernel(BirthKernel):
-    """Density dependent fecundity rate.
+class DensityBirthKernel(BirthKernel):
+    """A rate built from the radial potentials a, c and phi.
 
-    b(x, gamma) = sum_y a(x-y) (1 + sum_{z != y} c(z-y)) exp(-sum_{z != y} phi(z-y)),
-    sums over gamma.  The uniform bound cannot be derived from the kernels
-    alone and must be declared; it is enforced at every evaluation.
+    The uniform bound cannot be derived from the kernels alone and must be
+    declared as ``bound``; it is enforced at every evaluation.  Each subclass
+    names its ``variant`` and gives its ``rate``.
     """
 
     a: RadialPotential
@@ -212,6 +212,25 @@ class FecundityBirthKernel(BirthKernel):
     @property
     def interaction_range(self) -> float:
         return max(self.a.range, self.c.range, self.phi.range)
+
+    def descriptor(self) -> dict:
+        return {
+            "variant": self.variant,
+            "a": self.a.descriptor(),
+            "c": self.c.descriptor(),
+            "phi": self.phi.descriptor(),
+            "b_max": self.bound,
+        }
+
+
+class FecundityBirthKernel(DensityBirthKernel):
+    """Density dependent fecundity rate.
+
+    b(x, gamma) = sum_y a(x-y) (1 + sum_{z != y} c(z-y)) exp(-sum_{z != y} phi(z-y)),
+    sums over gamma.
+    """
+
+    variant = "fecundity"
 
     def rate(self, row, near):
         total = 0.0
@@ -227,36 +246,15 @@ class FecundityBirthKernel(BirthKernel):
             total += a_val * (1.0 + c_sum) * math.exp(-phi_sum)
         return total
 
-    def descriptor(self) -> dict:
-        return {
-            "variant": "fecundity",
-            "a": self.a.descriptor(),
-            "c": self.c.descriptor(),
-            "phi": self.phi.descriptor(),
-            "b_max": self.bound,
-        }
 
-
-@dataclass(frozen=True)
-class EstablishmentBirthKernel(BirthKernel):
+class EstablishmentBirthKernel(DensityBirthKernel):
     """Density dependent establishment rate.
 
     b(x, gamma) = (sum_y a(x-y)) (1 + sum_z c(x-z)) exp(-sum_z phi(x-z)),
     all sums over gamma, centered at the candidate position.
     """
 
-    a: RadialPotential
-    c: RadialPotential
-    phi: RadialPotential
-    bound: float
-
-    @property
-    def b_max(self) -> float:
-        return self.bound
-
-    @property
-    def interaction_range(self) -> float:
-        return max(self.a.range, self.c.range, self.phi.range)
+    variant = "establishment"
 
     def rate(self, row, near):
         dist = near(row)[1]
@@ -268,15 +266,6 @@ class EstablishmentBirthKernel(BirthKernel):
         c_sum = float(np.sum(self.c(dist[dist <= self.c.range])))
         phi_sum = float(np.sum(self.phi(dist[dist <= self.phi.range])))
         return a_sum * (1.0 + c_sum) * math.exp(-phi_sum)
-
-    def descriptor(self) -> dict:
-        return {
-            "variant": "establishment",
-            "a": self.a.descriptor(),
-            "c": self.c.descriptor(),
-            "phi": self.phi.descriptor(),
-            "b_max": self.bound,
-        }
 
 
 def kernel_from_descriptor(desc: dict) -> BirthKernel:
@@ -333,14 +322,13 @@ class Trajectory:
     maps each id to (birth_time, death_time); death_time is None for points
     alive at the horizon.  A point is present on [birth, death): the path is
     right-continuous, deaths and births take effect at their own time.
-    The phantom is everything that ever lived.  A log with a
-    death of an id that is not present, a birth of an id already in the
-    phantom, a birth position of another dimension than the window's, or an
-    event earlier than the one before it is rejected with a ValueError.
-    The pass also derives the phantom table, whose row k, the mark column k
-    of every solve, is the k-th smallest id: ``phantom_xy`` (wrapped),
-    ``births``, ``deaths`` (inf for a survivor), ``in_gamma0`` and the log as
-    ``column_log`` tuples ``(time, row, is_birth)`` of Python values.
+    The phantom is everything that ever lived.  A log with an event time
+    outside [0, T], a death of an id that is not present, a birth of an id
+    already in the phantom, a birth position of another dimension than the
+    window's, or an event earlier than the one before it is rejected with a
+    ValueError.  The pass also derives the phantom table, whose row k, the
+    mark column k of every solve, is the k-th smallest id: ``phantom_xy``
+    (wrapped), ``births`` and ``deaths`` (inf for a survivor).
     """
 
     window: Window
@@ -356,8 +344,6 @@ class Trajectory:
     phantom_xy: np.ndarray = field(init=False, repr=False, compare=False)
     births: np.ndarray = field(init=False, repr=False, compare=False)
     deaths: np.ndarray = field(init=False, repr=False, compare=False)
-    in_gamma0: np.ndarray = field(init=False, repr=False, compare=False)
-    column_log: list[tuple[float, int, bool]] = field(init=False, repr=False, compare=False)
     _ids: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -366,6 +352,9 @@ class Trajectory:
         positions = {pid: tuple(map(float, pos)) for pid, pos in self.gamma0.items()}
         last = -math.inf
         for ev in self.events:
+            if not 0.0 <= ev.time <= self.horizon:
+                raise ValueError(f"event log: {ev.kind} of id {ev.id} at t={ev.time} lies "
+                                 f"outside [0, T] for the horizon T={self.horizon}")
             if ev.time < last:
                 raise ValueError(f"event log: {ev.kind} of id {ev.id} at t={ev.time} comes "
                                  f"after an event at t={last} (the log must be time-ordered)")
@@ -383,15 +372,11 @@ class Trajectory:
         self.presence = presence
 
         self._ids = ids = sorted(presence)
-        row = {pid: k for k, pid in enumerate(ids)}
         self.phantom_xy = self.window.wrap(
             np.array([positions[pid] for pid in ids], dtype=float).reshape(len(ids), dim))
         self.births = np.array([presence[pid][0] for pid in ids], dtype=float)
         self.deaths = np.array([math.inf if presence[pid][1] is None else presence[pid][1]
                                 for pid in ids], dtype=float)
-        self.in_gamma0 = np.zeros(len(ids), dtype=bool)
-        self.in_gamma0[[row[pid] for pid in self.gamma0.ids()]] = True
-        self.column_log = [(ev.time, row[ev.id], ev.kind == "birth") for ev in self.events]
 
     def phantom_ids(self) -> list[int]:
         """The phantom ids in ascending order: row k of the phantom table."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import json
 import math
 import os
@@ -98,10 +99,19 @@ def _nonnegative(value, name):
     return float(value)
 
 
+def _finite(value, name):
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name}: must be a finite number")
+    return float(value)
+
+
 def _numbers(values: list, name: str) -> list:
-    """``values`` if each is a number (a JSON true is a bool, not a number)."""
+    """``values`` if each is a number (a JSON true is a bool, not a number)
+    and none is NaN, which JSON reads too."""
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         raise ConfigError(f"{name}: expected numbers, got {values!r}")
+    if any(map(math.isnan, values)):
+        raise ConfigError(f"{name}: NaN is not a number, got {values!r}")
     return values
 
 
@@ -136,10 +146,12 @@ class RunConfig:
 def _build_init_marks(spec: dict, window: Window) -> InitialMarkPolicy:
     kind = _get(spec, "kind", "initial_marks.", str)
     if kind == "constant":
-        value = _get(spec, "value", "initial_marks.", (int, float))
-        return InitialMarkPolicy.constant(float(value))
+        value = _finite(_get(spec, "value", "initial_marks.", (int, float)),
+                        "initial_marks.value")
+        return InitialMarkPolicy.constant(value)
     if kind == "radial_gaussian":
-        amp = float(_get(spec, "amplitude", "initial_marks.", (int, float)))
+        amp = _finite(_get(spec, "amplitude", "initial_marks.", (int, float)),
+                      "initial_marks.amplitude")
         width = _positive(_get(spec, "width", "initial_marks.", (int, float)),
                           "initial_marks.width")
         center = np.asarray(window.box.hi) / 2.0
@@ -535,8 +547,6 @@ def _observable_from_spec(spec: dict, i: int) -> Observable:
     bspec = _get(spec, "box", f"observables[{i}].", dict)
     lo, hi = (_numbers(_get(bspec, key, f"observables[{i}].box.", list),
                        f"observables[{i}].box.{key}") for key in ("lo", "hi"))
-    if any(map(math.isnan, lo + hi)):  # a JSON NaN: a box that holds no point
-        raise ConfigError(f"observables[{i}].box: NaN coordinate")
     try:
         box = Box(tuple(lo), tuple(hi))
     except ValueError as exc:
@@ -598,11 +608,9 @@ def cmd_emit_plotdata(args) -> int:
         return 0
 
     # each replica's grid refines the shared dt lattice with its own event
-    # times; aggregation happens on the lattice common to all replicas
-    shared = set(float(t) for t in runs[0].grid)
-    for mt in runs[1:]:
-        shared &= set(float(t) for t in mt.grid)
-    shared_grid = np.array(sorted(shared))
+    # times; aggregation happens on the times common to all replicas
+    shared_grid = functools.reduce(np.intersect1d, [mt.grid for mt in runs])
+    shared_rows = [np.searchsorted(mt.grid, shared_grid) for mt in runs]
     for g in observables:
         rows = [mt.observable_series(g) for mt in runs]
         with open(out / f"{g.name}.csv", "w", newline="") as fh:
@@ -611,10 +619,7 @@ def cmd_emit_plotdata(args) -> int:
             for r, (mt, row) in enumerate(zip(runs, rows)):
                 for t, v in zip(mt.grid, row):
                     writer.writerow([r, repr(float(t)), g.name, repr(float(v))])
-        shared_vals = np.stack([
-            row[[mt.marks.index_of(float(t)) for t in shared_grid]]
-            for mt, row in zip(runs, rows)
-        ])
+        shared_vals = np.stack([row[at] for row, at in zip(rows, shared_rows)])
         mean = shared_vals.mean(axis=0)
         stderr = (shared_vals.std(axis=0, ddof=1) / math.sqrt(len(runs))
                   if len(runs) > 1 else np.zeros_like(mean))

@@ -14,14 +14,13 @@ each step.  Wiener increments for particle k at step j are a pure function of
 (seed, k, j), which makes solves pathwise comparable across volume cutoffs,
 horizons and replicas.
 
-A solve walks the grid once and the event log alongside it.  The in-radius
-pairs of the phantom configuration are found once
-(``geometry.neighbor_pairs``).  The configuration changes by one birth or
-death at a time, and an event changes only the edges of its particle: the
-walk applies each event where the grid reaches its time, re-evaluates that
-particle's edges and gathers the active set and the alive edges again only
-after a step that applied an event.  Each particle's keyed stream is drawn
-up to its death step and stored only over its lifetime; marks frozen by a
+A solve walks the grid once.  The in-radius pairs of the phantom
+configuration are found once (``geometry.neighbor_pairs``).  Particle k
+enters at the grid step of ``births[k]`` and leaves at that of ``deaths[k]``
+(the trajectory's phantom table), and its change re-evaluates only its own
+edges: the walk gathers the active set and the alive edges again only after
+a step that applied a change.  Each particle's keyed stream is drawn up to
+its death step and stored only over its lifetime; marks frozen by a
 volume cutoff draw nothing.  The streams' keys come from one vectorised
 pass per seed (``rng.keyed_streams``).  The mark array stays dense
 (grid x phantom).
@@ -32,7 +31,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -349,8 +348,8 @@ def read_mark_path_csv(path) -> MarkPath:
 # -- grid and segment machinery -------------------------------------------------
 
 
-def build_time_grid(horizon: float, dt: float, event_times: Iterable[float]) -> np.ndarray:
-    """Uniform dt-lattice refined with every event time; starts 0, ends T.
+def build_time_grid(horizon: float, dt: float, event_times: Sequence[float]) -> np.ndarray:
+    """Uniform dt-lattice refined with every event time in (0, T]; starts 0, ends T.
 
     Restricting to a shorter horizon T1 that lies on the grid yields exactly
     the prefix of this grid, which is what makes horizon projections exact.
@@ -359,17 +358,15 @@ def build_time_grid(horizon: float, dt: float, event_times: Iterable[float]) -> 
     base = dt * np.arange(n + 1)
     if base[-1] > horizon:
         base = base[:-1]
-    pieces = [base, np.asarray([0.0, horizon])]
-    ev = np.asarray([t for t in event_times if 0.0 < t <= horizon])
-    if ev.size:
-        pieces.append(ev)
-    return np.unique(np.concatenate(pieces))
+    ev = np.asarray(event_times, dtype=float)
+    ev = ev[(0.0 < ev) & (ev <= horizon)]
+    return np.unique(np.concatenate((base, [0.0, horizon], ev)))
 
 
 def integration_grid(traj: Trajectory, dt: float) -> np.ndarray:
     """The grid ``integrate_marks`` solves ``traj`` on: the dt-lattice over
-    [0, T] refined with every event time."""
-    return build_time_grid(traj.horizon, dt, [ev.time for ev in traj.events])
+    [0, T] refined with every birth and death time of the phantom table."""
+    return build_time_grid(traj.horizon, dt, np.concatenate((traj.births, traj.deaths)))
 
 
 def _keyed_slices(seeds: Sequence[int], ids: Sequence[int], first: np.ndarray,
@@ -407,10 +404,11 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
     if frozen_box is not None:
         frozen_mask = ~frozen_box.contains_many(traj.phantom_xy)
 
-    # Noise of particle k at step j is flat[base[k] + j].  Keyed streams are
-    # stored only for the steps on which k moves: present and not frozen.
+    # Particle k is present on steps [first[k], ends[k]).  Its noise at step
+    # j is flat[base[k] + j], stored only for the steps on which k moves.
     first = np.searchsorted(grid[:-1], traj.births, "left")
-    stop = np.where(frozen_mask, first, np.searchsorted(grid[:-1], traj.deaths, "left"))
+    ends = np.searchsorted(grid[:-1], traj.deaths, "left")
+    stop = np.where(frozen_mask, first, ends)
     ensemble = n_replicas is not None
     seeds = [rng.replica_seed(seed, r) for r in range(n_replicas)] if ensemble else [seed]
     flat = _keyed_slices(seeds, ids, first, stop)
@@ -423,42 +421,45 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
     values = np.empty(shape)
     values[0] = z0 if not ensemble else z0[:, None]
 
-    # The solve walks the event log alongside the grid: step j first applies
-    # every event with time <= grid[j] (all event times lie on the grid; one
-    # at T is never applied).  Edge e (sorted by src, dst) is alive while
-    # src[e] moves and dst[e] is present, and an event changes only the edges
-    # with its particle k as an end, ``incident[incident_ptr[k]:
-    # incident_ptr[k + 1]]``.  Only after a step that applied an event are
-    # the active set and the alive edges gathered again; ``act`` ascends and
+    # Step j first applies its changes, ``changes[change_ptr[j]:
+    # change_ptr[j + 1]]``: index c < n_ids is row c entering, c >= n_ids is
+    # row c - n_ids leaving, and the stable sort applies an entry before a
+    # leave at one step.  Edge e (sorted by src, dst) is alive while src[e]
+    # moves and dst[e] is present, and a change of row k changes only the
+    # edges with k as an end, ``incident[incident_ptr[k]:incident_ptr[k +
+    # 1]]``.  Only after a step that applied a change (and at step 0) are the
+    # active set and the alive edges gathered again; ``act`` ascends and
     # ``live`` keeps (src, dst) order, so ``np.add.at`` adds each particle's
     # pair terms in one fixed order.
-    log = traj.column_log
-    ends = np.concatenate((src, dst))
-    by_end = np.argsort(ends, kind="stable")
+    change_steps = np.concatenate((first, ends))
+    changes = np.argsort(change_steps, kind="stable")
+    change_ptr = np.searchsorted(change_steps[changes], np.arange(n_steps + 1)).tolist()
+    changes = changes.tolist()
+    edge_ends = np.concatenate((src, dst))
+    by_end = np.argsort(edge_ends, kind="stable")
     incident = np.concatenate((np.arange(len(src)),) * 2)[by_end]
-    incident_ptr = np.searchsorted(ends[by_end], np.arange(n_ids + 1)).tolist()
-    present = traj.in_gamma0.copy()
-    act_mask = present & ~frozen_mask
-    alive = act_mask[src] & present[dst]
+    incident_ptr = np.searchsorted(edge_ends[by_end], np.arange(n_ids + 1)).tolist()
+    present, act_mask = np.zeros((2, n_ids), dtype=bool)
+    alive = np.zeros(len(src), dtype=bool)
     moves = (~frozen_mask).tolist()
     local = np.zeros(n_ids, dtype=np.intp)
-    times = grid.tolist()
     widths = np.diff(grid)
     h_steps, sqrt_h = widths.tolist(), np.sqrt(widths).tolist()
     tamed = icfg.scheme == "tamed"
-    e, stale = 0, True
+    stale = True
 
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_steps):
             z = values[j]
             values[j + 1] = z
-            while e < len(log) and log[e][0] <= times[j]:
-                _, k, birth = log[e]
-                present[k] = birth
-                act_mask[k] = birth and moves[k]
+            for c in changes[change_ptr[j]:change_ptr[j + 1]]:
+                enter = c < n_ids
+                k = c if enter else c - n_ids
+                present[k] = enter
+                act_mask[k] = enter and moves[k]
                 touched = incident[incident_ptr[k]:incident_ptr[k + 1]]
                 alive[touched] = act_mask[src[touched]] & present[dst[touched]]
-                e, stale = e + 1, True
+                stale = True
             if stale:
                 act = act_mask.nonzero()[0]
                 live = alive.nonzero()[0]
@@ -487,7 +488,7 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
             if not np.isfinite(new).all():
                 bad = np.argwhere(~np.isfinite(new))[0]
                 pid = ids[int(act[bad[0]])]
-                t = times[j + 1]
+                t = float(grid[j + 1])
                 raise IntegrationBlowUpError(f"blow-up at (id={pid}, t={t})", id=pid, t=t)
             values[j + 1][act] = new
 
@@ -538,9 +539,13 @@ def frozen_mark_deviation(path: MarkPath, traj: Trajectory) -> float:
         raise ValueError("mark path columns are not the trajectory's phantom ids")
     grid = path.grid
     # step j is absent when its particle is born at or after its end, or
-    # died at or before its start
+    # died at or before its start; on every replica of an ensemble path
     absent = (grid[1:, None] <= traj.births) | (grid[:-1, None] >= traj.deaths)
-    return float(np.abs(np.diff(path.values, axis=0))[absent].max(initial=0.0))
+    change = np.diff(path.values, axis=0)
+    np.abs(change, out=change)
+    if change.ndim == 3:
+        absent = absent[:, :, None]
+    return float(change.max(where=absent, initial=0.0))
 
 
 # -- verification studies ---------------------------------------------------------

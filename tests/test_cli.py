@@ -115,12 +115,36 @@ class TestSimulate:
                            "diffusion": {"kind": "tanh", "params": [0.25]},
                            "radius": 1.0}},
          "coefficients.single.params: expected numbers"),
+        ({"kernel": {"variant": "glauber", "z": 2.0,
+                     "phi": {"name": "step", "params": [math.nan, 1.0]}}},
+         "kernel.phi.params: NaN is not a number"),
+        ({"kernel": {"variant": "establishment", "b_max": 40.0,
+                     "a": {"name": "step", "params": [1.0, math.nan]},
+                     "c": {"name": "step", "params": [0.1, 0.6]},
+                     "phi": {"name": "step", "params": [0.4, 0.5]}}},
+         "kernel.a.params: NaN is not a number"),
+        ({"coefficients": {"single": {"kind": "cubic", "params": [math.nan]},
+                           "pair": {"kind": "exchange", "params": [0.3]},
+                           "diffusion": {"kind": "tanh", "params": [0.25]},
+                           "radius": 1.0}},
+         "coefficients.single.params: NaN is not a number"),
+        ({"coefficients": {"single": {"kind": "cubic", "params": [0.4]},
+                           "pair": {"kind": "exchange", "params": [0.3]},
+                           "diffusion": {"kind": "tanh", "params": [math.nan]},
+                           "radius": 1.0}},
+         "coefficients.diffusion.params: NaN is not a number"),
+        ({"initial_marks": {"kind": "constant", "value": math.nan}},
+         "initial_marks.value: must be a finite number"),
+        ({"initial_marks": {"kind": "radial_gaussian", "amplitude": math.nan, "width": 1.0}},
+         "initial_marks.amplitude: must be a finite number"),
     ], ids=["negative_death_rate", "dim_0", "klein_boundary", "point_not_an_object",
             "duplicate_point_id", "point_wrong_dim", "point_outside_open_window",
             "point_id_fractional", "point_id_true",
             "seed_true", "horizon_true", "mark_stride_true", "kernel_z_string",
             "kernel_z_negative", "kernel_z_true", "kernel_phi_param_true",
-            "coefficient_param_true"])
+            "coefficient_param_true", "kernel_phi_param_nan", "kernel_a_param_nan",
+            "single_param_nan", "diffusion_param_nan", "initial_value_nan",
+            "initial_amplitude_nan"])
     def test_invalid_config_exit_2_names_field(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "o"
@@ -435,7 +459,8 @@ class TestEmitPlotdata:
     @pytest.mark.parametrize("specs, message", [
         ([{"lo": ["a", 0]}], "observables[0].box.lo: expected numbers, got ['a', 0]"),
         ([{"lo": [True, 0]}], "observables[0].box.lo: expected numbers, got [True, 0]"),
-        ([{}, {"hi": [1, math.nan]}], "observables[1].box: NaN coordinate"),
+        ([{}, {"hi": [1, math.nan]}],
+         "observables[1].box.hi: NaN is not a number, got [1, nan]"),
         ([{"lo": [0, 0, 0], "hi": [1, 1, 1]}], "observables[0].box: 3-d, the run is 2-d"),
         ([{"name": "../x"}], "observables[0].name: '../x' is not a plain file name"),
         ([{}, {}], "observables[1].name: 'a' would overwrite a.csv of observables[0]"),
@@ -561,6 +586,29 @@ class TestEmitPlotdata:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and f"corrupt run directory {out}" in err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("t", [math.nan, 5.0], ids=["nan", "after_horizon"])
+    def test_event_time_outside_horizon_exit_2_before_output(self, tmp_path, capsys, t):
+        cfg = write_config(tmp_path, horizon=1.0)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        header, *records = (out / "events.jsonl").read_text().splitlines()
+        last = json.loads(records[-1])
+        last["t"] = t  # json writes NaN, and reads it back
+        records[-1] = json.dumps(last)
+        (out / "events.jsonl").write_text("\n".join([header] + records) + "\n")
+        obs = self.make_observables(tmp_path, [
+            {"name": "x", "kind": "count", "box": {"lo": [0, 0], "hi": [1, 1]}},
+        ])
+        capsys.readouterr()
+        code = main(["emit-plotdata", "--artifacts", str(out),
+                     "--observables", str(obs), "--out", str(tmp_path / "p")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"corrupt run directory {out}: ")
+        assert (f"{last['kind']} of id {last['id']} at t={t} lies outside [0, T] "
+                "for the horizon T=1.0") in err[0]
         assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("key", ["window", "gamma0", "kernel", "m", "T", "seed"])

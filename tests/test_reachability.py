@@ -84,10 +84,3 @@ def test_only_birth_death_reads_the_id_keyed_phantom():
                for p in MODULES if p.stem != "birth_death"}
     assert {module: dict(reads) for module, reads in readers.items() if reads} == {}
 
-
-def test_only_the_solve_walks_the_event_log_by_row():
-    """``column_log`` is the log by phantom row.  ``Trajectory`` derives it and
-    the mark solve walks it, since each event there updates its row's edges;
-    every other reader asks ``Trajectory.present_at``."""
-    readers = {p.stem for p in MODULES if "column_log" in _names(ast.parse(p.read_text()))}
-    assert readers <= {"birth_death", "spin_sde"}

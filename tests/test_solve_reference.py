@@ -6,8 +6,9 @@ the positions from ``oracles.phantom_positions``, which rebuilds them from
 gamma0 and the birth events, not from the trajectory's phantom table.  It rebuilds each segment's active set and edge list from all
 phantom edges, finds the edges with a per-point ``neighbors_within`` loop and
 draws the keyed noise as one dense (steps x phantom) array, one SeedSequence
-per stream.  The library solve walks the event log itself, re-evaluates only
-the edges of the particle each event touches, derives the stream keys in one
+per stream.  The library solve applies each particle's entry and leave at
+the grid steps of its lifetime, re-evaluates only the edges of the particle
+each change touches, derives the stream keys in one
 vectorised pass and stores each keyed stream only over its particle's
 lifetime; both must give bit-identical paths, also on the edge cases of the
 walk (``TestEventWalkEdgeCases``).
@@ -255,7 +256,8 @@ def hand_traj(events, points=((1.0, 1.0), (1.6, 1.2), (2.0, 2.0), (3.0, 3.0)),
 
 class TestEventWalkEdgeCases:
     """Logs at the edges of the event walk: an event on a lattice time, at
-    T, none at all, no particle at all, and births and deaths at one time."""
+    0 or at T, none at all, no particle at all, and births and deaths at one
+    time."""
 
     icfg = IntegratorConfig(dt=0.125)
     coeffs = default_coeffs(rho=1.5, J=0.5, kappa=0.4)
@@ -281,6 +283,16 @@ class TestEventWalkEdgeCases:
         assert path.values[3, k] != INIT.value
         assert np.all(path.values[6:, k] == path.values[6, k])  # frozen from its death
         self.check(traj, n_replicas=2)
+
+    def test_gamma0_death_at_time_zero(self):
+        # row 1 enters and leaves at step 0 (first == ends == 0): it never
+        # moves, and its neighbor 0 never sees it
+        traj = hand_traj([Event(0.0, "death", 1, (1.6, 1.2)), Event(0.5, "birth", 4, (1.3, 1.5))])
+        path = self.check(traj)
+        assert len(path.grid) == 9
+        assert np.all(path.values[:, path.ids.index(1)] == INIT.value)
+        self.check(traj, n_replicas=2)
+        self.check(traj, box=Box((0.5, 0.5), (1.8, 1.8)))
 
     def test_events_at_horizon_are_never_applied(self):
         events = [Event(0.3, "birth", 4, (1.3, 1.5))]

@@ -204,6 +204,30 @@ class TestIntegration:
                                seed=seed)
         assert frozen_mark_deviation(path, traj) == 0.0
 
+    @pytest.mark.parametrize("n_replicas", [None, 3])
+    def test_frozen_mark_deviation_reports_a_nudged_absent_mark(self, n_replicas):
+        traj = make_glauber_traj(seed=2, m=2.0, z=3.0, T=1.5)
+        coeffs = default_coeffs()
+        icfg = IntegratorConfig(dt=1 / 32)
+        init = InitialMarkPolicy.constant(1.0)
+        if n_replicas is None:
+            path = integrate_marks(traj, coeffs, init, icfg, seed=2)
+            cell = ()
+        else:
+            path = integrate_marks_ensemble(traj, coeffs, init, icfg, 2, n_replicas)
+            cell = (1,)  # the middle replica
+        values, grid = path.values, path.grid
+        dead = int(np.flatnonzero(traj.deaths <= grid[-2])[0])  # absent on the last step
+        late = int(np.flatnonzero(traj.births >= grid[1])[0])  # absent on the first step
+        alive = int(np.flatnonzero(traj.deaths == math.inf)[0])  # present on the last step
+        values[(-1, dead) + cell] += 0.3
+        values[(0, late) + cell] -= 0.7
+        values[(-1, alive) + cell] += 10.0  # a present step: not a frozen mark
+        want = max(abs(float(values[(-1, dead) + cell]) - float(values[(-2, dead) + cell])),
+                   abs(float(values[(1, late) + cell]) - float(values[(0, late) + cell])))
+        assert 0.6 < want < 0.8
+        assert frozen_mark_deviation(path, traj) == want
+
     def test_one_step_matches_assembly(self):
         # a single drift-only EM step must equal the reference assembly ops
         traj = make_glauber_traj(seed=11, m=1.0, z=2.0, T=0.5)
