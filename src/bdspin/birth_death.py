@@ -18,7 +18,8 @@ sweep keeps a present mask over those rows, and a rate reads its row's slice
 of the pair list filtered by the mask.  An accepted candidate takes the next
 id in rank order, so among present points row order is id order.  A block's
 list holds only points that can meet within it, so its size follows the
-present density, not the horizon or the rejection rate.
+present density, not the horizon or the rejection rate.  Only deaths wait in
+a heap, keyed by (time, id); the candidates are already in time order.
 """
 from __future__ import annotations
 
@@ -445,18 +446,16 @@ def simulate(gamma0: Configuration, kernel: BirthKernel, death_rate: float,
     The sweep produces the event log; the trajectory derives presence and
     the phantom from it, and keeps the driving process and the initial
     lifetimes for replay audits.  Identical arguments give a bit-identical
-    event log.  Float-equal event times are ordered by scheduling sequence;
-    candidates see the strict left limit gamma_{s-}.
+    event log.  Candidates come in rank order, and before each one every
+    death strictly earlier than its time s is applied, in (time, id) order:
+    a candidate sees the strict left limit gamma_{s-}, and deaths at s come
+    after it.  Float-equal death times therefore come in id order.
     """
     if death_rate < 0:
         raise ValueError("death rate must be nonnegative")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     window = gamma0.window
-    for pid, pos in gamma0.items():
-        if not window.contains(pos):
-            raise ValueError(f"initial point {pid} outside the window")
-
     driving = sample_driving_process(window, horizon, kernel.b_max, seed)
     init_ids = gamma0.ids()
     gen = rng.keyed_generator(seed, rng.INITIAL_LIFETIMES)
@@ -476,58 +475,54 @@ def simulate(gamma0: Configuration, kernel: BirthKernel, death_rate: float,
     occupant = {tuple(pos): pid for pid, pos in zip(init_ids, points[:n0].tolist())}
     events: list[Event] = []
 
-    heap: list[tuple[float, int, str, object]] = []
-    for dp in driving:
-        heap.append((dp.s, dp.index, "candidate", dp))
-    seq = len(driving)
+    # pending deaths as (time, id, row); ids are unique, so rows never compare
+    pending: list[tuple[float, int, int]] = []
     if death_rate > 0:
         for row, pid in enumerate(init_ids):
             death_time = initial_lifetimes[pid] / death_rate
             if death_time <= horizon:
-                heap.append((death_time, seq, "death", (pid, row)))
-                seq += 1
-    heapq.heapify(heap)
+                pending.append((death_time, pid, row))
+    heapq.heapify(pending)
 
-    next_id = max(init_ids) + 1 if init_ids else 0
-    while heap:
-        t, _, kind, payload = heapq.heappop(heap)
-        if kind == "candidate":
-            dp = payload
-            row = n0 + dp.index
-            if row == block_end:
-                held = block_rows[present]
-                block_end = min(row + max(len(held), MIN_BLOCK), len(points))
-                block_rows = np.concatenate([held, np.arange(row, block_end)])
-                present = np.zeros(len(block_rows), dtype=bool)
-                present[:len(held)] = True
-                near = present_neighbors(window, points[block_rows],
-                                         kernel.interaction_range, present)
-            local = len(block_rows) - (block_end - row)
-            try:
-                b = kernel.evaluate(dp.x, local, near)
-            except BoundViolationError as exc:
-                exc.witness["t"] = t
-                raise
-            if dp.u <= b:
-                pid = next_id
-                next_id += 1
-                pos = tuple(points[row].tolist())
-                other = occupant.setdefault(pos, pid)
-                if other != pid:
-                    raise ValueError(f"points {other} and {pid} have identical positions")
-                present[local] = True
-                events.append(Event(t, "birth", pid, pos))
-                if death_rate > 0:
-                    death_time = t + dp.r / death_rate
-                    if death_time <= horizon:
-                        heapq.heappush(heap, (death_time, seq, "death", (pid, row)))
-                        seq += 1
-        else:
-            pid, row = payload
+    def die_before(s: float) -> None:
+        while pending and pending[0][0] < s:
+            t, pid, row = heapq.heappop(pending)
             pos = tuple(points[row].tolist())
             del occupant[pos]
             present[np.searchsorted(block_rows, row)] = False
             events.append(Event(t, "death", pid, pos))
+
+    next_id = max(init_ids) + 1 if init_ids else 0
+    for row, dp in enumerate(driving, n0):
+        die_before(dp.s)
+        if row == block_end:
+            held = block_rows[present]
+            block_end = min(row + max(len(held), MIN_BLOCK), len(points))
+            block_rows = np.concatenate([held, np.arange(row, block_end)])
+            present = np.zeros(len(block_rows), dtype=bool)
+            present[:len(held)] = True
+            near = present_neighbors(window, points[block_rows],
+                                     kernel.interaction_range, present)
+        local = len(block_rows) - (block_end - row)
+        try:
+            b = kernel.evaluate(dp.x, local, near)
+        except BoundViolationError as exc:
+            exc.witness["t"] = dp.s
+            raise
+        if dp.u <= b:
+            pid = next_id
+            next_id += 1
+            pos = tuple(points[row].tolist())
+            other = occupant.setdefault(pos, pid)
+            if other != pid:
+                raise ValueError(f"points {other} and {pid} have identical positions")
+            present[local] = True
+            events.append(Event(dp.s, "birth", pid, pos))
+            if death_rate > 0:
+                death_time = dp.s + dp.r / death_rate
+                if death_time <= horizon:
+                    heapq.heappush(pending, (death_time, pid, row))
+    die_before(math.inf)
 
     return Trajectory(window, gamma0, kernel, death_rate, horizon, seed, events,
                       initial_lifetimes, driving)
@@ -549,6 +544,29 @@ class DominationReport:
     replay_consistent: bool
 
 
+def _audit_sample(traj: Trajectory, key: int, n_boxes: int, min_width: float,
+                  spread: float) -> tuple[list[Box], np.ndarray, np.ndarray, np.ndarray]:
+    """What a replay audit counts in: the window, then ``n_boxes - 1`` boxes
+    drawn from sampling key ``key`` (lower corner uniform in the lower half
+    of each axis, width ``side * (min_width + spread * u)`` clipped to the
+    window), and the driving candidates' times, wrapped positions
+    (``(n, dim)``, also for none) and survival marks, in rank order."""
+    if traj.driving is None:
+        raise ValueError("trajectory did not retain its driving process")
+    window = traj.window
+    side, dim = window.side, window.dim
+    gen = rng.keyed_generator(key, rng.SAMPLING)
+    boxes = [window.box]
+    for _ in range(n_boxes - 1):
+        lo = side * gen.random(dim) * 0.5
+        hi = np.minimum(lo + side * (min_width + spread * gen.random(dim)), side)
+        boxes.append(Box(tuple(float(v) for v in lo), tuple(float(v) for v in hi)))
+    s = np.array([dp.s for dp in traj.driving], dtype=float)
+    x = window.wrap(np.array([dp.x for dp in traj.driving], dtype=float).reshape(-1, dim))
+    r = np.array([dp.r for dp in traj.driving], dtype=float)
+    return boxes, s, x, r
+
+
 def verify_domination(traj: Trajectory) -> DominationReport:
     """Check the path against its dominating free-birth process.
 
@@ -558,45 +576,26 @@ def verify_domination(traj: Trajectory) -> DominationReport:
     is reported; every born point's (s, x) must appear among the candidates;
     and the event log must be reproducible by replay.
     """
-    if traj.driving is None:
-        raise ValueError("trajectory did not retain its driving process")
+    boxes, cand_s, cand_x, _ = _audit_sample(traj, 0, 8, 0.125, 0.375)
     violations: list[dict] = []
 
     replayed = simulate(traj.gamma0, traj.kernel, traj.death_rate, traj.horizon, traj.seed)
     replay_consistent = replayed.events == traj.events
 
-    candidate_keys = {(dp.s, dp.x): dp for dp in traj.driving}
+    candidate_keys = {(dp.s, dp.x) for dp in traj.driving}
     for ev in traj.events:
         if ev.kind == "birth" and (ev.time, ev.position) not in candidate_keys:
             violations.append({"kind": "missing_candidate", "id": ev.id, "t": ev.time})
 
-    gen = rng.keyed_generator(0, rng.SAMPLING)
-    times = np.linspace(0.0, traj.horizon, 9)[1:]
-    side = traj.window.side
-    dim = traj.window.dim
-    boxes = [traj.window.box]
-    for _ in range(7):
-        lo = side * gen.random(dim) * 0.5
-        hi = np.minimum(lo + side * (0.25 + 0.75 * gen.random(dim)) * 0.5, side)
-        boxes.append(Box(tuple(float(v) for v in lo), tuple(float(v) for v in hi)))
-
-    cand_s = np.array([dp.s for dp in traj.driving])
-    cand_x = np.array([dp.x for dp in traj.driving]) if traj.driving else np.zeros((0, dim))
-    if traj.window.periodic and len(cand_x):
-        cand_x = np.mod(cand_x, side)
     init_pts = traj.gamma0.positions_array()
-
     margins = []
-    for t in times:
+    for t in np.linspace(0.0, traj.horizon, 9)[1:]:
         # phantom up to t = gamma_0 plus all births accepted by time t
         phantom_arr = traj.phantom_xy[traj.births <= t]
         for box in boxes:
             lhs = int(np.count_nonzero(box.contains_many(phantom_arr)))
-            n_cand = (
-                int(np.sum((cand_s <= t) & box.contains_many(cand_x)))
-                if len(cand_x) else 0
-            )
-            n_init = int(np.sum(box.contains_many(init_pts))) if len(init_pts) else 0
+            n_cand = int(np.count_nonzero((cand_s <= t) & box.contains_many(cand_x)))
+            n_init = int(np.count_nonzero(box.contains_many(init_pts)))
             margins.append(n_cand + n_init - lhs)
             if margins[-1] < 0:
                 violations.append({
@@ -618,26 +617,13 @@ def verify_counting_identity(traj: Trajectory) -> bool:
     points.  The acceptance decisions are recomputed by a fresh replay
     sweep, not read from the event log.
     """
-    if traj.driving is None:
-        raise ValueError("trajectory did not retain its driving process")
+    boxes, s, x, r = _audit_sample(traj, 1, 6, 0.0, 0.5)
     fresh = simulate(traj.gamma0, traj.kernel, traj.death_rate, traj.horizon, traj.seed)
     accepted = {(ev.time, ev.position) for ev in fresh.events if ev.kind == "birth"}
     m = traj.death_rate
 
-    gen = rng.keyed_generator(1, rng.SAMPLING)
     times = np.linspace(0.0, traj.horizon, 7)[1:]
-    side = traj.window.side
-    dim = traj.window.dim
-    boxes = [traj.window.box]
-    for _ in range(5):
-        lo = side * gen.random(dim) * 0.5
-        hi = np.minimum(lo + side * 0.5 * gen.random(dim), side)
-        boxes.append(Box(tuple(float(v) for v in lo), tuple(float(v) for v in hi)))
-
     born = np.array([(dp.s, dp.x) in accepted for dp in traj.driving], dtype=bool)
-    s = np.array([dp.s for dp in traj.driving])
-    r = np.array([dp.r for dp in traj.driving])
-    x = np.array([dp.x for dp in traj.driving]).reshape(-1, dim)
     lifetimes = np.array([traj.initial_lifetimes[pid] for pid in traj.gamma0.ids()])
     x0 = traj.gamma0.positions_array()
     inside = [(box.contains_many(x), box.contains_many(x0), box.contains_many(traj.phantom_xy))

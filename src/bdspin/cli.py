@@ -256,16 +256,12 @@ def load_config(path, *, seed_override: int | None = None,
     except ValueError as exc:
         raise ConfigError(f"integrator: {exc}") from None
 
-    sspec = _get(raw, "scale_params", "", dict)
+    sspec = {"alpha_star": 0.0, **_get(raw, "scale_params", "", dict)}
+    # ScaleParams' order checks are false for NaN, so each field must be finite
     try:
-        scale = ScaleParams(
-            float(_get(sspec, "alpha_star", "scale_params.", (int, float), default=0.0)),
-            float(_get(sspec, "alpha_sup", "scale_params.", (int, float))),
-            float(_get(sspec, "alpha", "scale_params.", (int, float))),
-            float(_get(sspec, "beta", "scale_params.", (int, float))),
-            float(_get(sspec, "p", "scale_params.", (int, float))),
-            float(_get(sspec, "q", "scale_params.", (int, float))),
-        )
+        scale = ScaleParams(*(
+            _finite(_get(sspec, key, "scale_params.", (int, float)), f"scale_params.{key}")
+            for key in ("alpha_star", "alpha_sup", "alpha", "beta", "p", "q")))
     except ValueError as exc:
         raise ConfigError(f"scale_params: {exc}") from None
     if scale.p < coeffs.single.growth_power:

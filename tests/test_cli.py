@@ -137,6 +137,18 @@ class TestSimulate:
          "initial_marks.value: must be a finite number"),
         ({"initial_marks": {"kind": "radial_gaussian", "amplitude": math.nan, "width": 1.0}},
          "initial_marks.amplitude: must be a finite number"),
+        ({"scale_params": {"alpha_star": 0.0, "alpha_sup": 1.0, "alpha": 0.2,
+                           "beta": 0.7, "p": math.nan, "q": 0.5}},
+         "scale_params.p: must be a finite number"),
+        ({"scale_params": {"alpha_star": 0.0, "alpha_sup": 1.0, "alpha": 0.2,
+                           "beta": 0.7, "p": math.inf, "q": 0.5}},
+         "scale_params.p: must be a finite number"),
+        ({"scale_params": {"alpha_star": 0.0, "alpha_sup": math.inf, "alpha": 0.2,
+                           "beta": 0.7, "p": 4.0, "q": 0.5}},
+         "scale_params.alpha_sup: must be a finite number"),
+        ({"scale_params": {"alpha_star": math.nan, "alpha_sup": 1.0, "alpha": 0.2,
+                           "beta": 0.7, "p": 4.0, "q": 0.5}},
+         "scale_params.alpha_star: must be a finite number"),
     ], ids=["negative_death_rate", "dim_0", "klein_boundary", "point_not_an_object",
             "duplicate_point_id", "point_wrong_dim", "point_outside_open_window",
             "point_id_fractional", "point_id_true",
@@ -144,7 +156,8 @@ class TestSimulate:
             "kernel_z_negative", "kernel_z_true", "kernel_phi_param_true",
             "coefficient_param_true", "kernel_phi_param_nan", "kernel_a_param_nan",
             "single_param_nan", "diffusion_param_nan", "initial_value_nan",
-            "initial_amplitude_nan"])
+            "initial_amplitude_nan", "scale_p_nan", "scale_p_inf", "scale_alpha_sup_inf",
+            "scale_alpha_star_nan"])
     def test_invalid_config_exit_2_names_field(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "o"

@@ -193,3 +193,24 @@ def test_pair_lists_follow_the_present_count(monkeypatch, kernel, horizon):
     assert calls["pairs"] == want
     assert len(want) > 5 or kernel is CONSTANT
     assert max(want, default=(0, 0))[0] < len(traj.driving) / 4
+
+
+def test_equal_times_put_the_candidate_first_and_deaths_in_id_order(monkeypatch):
+    """Points 0 and 1 both die at exactly t = 0.5 (0.1 + 0.4 and 0.25 + 0.25),
+    and a candidate arrives at 0.5.  The candidate sees gamma_{0.5-}, both
+    points, so its rate is 2 exp(-1) < 1.2 and it is rejected (with the
+    deaths applied first it would see b = 2 and be born); the two deaths
+    then come in id order."""
+    window = Window(4.0, 2, "periodic")
+    driving = [birth_death.DrivingPoint(s, x, u, r, k) for k, (s, x, u, r) in enumerate([
+        (0.1, (1.0, 1.0), 0.5, 0.4),
+        (0.25, (1.5, 1.0), 0.5, 0.25),
+        (0.5, (1.2, 1.2), 1.2, 1.0),
+    ])]
+    monkeypatch.setattr(birth_death, "sample_driving_process", lambda *args: list(driving))
+    gamma0 = Configuration(window, [])
+    got = simulate(gamma0, GLAUBER_STEP, 1.0, 1.0, 0)
+    want = reference_simulate(gamma0, GLAUBER_STEP, 1.0, 1.0, 0)
+    assert got.events == want.events
+    assert [(ev.time, ev.kind, ev.id) for ev in got.events] == [
+        (0.1, "birth", 0), (0.25, "birth", 1), (0.5, "death", 0), (0.5, "death", 1)]
