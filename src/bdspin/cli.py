@@ -353,11 +353,11 @@ def cmd_simulate(args) -> int:
 
 def _simulate_into(args, cfg: RunConfig, out: Path) -> None:
     if cfg.replicas == 1:
-        _run_one_replica(args.config, str(out), 0, args.seed, args.replicas)
-        print(f"wrote artifacts to {out}")
-        return
-    jobs = args.jobs or os.cpu_count() or 1
-    dirs = [(r, str(out / f"replica_{r:04d}")) for r in range(cfg.replicas)]
+        dirs = [(0, str(out))]
+    else:
+        dirs = [(r, str(out / f"replica_{r:04d}")) for r in range(cfg.replicas)]
+    # a fork pool starts all its workers at the first submit
+    jobs = min(args.jobs or os.cpu_count() or 1, len(dirs))
     if jobs == 1:
         for r, d in dirs:
             _run_one_replica(args.config, d, r, args.seed, args.replicas)
@@ -369,7 +369,8 @@ def _simulate_into(args, cfg: RunConfig, out: Path) -> None:
             ]
             for fut in futures:
                 fut.result()
-    print(f"wrote {cfg.replicas} replicas to {out}")
+    print(f"wrote artifacts to {out}" if cfg.replicas == 1
+          else f"wrote {cfg.replicas} replicas to {out}")
 
 
 # -- verify ---------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -30,9 +30,6 @@ class Box:
     @property
     def dim(self) -> int:
         return len(self.lo)
-
-    def contains(self, x) -> bool:
-        return all(l <= xi <= h for xi, l, h in zip(x, self.lo, self.hi))
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         lo = np.asarray(self.lo)
@@ -56,16 +53,10 @@ class Window:
     Under periodic boundary all distances are torus distances.  The radial
     norm |x| entering log bounds and exponential weights is measured from the
     window center in periodic mode (a torus has no privileged origin) and
-    from the corner origin in open mode; ``norm_origin`` overrides the anchor.
+    from the corner origin in open mode.
     """
 
-    def __init__(
-        self,
-        side: float,
-        dim: int,
-        boundary: str = "periodic",
-        norm_origin: tuple[float, ...] | None = None,
-    ):
+    def __init__(self, side: float, dim: int, boundary: str = "periodic"):
         if side <= 0:
             raise ValueError("window side must be positive")
         if dim < 1:
@@ -75,12 +66,7 @@ class Window:
         self.side = float(side)
         self.dim = int(dim)
         self.boundary = boundary
-        if norm_origin is None:
-            if boundary == "periodic":
-                norm_origin = (self.side / 2.0,) * dim
-            else:
-                norm_origin = (0.0,) * dim
-        self._anchor = np.asarray(norm_origin, dtype=float)
+        self._anchor = np.full(self.dim, self.side / 2.0 if self.periodic else 0.0)
 
     @property
     def box(self) -> Box:
@@ -107,12 +93,6 @@ class Window:
             d = np.minimum(d, self.side - d)
         return float(np.sqrt(np.sum(d * d)))
 
-    def distances(self, x, pts: np.ndarray) -> np.ndarray:
-        """Distances from ``x`` to each row of ``pts``."""
-        if len(pts) == 0:
-            return np.zeros(0)
-        return self.row_distances(pts, np.asarray(x, dtype=float))
-
     def row_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Distance from row i of ``a`` to row i of ``b`` (``b`` may broadcast)."""
         d = np.abs(a - b)
@@ -121,7 +101,7 @@ class Window:
         return np.sqrt(np.sum(d * d, axis=1))
 
     def radial_norms(self, pts: np.ndarray) -> np.ndarray:
-        return self.distances(self._anchor, pts)
+        return self.row_distances(pts, self._anchor)
 
     def descriptor(self) -> dict:
         return {
@@ -133,7 +113,13 @@ class Window:
 
     @classmethod
     def from_descriptor(cls, d: dict) -> "Window":
-        return cls(d["side"], d["dim"], d["boundary"], tuple(d["norm_origin"]))
+        """The window a ``descriptor`` describes; its ``norm_origin`` must be the
+        anchor that the boundary mode gives."""
+        window = cls(d["side"], d["dim"], d["boundary"])
+        if list(d["norm_origin"]) != list(window._anchor):
+            raise ValueError(f"window norm_origin {d['norm_origin']!r} is not the "
+                             f"{window.boundary} anchor {window._anchor.tolist()}")
+        return window
 
 
 class Configuration:
@@ -148,13 +134,12 @@ class Configuration:
     def __init__(
         self,
         window: Window,
-        points: Mapping[int, Iterable[float]] | Iterable[tuple[int, Iterable[float]]] = (),
+        points: Iterable[tuple[int, Iterable[float]]] = (),
     ):
         self.window = window
         self._pos: dict[int, np.ndarray] = {}
         owner: dict[tuple[float, ...], int] = {}
-        items = points.items() if isinstance(points, Mapping) else points
-        for pid, position in items:
+        for pid, position in points:
             # a JSON true or 1.5 is not an id; a numpy integer is
             if not isinstance(pid, (int, np.integer)) or isinstance(pid, bool):
                 raise TypeError(f"point id {pid!r} is not an integer")
@@ -238,11 +223,10 @@ def neighbor_pairs(window: Window, positions: np.ndarray,
     ``radius``, as arrays ``(src, dst, dist)`` sorted by ``(src, dst)``.
 
     Positions wrap as a ``Configuration`` wraps them, and the distances are
-    those ``Window.distances`` gives from each point.  Points are binned into
-    cells just above ``radius``, so each point scans the 3^d cells around it;
-    under 3 cells per axis every pair is a candidate.  Candidates are
-    examined a run of source rows at a time, ``PAIR_CHUNK`` pairs at most
-    (one row at least).
+    those ``Window.row_distances`` gives.  Points are binned into cells just
+    above ``radius``, so each point scans the 3^d cells around it; under 3
+    cells per axis every pair is a candidate.  Candidates are examined a run
+    of source rows at a time, ``PAIR_CHUNK`` pairs at most (one row at least).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")

@@ -11,9 +11,7 @@ integrator grid.
 """
 from __future__ import annotations
 
-import bisect
 import json
-import math
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -133,20 +131,36 @@ def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
     The event log is time-sorted (``Trajectory`` rejects any other).  For
     each support event time t = grid[j], the state at grid[j-1] is gamma_{t-}
     (the grid holds every event time, so the state is constant on
-    [grid[j-1], t)) and the state at t is gamma_t.
+    [grid[j-1], t)) and the state at t is gamma_t.  The checks depend only on
+    t, so each time is checked once; each violation is then reported once per
+    support event at t, in log order, with that event's id (a
+    ``grid_coarser_than_eps`` violation carries none).  ``events_checked``
+    counts the support events.
     """
     traj = mt.base
     grid = mt.grid
     values = mt.marks.values
     positions = traj.phantom_xy
     cols = np.flatnonzero(g.support.contains_many(positions))
-    event_times = [ev.time for ev in traj.events]
-    support_events: dict[float, list] = {}
-    for ev in traj.events:
-        if g.support.contains(ev.position):
-            support_events.setdefault(ev.time, []).append(ev)
-    times = sorted(support_events)
-    min_gap = min((b - a for a, b in zip(times, times[1:])), default=math.inf)
+    log = np.array([(ev.time, *ev.position) for ev in traj.events],
+                   dtype=float).reshape(-1, 1 + traj.window.dim)
+    log_t = log[:, 0]
+    support = np.flatnonzero(g.support.contains_many(log[:, 1:]))
+    times, starts = np.unique(log_t[support], return_index=True)
+    index = np.searchsorted(grid, times)
+    # a time past the last grid point meets the NaN pad, which equals nothing
+    off_grid = np.append(grid, np.nan)[index] != times
+    if off_grid.any():
+        raise ValueError(f"time {float(times[off_grid][0])} is not on the integration grid")
+    # left side: grid points below the event inside the same constant segment
+    # [seg_lo, t), where seg_lo is the last log time before t (0.0 if none)
+    before = np.searchsorted(log_t, times)
+    seg_lo = np.where(before > 0, log_t[before - 1], 0.0)
+    lows = np.maximum(np.maximum(index - 4, 0), np.searchsorted(grid, seg_lo))
+    lefts = traj.present_at(grid[np.maximum(index - 1, 0), None])[:, cols]
+    rights = traj.present_at(grid[index, None])[:, cols]
+    ids = [traj.events[e].id for e in support.tolist()]
+    runs = [*starts.tolist(), len(ids)]
 
     def pairing(ks: np.ndarray, j: int) -> float:
         return g.pairing(positions[ks], values[j, ks])
@@ -156,56 +170,45 @@ def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
             return 0.0
         return float(np.max(np.abs(values[j1, ks] - values[j0, ks])))
 
-    index = [mt.marks.index_of(t) for t in times]
-    lefts = traj.present_at(grid[[max(j - 1, 0) for j in index], None])[:, cols]
-    rights = traj.present_at(grid[index, None])[:, cols]
-
     violations: list[dict] = []
     max_modulus = 0.0
-    checked = 0
-    for t, j, left_row, right_row in zip(times, index, lefts, rights):
-        left, right = cols[left_row], cols[right_row]
+    for k, (t, j, i_lo) in enumerate(zip(times.tolist(), index.tolist(), lows.tolist())):
+        left, right = cols[lefts[k]], cols[rights[k]]
         value = pairing(right, j)
         v_limit = pairing(left, j)
-        # left side: grid points below the event inside the same constant
-        # segment [seg_lo, t), approaching t; each pairing must sit within
-        # the mark modulus at its own scale of the limit value (marks
-        # fluctuate, so the deviations themselves need not be monotone)
-        e = bisect.bisect_left(event_times, t)
-        seg_lo = event_times[e - 1] if e else 0.0
-        i_lo = max(0, j - 4, int(np.searchsorted(grid, seg_lo)))
-        for ev in support_events[t]:
-            checked += 1
+        found = []  # this time's violations; an "id" entry is filled per event
+        # right side: first grid point after the event, within eps_t
+        if j + 1 < len(grid):
+            if grid[j + 1] - t > eps_t * (1 + 1e-9):
+                found.append({"kind": "grid_coarser_than_eps", "t": t,
+                              "next_grid": float(grid[j + 1])})
+            else:
+                # the grid holds every event time, so no event lies in
+                # (t, grid[j + 1]): the position set is unchanged
+                omega = support_modulus(right, j, j + 1)
+                max_modulus = max(max_modulus, omega)
+                jump = abs(pairing(right, j + 1) - value)
+                bound = g.spin_lipschitz * len(right) * omega + atol
+                if jump > bound:
+                    found.append({"kind": "right_continuity", "t": t, "id": None,
+                                  "jump": jump, "bound": bound})
 
-            # right side: first grid point after the event, within eps_t
-            if j + 1 < len(grid):
-                j_right = j + 1
-                if grid[j_right] - t > eps_t * (1 + 1e-9):
-                    violations.append({"kind": "grid_coarser_than_eps", "t": t,
-                                       "next_grid": float(grid[j_right])})
-                else:
-                    # the grid holds every event time, so no event lies in
-                    # (t, grid[j_right]): the position set is unchanged
-                    omega = support_modulus(right, j, j_right)
-                    max_modulus = max(max_modulus, omega)
-                    v_right = pairing(right, j_right)
-                    bound = g.spin_lipschitz * len(right) * omega + atol
-                    if abs(v_right - value) > bound:
-                        violations.append({
-                            "kind": "right_continuity", "t": t, "id": ev.id,
-                            "jump": abs(v_right - value), "bound": bound,
-                        })
+        # each left pairing must sit within the mark modulus at its own scale
+        # of the limit value (marks fluctuate, so the deviations themselves
+        # need not be monotone)
+        for i in range(i_lo, j):
+            dev = abs(pairing(left, i) - v_limit)
+            bound = g.spin_lipschitz * len(left) * support_modulus(left, i, j) + atol
+            if dev > bound:
+                found.append({"kind": "left_limit_value", "t": t, "id": None,
+                              "s": float(grid[i]), "deviation": dev, "bound": bound})
 
-            for i in range(i_lo, j):
-                dev = abs(pairing(left, i) - v_limit)
-                omega_l = support_modulus(left, i, j)
-                if dev > g.spin_lipschitz * len(left) * omega_l + atol:
-                    violations.append({"kind": "left_limit_value", "t": t, "id": ev.id,
-                                       "s": float(grid[i]), "deviation": dev,
-                                       "bound": g.spin_lipschitz * len(left) * omega_l + atol})
+        violations += [dict(v, id=pid) if "id" in v else dict(v)
+                       for pid in ids[runs[k]:runs[k + 1]] for v in found]
 
-    return CadlagReport(not violations, checked, violations, max_modulus,
-                        min_gap if math.isfinite(min_gap) else -1.0)
+    gaps = np.diff(times)
+    return CadlagReport(not violations, len(ids), violations, max_modulus,
+                        float(gaps.min()) if len(gaps) else -1.0)
 
 
 # -- artifact writers -----------------------------------------------------------

@@ -268,12 +268,6 @@ class MarkPath:
     ids: list[int]
     values: np.ndarray
 
-    def index_of(self, t: float) -> int:
-        j = int(np.searchsorted(self.grid, t))
-        if j >= len(self.grid) or self.grid[j] != t:
-            raise ValueError(f"time {t} is not on the integration grid")
-        return j
-
     def to_csv(self, path, stride: int = 1) -> None:
         """CSV columns (t, id, value); rows grouped by time, id-ascending, each
         value its float repr, lines ended by ``\\r\\n`` (as ``csv.writer``

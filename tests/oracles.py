@@ -8,9 +8,9 @@ own pieces: ``ovsjannikov_bound_constant`` computes its L with the same
 ``integrate_marks_ensemble`` on noise aggregated from the finest lattice,
 passed in through ``explicit_noise``.  The accessors at the top
 (``phantom_positions``, ``config_at`` and ``present_ids``, a log replay,
-``position_of``, ``count_in``, ``radial_norm``, ``radial_norms``,
-``box_volume``) are what the tests read of the library objects beyond what
-the library itself needs.  The artifact writers
+``position_of``, ``count_in``, ``in_box``, ``grid_index``, ``radial_norm``,
+``radial_norms``, ``box_volume``) are what the tests read of the library
+objects beyond what the library itself needs.  The artifact writers
 and reader at the end are the per-value ``csv``/``json`` versions that the
 library's string-joining writers and C-parsed reader must match.
 
@@ -58,6 +58,19 @@ def count_in(config: Configuration, box: Box) -> int:
     """Number of points of ``config`` in the closed ``box``."""
     pts = config.positions_array()
     return int(np.sum(box.contains_many(pts))) if len(pts) else 0
+
+
+def in_box(box: Box, x) -> bool:
+    """Whether the point ``x`` lies in the closed ``box``, one coordinate at a time."""
+    return all(l <= xi <= h for xi, l, h in zip(x, box.lo, box.hi))
+
+
+def grid_index(path: MarkPath, t: float) -> int:
+    """The row of ``path.grid`` that holds the time ``t``."""
+    j = int(np.searchsorted(path.grid, t))
+    if j >= len(path.grid) or path.grid[j] != t:
+        raise ValueError(f"time {t} is not on the integration grid")
+    return j
 
 
 def box_volume(box: Box) -> float:
@@ -123,11 +136,11 @@ def ids_within(config, x, radius: float) -> list[tuple[int, float]]:
     """(id, distance) pairs with |x - y| <= radius (closed ball), id-sorted.
 
     ``config`` is a ``Configuration`` or a ``PointSet``; each distance is the
-    one ``Window.distances`` gives from ``x``.
+    one ``Window.row_distances`` gives from ``x``.
     """
     if not len(config):
         return []
-    dist = config.window.distances(np.asarray(x, dtype=float), config.positions_array())
+    dist = config.window.row_distances(config.positions_array(), np.asarray(x, dtype=float))
     return [(pid, d) for pid, d in zip(config.ids(), dist.tolist()) if d <= radius]
 
 
@@ -377,7 +390,7 @@ def event_count_in(traj: Trajectory, box: Box, t0: float, t1: float) -> int:
         return 0
     return sum(
         1 for ev in traj.events
-        if t0 <= ev.time <= t1 and box.contains(ev.position)
+        if t0 <= ev.time <= t1 and in_box(box, ev.position)
     )
 
 

@@ -29,8 +29,8 @@ from bdspin.birth_death import (
 from bdspin.geometry import Box, Configuration, Window, poisson_configuration
 from bdspin.spin_sde import build_time_grid
 from oracles import (TemperedWeight, birth_events, check_rate_perturbation_bound, config_at,
-                     count_in, death_events, event_count_in, phantom_positions, present_ids,
-                     rate_at)
+                     count_in, death_events, event_count_in, in_box, phantom_positions,
+                     present_ids, rate_at)
 
 
 def glauber_run(seed, z=1.5, side=5.0, T=1.0, m=0.5, init_intensity=0.5, c=0.8, rho=1.0):
@@ -321,10 +321,10 @@ def reference_counting_identity(traj) -> bool:
             for dp in traj.driving:
                 if (dp.s, dp.x) not in accepted:
                     continue
-                if dp.s <= t and box.contains(dp.x) and dp.r > m * (t - dp.s):
+                if dp.s <= t and in_box(box, dp.x) and dp.r > m * (t - dp.s):
                     direct += 1
             for pid, pos in traj.gamma0.items():
-                if box.contains(pos) and traj.initial_lifetimes[pid] > m * t:
+                if in_box(box, pos) and traj.initial_lifetimes[pid] > m * t:
                     direct += 1
             if direct != count_in(cfg, box):
                 return False
@@ -466,7 +466,7 @@ class TestVerification:
             t1 = t0 + float(2.0 * gen.random()) * 0.5
             want = sum(
                 1 for ev in traj.events
-                if t0 <= ev.time <= t1 and box.contains(ev.position)
+                if t0 <= ev.time <= t1 and in_box(box, ev.position)
             )
             assert event_count_in(traj, box, t0, t1) == want
         assert event_count_in(traj, traj.window.box, 0.0, traj.horizon) == len(traj.events)

@@ -1,5 +1,6 @@
 """CLI: config validation, artifact determinism, verify suites, plot data."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bdspin import cli
 from bdspin.birth_death import simulate
 from bdspin.cli import SUITES, _load_run_dir, load_config, main
 from test_golden_artifacts import OPEN_CONFIG
@@ -202,6 +204,49 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out),
                      "--jobs", "1"]) == 0
         assert len(list(out.glob("replica_*"))) == 2
+
+    def test_no_more_workers_than_replicas(self, tmp_path, monkeypatch, capsys):
+        pools = []
+
+        class SyncPool:
+            """Records ``max_workers`` and runs each call as it is submitted."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SyncPool)
+        two, one = tmp_path / "two", tmp_path / "one"
+        assert main(["simulate", "--config", str(write_config(tmp_path, replicas=2)),
+                     "--out", str(two)]) == 0
+        assert main(["simulate", "--config", str(write_config(tmp_path, replicas=1)),
+                     "--out", str(one)]) == 0
+        assert pools == [2]  # one replica builds no pool
+        assert capsys.readouterr().out.splitlines() == [f"wrote 2 replicas to {two}",
+                                                        f"wrote artifacts to {one}"]
+        assert len(list(two.glob("replica_*"))) == 2 and (one / "manifest.json").exists()
+
+    def test_pool_writes_the_serial_tree(self, tmp_path):
+        cfg = write_config(tmp_path, replicas=2)
+        trees = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs_{jobs}"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--jobs", jobs]) == 0
+            trees.append({f.relative_to(out): f.read_bytes()
+                          for f in out.rglob("*") if f.is_file()})
+        assert len(trees[0]) == 8 and trees[0] == trees[1]
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -534,7 +579,8 @@ class TestEmitPlotdata:
                                             "header_not_an_object", "window_without_side",
                                             "gamma0_record_without_id",
                                             "gamma0_id_fractional", "gamma0_id_true",
-                                            "kernel_without_z", "birth_position_wrong_dim"])
+                                            "kernel_without_z", "birth_position_wrong_dim",
+                                            "window_norm_origin_moved"])
     def test_corrupt_run_exit_2_before_output(self, tmp_path, capsys, corruption):
         cfg = write_config(tmp_path, horizon=0.25)
         out = tmp_path / "run"
@@ -564,6 +610,9 @@ class TestEmitPlotdata:
                 header = []
             elif corruption == "window_without_side":
                 header["window"] = {}
+            elif corruption == "window_norm_origin_moved":  # a torus norm is from the centre
+                assert header["window"]["norm_origin"] == [2.0, 2.0]
+                header["window"]["norm_origin"] = [0.0, 0.0]
             elif corruption == "gamma0_record_without_id":
                 del header["gamma0"][0]["id"]
             elif corruption == "gamma0_id_fractional":  # int() would give the id back

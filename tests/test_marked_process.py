@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -29,7 +30,8 @@ from bdspin.spin_sde import (
     integrate_marks_ensemble,
     tanh_diffusion,
 )
-from oracles import birth_events, config_at, count_in, phantom_positions, position_of
+from oracles import (birth_events, config_at, count_in, grid_index, in_box, phantom_positions,
+                     position_of)
 from test_birth_death import same_time_trajectory
 
 
@@ -44,12 +46,12 @@ def cadlag_reference(mt, g, eps_t, atol=1e-9, left_points=4):
     An oracle for the ``present_at`` masks in ``cadlag_check``."""
     traj, grid, values = mt.base, mt.grid, mt.marks.values
     col = {pid: k for k, pid in enumerate(mt.marks.ids)}
-    support_events = [ev for ev in traj.events if g.support.contains(ev.position)]
+    support_events = [ev for ev in traj.events if in_box(g.support, ev.position)]
     times = sorted({ev.time for ev in support_events})
     min_gap = min((b - a for a, b in zip(times, times[1:])), default=math.inf)
 
     def in_support(config):
-        return [(pid, pos) for pid, pos in config.items() if g.support.contains(pos)]
+        return [(pid, pos) for pid, pos in config.items() if in_box(g.support, pos)]
 
     def pairing(config, j):
         return sum((point_value(g, pos, values[j, col[pid]])
@@ -61,7 +63,7 @@ def cadlag_reference(mt, g, eps_t, atol=1e-9, left_points=4):
 
     violations, max_modulus = [], 0.0
     for ev in support_events:
-        t, j = ev.time, mt.marks.index_of(ev.time)
+        t, j = ev.time, grid_index(mt.marks, ev.time)
         right, left = config_at(traj, t, "right"), config_at(traj, t, "left")
         value = pairing(right, j)
         if j + 1 < len(grid):
@@ -150,7 +152,7 @@ class TestMarkedConfiguration:
         g = Observable(lambda pos, mark: mark**2 + pos[:, 0], box, "mix")
         want = sum(
             mark ** 2 + pos[0]
-            for (pid, pos), mark in zip(config.items(), marks) if box.contains(pos)
+            for (pid, pos), mark in zip(config.items(), marks) if in_box(box, pos)
         )
         assert mt.observable_series(g)[0] == pytest.approx(want, rel=1e-12)
 
@@ -170,7 +172,7 @@ class TestArrayObservable:
                 present, total = set(traj.present_ids(float(t))), 0.0
                 for k, pid in enumerate(path.ids):
                     pos = positions[pid]
-                    if pid in present and box.contains(np.array(pos)):
+                    if pid in present and in_box(box, np.array(pos)):
                         total += point_value(g, pos, path.values[j, k])
                 want.append(total)
             assert mt.observable_series(g).tolist() == want
@@ -281,11 +283,11 @@ class TestCountingJumps:
                 jumps[float(path.grid[j])] = d
         for t, d in jumps.items():
             births = sum(1 for ev in traj.events
-                         if ev.time == t and ev.kind == "birth" and box.contains(ev.position))
+                         if ev.time == t and ev.kind == "birth" and in_box(box, ev.position))
             deaths = sum(1 for ev in traj.events
-                         if ev.time == t and ev.kind == "death" and box.contains(ev.position))
+                         if ev.time == t and ev.kind == "death" and in_box(box, ev.position))
             assert d == births - deaths
-        n_in_box_events = sum(1 for ev in traj.events if box.contains(ev.position))
+        n_in_box_events = sum(1 for ev in traj.events if in_box(box, ev.position))
         assert len(jumps) <= n_in_box_events
         assert series[0] == count_in(traj.gamma0, box)
 
@@ -295,7 +297,7 @@ class TestCadlag:
         traj, path, mt = glauber_marked(seed=9, m=1.0, z=2.0)
         # empty corner box: no events inside
         tiny = Box((0.0, 0.0), (1e-9, 1e-9))
-        if any(tiny.contains(ev.position) for ev in traj.events):
+        if any(in_box(tiny, ev.position) for ev in traj.events):
             pytest.skip("degenerate corner box hit an event")
         report = cadlag_check(mt, counting_observable(tiny), eps_t=1 / 64)
         assert report.passed and report.events_checked == 0
@@ -314,12 +316,12 @@ class TestCadlag:
         report = cadlag_check(mt, g, eps_t=1 / 64)
         assert report.passed, report.violations
         ev = birth_events(traj)[0]
-        j = path.index_of(ev.time)
+        j = grid_index(path, ev.time)
         series = mt.observable_series(g)
         col = {pid: k for k, pid in enumerate(path.ids)}
         left = sum(point_value(g, pos, path.values[j, col[pid]])
                    for pid, pos in config_at(traj, ev.time, "left").items()
-                   if g.support.contains(pos))
+                   if in_box(g.support, pos))
         assert series[j] - left == 1.0
 
     @pytest.mark.parametrize("case", ["glauber-0", "glauber-1", "glauber-2", "same-time"])
@@ -348,6 +350,15 @@ class TestCadlag:
                     assert got == cadlag_reference(mt, g, eps_t, atol)
                     kinds |= {v["kind"] for v in got["violations"]}
         assert kinds == {"grid_coarser_than_eps", "right_continuity", "left_limit_value"}
+
+    @pytest.mark.parametrize("where", ["inside", "past_the_end"])
+    def test_event_time_off_the_grid_raises(self, where):
+        traj, path, _ = glauber_marked(seed=1, T=0.25)
+        t = traj.events[0].time if where == "inside" else traj.events[-1].time
+        keep = path.grid != t if where == "inside" else path.grid < t
+        mt = combine(traj, MarkPath(path.grid[keep], path.ids, path.values[keep]))
+        with pytest.raises(ValueError, match=re.escape(f"time {t} is not on the integration grid")):
+            cadlag_check(mt, counting_observable(traj.window.box), eps_t=1 / 64)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_glauber_runs_pass(self, seed):

@@ -499,7 +499,7 @@ class TestMomentGrowth:
 def reference_moment_growth(paths, traj, coeffs, params, c1, c2, series_tol=1e-12):
     """check_moment_growth with the operator constant L recomputed from
     per-point neighbor counts at every bisection step."""
-    phantom = Configuration(traj.window, phantom_positions(traj))
+    phantom = Configuration(traj.window, phantom_positions(traj).items())
     radii = radial_norms(phantom)
     grid = paths[0].grid
     p = params.p

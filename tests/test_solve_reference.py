@@ -40,7 +40,8 @@ from bdspin.spin_sde import (
     zero_pair,
 )
 
-from oracles import _keyed_normals, explicit_noise, neighbors_within, phantom_positions
+from oracles import (_keyed_normals, explicit_noise, in_box, neighbors_within,
+                     phantom_positions)
 from test_birth_death import same_time_trajectory
 from test_spin_sde import default_coeffs, make_glauber_traj, shared_noise
 
@@ -50,7 +51,7 @@ def reference_edges(traj, radius):
     positions = phantom_positions(traj)
     ids = sorted(positions)
     index_of = {pid: k for k, pid in enumerate(ids)}
-    phantom = Configuration(traj.window, positions)
+    phantom = Configuration(traj.window, positions.items())
     src, dst, dist = [], [], []
     for pid in ids:
         for qid, d in neighbors_within(phantom, pid, radius):
@@ -80,7 +81,7 @@ def reference_solve(traj, coeffs, init, icfg, seed, *, frozen_box=None, noise=No
     frozen_mask = np.zeros(n_ids, dtype=bool)
     if frozen_box is not None:
         for k, pid in enumerate(ids):
-            if not frozen_box.contains(positions[pid]):
+            if not in_box(frozen_box, positions[pid]):
                 frozen_mask[k] = True
     # present on [birth, death)
     born = np.array([traj.presence[pid][0] for pid in ids])

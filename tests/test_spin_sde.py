@@ -35,8 +35,8 @@ from bdspin.spin_sde import (
     _spearman,
 )
 from bdspin.spin_sde import _add_rows, _projection_mismatch
-from oracles import (assemble_diffusion, assemble_drift, explicit_noise, phantom_positions,
-                     position_of, strong_order_study)
+from oracles import (assemble_diffusion, assemble_drift, explicit_noise, in_box,
+                     phantom_positions, position_of, strong_order_study)
 import dataclasses
 
 
@@ -328,7 +328,7 @@ class TestFiniteVolume:
         inner = traj.window.box.scaled(0.3)
         positions = phantom_positions(traj)
         deep = [k for k, pid in enumerate(full.ids)
-                if inner.scaled(0.5).contains(positions[pid])]
+                if in_box(inner.scaled(0.5), positions[pid])]
         assert deep
         sups = []
         for f in (0.3, 0.6, 0.9):
@@ -459,10 +459,3 @@ class TestMarkPathIO:
         assert back.ids == path.ids
         assert np.array_equal(back.grid, path.grid)
         assert np.array_equal(back.values, path.values)
-
-    def test_index_of_off_grid_raises(self):
-        traj = static_traj([[1.0, 1.0]])
-        path = integrate_marks(traj, default_coeffs(), InitialMarkPolicy.constant(0.0),
-                               IntegratorConfig(dt=0.25), seed=0)
-        with pytest.raises(ValueError, match="not on the integration grid"):
-            path.index_of(0.1)
