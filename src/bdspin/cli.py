@@ -60,6 +60,7 @@ from .spin_sde import (
     MarkPath,
     check_drift_diffusion_bounds,
     cutoff_convergence_study,
+    frozen_mark_deviation,
     integrate_marks,
     integration_grid,
     read_mark_path_csv,
@@ -447,14 +448,16 @@ def run_suite(cfg: RunConfig, suite: str) -> dict:
 
     if suite == "cadlag":
         path = integrate_marks(traj, cfg.coeffs, cfg.init_marks, cfg.icfg, seed)
+        frozen = frozen_mark_deviation(path, traj)
         marked = combine(traj, path)
         reports = []
-        passed = True
+        passed = frozen == 0.0
         for g in _random_observables(cfg.window, 8, seed):
             rep = cadlag_check(marked, g, eps_t=cfg.icfg.dt)
             passed = passed and rep.passed
             reports.append({"observable": g.name, **asdict(rep)})
-        return {"suite": suite, "passed": passed, "observables": reports}
+        return {"suite": suite, "passed": passed, "frozen_mark_deviation": frozen,
+                "observables": reports}
 
     raise ConfigError(f"suite: unknown suite {suite!r}")
 

@@ -556,19 +556,6 @@ class BoundsCheckReport:
     worst: dict | None
 
 
-def _add_rows(out: np.ndarray, src: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """``np.add.at(out, src, vals)`` over whole rows, bit for bit; returns ``out``.
-
-    Pair e adds row ``vals[e]`` to row ``out[src[e]]`` in place, in pair
-    order, which is the order add.at adds each item in.  That is one add per
-    pair, where add.at loops over every item of a (pairs x samples) array,
-    and, unlike a gather per degree, it makes no (rows x samples) temporary.
-    """
-    for e, row in enumerate(src.tolist()):
-        out[row] += vals[e]
-    return out
-
-
 def check_drift_diffusion_bounds(coeffs: CoefficientSet, sample_size: int = 10_000,
                                  seed: int = 0) -> BoundsCheckReport:
     """Sample random mark states and assert the envelope inequalities implied
@@ -576,34 +563,43 @@ def check_drift_diffusion_bounds(coeffs: CoefficientSet, sample_size: int = 10_0
     one-sided dissipativity of the single-site term), on the points of a
     unit-intensity Poisson sample of the periodic side-6 square (seed + 1).
 
-    A misdeclared constant (for example a Lipschitz constant below the true
-    one) shows up as a reported violation with a witness.
+    Each neighbour sum adds one pair's term into its point's row in place, in
+    pair order, the order in which ``np.add.at`` adds; the four inequalities
+    are checked one at a time.  A misdeclared constant (for example a
+    Lipschitz constant below the true one) shows up as a reported violation
+    with a witness.
     """
     config = poisson_configuration(Window(6.0, 2, "periodic"), 1.0, seed=seed + 1)
     ids = config.ids()
     n_pts = len(ids)
     src, dst, dist = neighbor_pairs(config.window, config.positions_array(), coeffs.radius)
+    pairs = list(zip(src.tolist(), dst.tolist(), dist.tolist()))
     n_x = np.bincount(src, minlength=n_pts) + 1.0  # the point itself counts
 
     gen = rng.keyed_generator(seed, rng.SAMPLING)
     scales = np.array([0.3, 1.0, 3.0, 10.0])[gen.integers(0, 4, size=sample_size)]
     z1 = gen.standard_normal((n_pts, sample_size)) * scales
     z2 = gen.standard_normal((n_pts, sample_size)) * scales
-    dd = dist[:, None]
 
     def fields(z):
-        drift = _add_rows(coeffs.single.func(z), src, coeffs.pair.func(z[src], z[dst], dd))
-        diffusion = _add_rows(np.zeros_like(z), src, coeffs.diffusion.func(z[src], z[dst], dd))
+        drift = coeffs.single.func(z)
+        diffusion = np.zeros_like(z)
+        for x, y, d in pairs:
+            drift[x] += coeffs.pair.func(z[x], z[y], d)
+            diffusion[x] += coeffs.diffusion.func(z[x], z[y], d)
         return drift, diffusion
+
+    def neighbor_sum(arr):
+        out = np.zeros_like(arr)
+        for x, y, _ in pairs:
+            out[x] += arr[y]
+        return out
 
     phi1, psi1 = fields(z1)
     phi2, psi2 = fields(z2)
     psi0 = np.bincount(src, weights=coeffs.diffusion.func(np.zeros_like(dist),
                                                           np.zeros_like(dist), dist),
                        minlength=n_pts)
-
-    def neighbor_sum(arr):
-        return _add_rows(np.zeros_like(arr), src, arr[dst])
 
     a_bar = coeffs.pair.lipschitz
     m_diff = coeffs.diffusion.lipschitz
@@ -613,27 +609,24 @@ def check_drift_diffusion_bounds(coeffs: CoefficientSet, sample_size: int = 10_0
     delta = z1 - z2
     nx = n_x[:, None]
 
-    lhs_rhs = [
-        ("diffusion_lipschitz",
-         np.abs(psi1 - psi2),
-         m_diff * (nx + 1.0) * np.abs(delta) + m_diff * neighbor_sum(np.abs(delta))),
-        ("diffusion_at_zero",
-         np.abs(psi0)[:, None] * np.ones((1, 1)),
-         (m_diff * n_x)[:, None] * np.ones((1, 1))),
-        ("drift_growth",
-         np.abs(phi1),
-         c_gr * (1.0 + np.abs(z1) ** r_gr) + a_bar * nx * (1.0 + 2.0 * np.abs(z1))
-         + a_bar * neighbor_sum(np.abs(z1))),
-        ("drift_dissipativity",
-         delta * (phi1 - phi2),
-         (b_diss + 0.5 + 4.0 * a_bar**2 * nx**2) * delta**2
-         + 0.5 * a_bar**2 * nx * neighbor_sum(delta**2)),
-    ]
+    def inequalities():
+        yield ("diffusion_lipschitz",
+               np.abs(psi1 - psi2),
+               m_diff * (nx + 1.0) * np.abs(delta) + m_diff * neighbor_sum(np.abs(delta)))
+        yield ("diffusion_at_zero", np.abs(psi0)[:, None], (m_diff * n_x)[:, None])
+        yield ("drift_growth",
+               np.abs(phi1),
+               c_gr * (1.0 + np.abs(z1) ** r_gr) + a_bar * nx * (1.0 + 2.0 * np.abs(z1))
+               + a_bar * neighbor_sum(np.abs(z1)))
+        yield ("drift_dissipativity",
+               delta * (phi1 - phi2),
+               (b_diss + 0.5 + 4.0 * a_bar**2 * nx**2) * delta**2
+               + 0.5 * a_bar**2 * nx * neighbor_sum(delta**2))
 
     violations = 0
     worst = None
     worst_excess = 0.0
-    for name, lhs, rhs in lhs_rhs:
+    for name, lhs, rhs in inequalities():
         bad = lhs > rhs + 1e-9 * (1.0 + np.abs(rhs))
         count = int(bad.sum())
         violations += count

@@ -412,6 +412,26 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--out", str(out),
                      "--suite", "cadlag"]) == 0
 
+    def test_cadlag_suite_fails_on_a_moved_frozen_mark(self, tmp_path, monkeypatch, capsys):
+        solve = cli.integrate_marks
+
+        def nudged(traj, *args):
+            path = solve(traj, *args)
+            dead = int(np.flatnonzero(traj.deaths <= path.grid[-2])[0])  # absent on the last step
+            path.values[-1, dead] += 0.5
+            return path
+
+        monkeypatch.setattr(cli, "integrate_marks", nudged)
+        cfg = write_config(tmp_path)
+        report = cli.run_suite(load_config(cfg), "cadlag")
+        assert not report["passed"]
+        assert 0.4 < report["frozen_mark_deviation"] < 0.6
+        out = tmp_path / "rep"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--suite", "cadlag"]) == 1
+        assert "witness" in capsys.readouterr().err
+        assert not json.loads((out / "cadlag_report.json").read_text())["passed"]
+
     @pytest.mark.parametrize("suite,message", [("nonsense", "unknown suite"),
                                                (",", "no suite named"),
                                                (" ", "no suite named"),

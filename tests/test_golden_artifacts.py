@@ -126,8 +126,8 @@ GOLDEN = {
             "open": "70d259104952e2aaa21a9cf1dd4d54cfd23426c2b8324b5e802c39919f400e5b",
         },
         "cadlag": {
-            "readme": "84a0e99e23ca28860ac83a5641c37d0be4cc8eadfa526cb7721b4a7a53f0039d",
-            "open": "b933658de5108a856c276b092b2a45f897c9e88a35dd03ccd34709166ae12854",
+            "readme": "2029ebc440d4c1cd4dcf9b96e0724a3d7dab8c737aa4389200a0a3384b2034aa",
+            "open": "45e8c1bb0dfef631eed56c900fdba11d7fa2f87591e4b6ea48c31e2ca4dcd14b",
         },
         "bounds": {
             "readme": "dd986b61375fa6cec9a6ed355d06225924b31c33156126b671017c7f39e648dc",

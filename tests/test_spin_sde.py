@@ -2,14 +2,16 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bdspin import rng
 from bdspin.birth_death import ConstantBirthKernel, GlauberBirthKernel, simulate, step_potential
-from bdspin.geometry import Box, Configuration, Window, neighbor_pairs, poisson_configuration
+from bdspin.geometry import Box, Configuration, Window, poisson_configuration
 from bdspin.spin_sde import (
+    BoundsCheckReport,
     CoefficientSet,
     InitialMarkPolicy,
     IntegrationBlowUpError,
@@ -34,7 +36,7 @@ from bdspin.spin_sde import (
     zero_pair,
     _spearman,
 )
-from bdspin.spin_sde import _add_rows, _projection_mismatch
+from bdspin.spin_sde import _projection_mismatch
 from oracles import (assemble_diffusion, assemble_drift, explicit_noise, in_box,
                      phantom_positions, position_of, strong_order_study)
 import dataclasses
@@ -63,6 +65,24 @@ def shared_noise(traj, icfg, seed):
 def default_coeffs(rho=1.0, theta=0.5, J=0.3, kappa=0.2):
     return CoefficientSet(cubic_drift(theta), exchange_coupling(J),
                           tanh_diffusion(kappa), radius=rho)
+
+
+def misdeclared(coeffs, part, lipschitz):
+    """``coeffs`` with the Lipschitz constant of one term declared as ``lipschitz``."""
+    term = dataclasses.replace(getattr(coeffs, part), lipschitz=lipschitz)
+    return dataclasses.replace(coeffs, **{part: term})
+
+
+# coefficient sets whose declared constants are too small; criterion 12's is
+# the first of its builtin sets with the pair constant at 0.01
+MISDECLARED = {
+    "pair": misdeclared(CoefficientSet(zero_drift(), linear_coupling(1.0), zero_diffusion(), 1.0),
+                        "pair", 0.05),
+    "diffusion": misdeclared(CoefficientSet(zero_drift(), zero_pair(), constant_diffusion(1.0),
+                                            1.0), "diffusion", 0.01),
+    "criterion_12": misdeclared(default_coeffs(), "pair", 0.01),
+    "tanh_diffusion": misdeclared(default_coeffs(), "diffusion", 0.02),
+}
 
 
 class TestAssembly:
@@ -419,33 +439,58 @@ class TestBoundsCheck:
         report = check_drift_diffusion_bounds(coeffs, sample_size=100, seed=1)
         assert report.passed
 
-    @pytest.mark.parametrize("seed,radius", [(0, 1.0), (1, 1.7), (2, 0.2)])
-    def test_row_sums_equal_add_at(self, seed, radius):
-        config = poisson_configuration(Window(6.0, 2, "periodic"), 1.0, seed=seed)
-        src, _, _ = neighbor_pairs(config.window, config.positions_array(), radius)
-        n = len(config)
-        gen = rng.keyed_generator(seed, rng.SAMPLING)
-        # terms spanning ten decades, so that any change of order shows in the bits
-        base = gen.standard_normal((n, 300)) * 10.0 ** gen.integers(-5, 5, (n, 300))
-        vals = gen.standard_normal((len(src), 300)) * 10.0 ** gen.integers(-5, 5, (len(src), 300))
-        want = base.copy()
-        np.add.at(want, src, vals)
-        got = _add_rows(base.copy(), src, vals)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
     def test_misdeclared_lipschitz_caught(self):
-        good = CoefficientSet(zero_drift(), linear_coupling(1.0), zero_diffusion(), 1.0)
-        bad = dataclasses.replace(good, pair=dataclasses.replace(good.pair, lipschitz=0.05))
-        report = check_drift_diffusion_bounds(bad, sample_size=2000, seed=3)
+        report = check_drift_diffusion_bounds(MISDECLARED["pair"], sample_size=2000, seed=3)
         assert not report.passed
         assert report.worst["inequality"] in ("drift_growth", "drift_dissipativity")
 
     def test_misdeclared_diffusion_caught(self):
-        good = CoefficientSet(zero_drift(), zero_pair(), constant_diffusion(1.0), 1.0)
-        bad = dataclasses.replace(good, diffusion=dataclasses.replace(good.diffusion,
-                                                                      lipschitz=0.01))
-        report = check_drift_diffusion_bounds(bad, sample_size=500, seed=4)
+        report = check_drift_diffusion_bounds(MISDECLARED["diffusion"], sample_size=500, seed=4)
         assert not report.passed
+
+    @pytest.mark.parametrize(
+        "name,samples,seed,points,violations,inequality,point,sample,lhs,rhs", [
+            ("pair", 2000, 3, 30, 65330, "drift_dissipativity", 0, 1775,
+             2291.777911708416, 362.53068892609264),
+            ("pair", 2000, 5, 41, 83984, "drift_dissipativity", 4, 84,
+             3461.952970793437, 1072.9702863064488),
+            ("diffusion", 500, 4, 44, 43, "diffusion_at_zero", 9, 0, 6.0, 0.07),
+            ("diffusion", 500, 6, 42, 40, "diffusion_at_zero", 8, 0, 7.0, 0.08),
+            ("criterion_12", 10_000, 0, 34, 28287, "drift_dissipativity", 31, 8076,
+             31.422140223803336, 3.3424064792047203),
+            ("criterion_12", 10_000, 1, 40, 39337, "drift_dissipativity", 18, 3611,
+             45.75588884828017, 6.592874152860315),
+            ("tanh_diffusion", 2000, 0, 34, 28082, "diffusion_lipschitz", 32, 601,
+             1.4124486627699828, 0.34387806528509285),
+            ("tanh_diffusion", 2000, 1, 40, 30390, "diffusion_lipschitz", 36, 11,
+             2.0819764023243628, 0.620845269592527),
+        ])
+    def test_misdeclared_reports_are_pinned(self, name, samples, seed, points, violations,
+                                            inequality, point, sample, lhs, rhs):
+        """The whole report of each misdeclared set, recorded when the neighbour
+        sums were still gathered into (pairs x samples) arrays.
+
+        This pins the report's bits, not the order in which the pairs are
+        summed: adding them in reverse order leaves all eight reports as they
+        are.
+        """
+        report = check_drift_diffusion_bounds(MISDECLARED[name], sample_size=samples, seed=seed)
+        worst = {"inequality": inequality, "point": point, "sample": sample,
+                 "lhs": lhs, "rhs": rhs}
+        assert report == BoundsCheckReport(False, samples, points, violations, worst)
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_peak_memory_does_not_grow_with_the_pairs(self, seed):
+        """At radius 1.7 a point has about nine neighbours, yet the peak stays
+        within 16 arrays of points x samples; a row per pair would take 30-40."""
+        tracemalloc.start()
+        try:
+            report = check_drift_diffusion_bounds(default_coeffs(rho=1.7), sample_size=2000,
+                                                  seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * report.points * report.samples * 8
 
 
 class TestMarkPathIO:
