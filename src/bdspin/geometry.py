@@ -125,8 +125,9 @@ class Window:
 class Configuration:
     """Finite set of identified points: a validated id -> position map.
 
-    Ids are distinct integers, positions are finite points of the window (wrapped onto
-    the torus in periodic mode) and no two points share a position.  It holds
+    Ids are distinct nonnegative integers (they key the noise streams),
+    positions are finite points of the window (wrapped onto the torus in
+    periodic mode) and no two points share a position.  It holds
     no neighbor index: ``neighbor_pairs`` finds every in-radius pair of a
     position array, and the thinning sweep reads its slices.
     """
@@ -144,6 +145,8 @@ class Configuration:
             if not isinstance(pid, (int, np.integer)) or isinstance(pid, bool):
                 raise TypeError(f"point id {pid!r} is not an integer")
             pid = int(pid)
+            if pid < 0:
+                raise ValueError(f"point id {pid} is negative")
             if pid in self._pos:
                 raise ValueError(f"duplicate point id {pid}")
             x = np.asarray(position, dtype=float)
@@ -224,8 +227,8 @@ def neighbor_pairs(window: Window, positions: np.ndarray,
 
     Positions wrap as a ``Configuration`` wraps them, and the distances are
     those ``Window.row_distances`` gives.  Points are binned into cells just
-    above ``radius``, so each point scans the 3^d cells around it; under 3
-    cells per axis every pair is a candidate.  Candidates are examined a run
+    above ``radius``, so each point scans the 3^d cells around it (each cell
+    once on a torus of under 3 cells per axis).  Candidates are examined a run
     of source rows at a time, ``PAIR_CHUNK`` pairs at most (one row at least).
     """
     if radius <= 0:
@@ -235,29 +238,25 @@ def neighbor_pairs(window: Window, positions: np.ndarray,
     if n * n > np.iinfo(np.intp).max:
         raise ValueError(f"{n} points: the pair key src * n + dst overflows")
     ncells = max(1, int(window.side / cell_size_above(radius)))
-    # row i's candidates are by_cell[lo[i, k]:hi[i, k]] over its cells k
-    if ncells < 3:
-        by_cell = np.arange(n)
-        lo = np.zeros((n, 1), dtype=np.intp)
-        hi = np.full((n, 1), n, dtype=np.intp)
-    else:
-        key = (pts / (window.side / ncells)).astype(np.intp)
-        key = np.mod(key, ncells) if window.periodic else np.minimum(key, ncells - 1)
-        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=window.dim)),
-                           dtype=np.intp)
-        around = key[:, None, :] + offsets  # (n, 3^d, dim) neighbor cell keys
-        if window.periodic:
-            around = np.mod(around, ncells)
-        weights = ncells ** np.arange(window.dim, dtype=np.intp)
-        cell_of = key @ weights
-        by_cell = np.argsort(cell_of, kind="stable")
-        sorted_cells = cell_of[by_cell]
-        wanted = around @ weights
-        lo = np.searchsorted(sorted_cells, wanted, "left")
-        hi = np.searchsorted(sorted_cells, wanted, "right")
-        if not window.periodic:  # a cell off the window is empty, not an alias
-            off = np.any((around < 0) | (around >= ncells), axis=2)
-            hi[off] = lo[off]
+    # row i's candidates are by_cell[lo[i, k]:hi[i, k]] over its cells k; a
+    # torus of under 3 cells per axis visits each of its cells once
+    key = (pts / (window.side / ncells)).astype(np.intp)
+    key = np.mod(key, ncells) if window.periodic else np.minimum(key, ncells - 1)
+    steps = sorted({k % ncells for k in (-1, 0, 1)}) if window.periodic else (-1, 0, 1)
+    offsets = np.array(list(itertools.product(steps, repeat=window.dim)), dtype=np.intp)
+    around = key[:, None, :] + offsets  # (n, cells, dim) neighbor cell keys
+    if window.periodic:
+        around = np.mod(around, ncells)
+    weights = ncells ** np.arange(window.dim, dtype=np.intp)
+    cell_of = key @ weights
+    by_cell = np.argsort(cell_of, kind="stable")
+    sorted_cells = cell_of[by_cell]
+    wanted = around @ weights
+    lo = np.searchsorted(sorted_cells, wanted, "left")
+    hi = np.searchsorted(sorted_cells, wanted, "right")
+    if not window.periodic:  # a cell off the window is empty, not an alias
+        off = np.any((around < 0) | (around >= ncells), axis=2)
+        hi[off] = lo[off]
     per_row = (hi - lo).sum(axis=1)
     filled = np.concatenate([[0], np.cumsum(per_row)])
     parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]

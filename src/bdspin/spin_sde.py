@@ -15,15 +15,15 @@ each step.  Wiener increments for particle k at step j are a pure function of
 horizons and replicas.
 
 A solve walks the grid once.  The in-radius pairs of the phantom
-configuration are found once (``geometry.neighbor_pairs``).  Particle k
-enters at the grid step of ``births[k]`` and leaves at that of ``deaths[k]``
-(the trajectory's phantom table), and its change re-evaluates only its own
-edges: the walk gathers the active set and the alive edges again only after
-a step that applied a change.  Each particle's keyed stream is drawn up to
-its death step and stored only over its lifetime; marks frozen by a
-volume cutoff draw nothing.  The streams' keys come from one vectorised
-pass per seed (``rng.keyed_streams``).  The mark array stays dense
-(grid x phantom).
+configuration are found once (``geometry.neighbor_pairs``).  Row k of the
+trajectory's phantom table moves on the grid steps from ``births[k]`` to
+``deaths[k]``, and an edge is alive while its source moves and its
+destination is present: the walk switches rows and edges at the ends of
+these intervals and gathers the live graph only at a step with a switch.
+Each particle's keyed stream is drawn up to its death step and stored only
+over its lifetime; marks frozen by a volume cutoff draw nothing.  The
+streams' keys come from one vectorised pass per seed
+(``rng.keyed_streams``).  The mark array stays dense (grid x phantom).
 """
 from __future__ import annotations
 
@@ -384,6 +384,17 @@ def _keyed_slices(seeds: Sequence[int], ids: Sequence[int], first: np.ndarray,
     return out
 
 
+def _switches(begin: np.ndarray, end: np.ndarray,
+              n_steps: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Switches of the items on over steps [begin[i], end[i]), empty ones
+    dropped: step j < n_steps sets ``items[ptr[j]:ptr[j + 1]]`` to ``on[...]``."""
+    keep = np.flatnonzero(begin < end)
+    steps = np.concatenate((begin[keep], end[keep]))
+    order = np.argsort(steps, kind="stable")
+    ptr = np.searchsorted(steps[order], np.arange(n_steps + 1)).tolist()
+    return np.concatenate((keep, keep))[order], order < keep.size, ptr
+
+
 def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
            icfg: IntegratorConfig, seed: int, *,
            frozen_box: Box | None = None,
@@ -415,46 +426,30 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
     values = np.empty(shape)
     values[0] = z0 if not ensemble else z0[:, None]
 
-    # Step j first applies its changes, ``changes[change_ptr[j]:
-    # change_ptr[j + 1]]``: index c < n_ids is row c entering, c >= n_ids is
-    # row c - n_ids leaving, and the stable sort applies an entry before a
-    # leave at one step.  Edge e (sorted by src, dst) is alive while src[e]
-    # moves and dst[e] is present, and a change of row k changes only the
-    # edges with k as an end, ``incident[incident_ptr[k]:incident_ptr[k +
-    # 1]]``.  Only after a step that applied a change (and at step 0) are the
-    # active set and the alive edges gathered again; ``act`` ascends and
-    # ``live`` keeps (src, dst) order, so ``np.add.at`` adds each particle's
-    # pair terms in one fixed order.
-    change_steps = np.concatenate((first, ends))
-    changes = np.argsort(change_steps, kind="stable")
-    change_ptr = np.searchsorted(change_steps[changes], np.arange(n_steps + 1)).tolist()
-    changes = changes.tolist()
-    edge_ends = np.concatenate((src, dst))
-    by_end = np.argsort(edge_ends, kind="stable")
-    incident = np.concatenate((np.arange(len(src)),) * 2)[by_end]
-    incident_ptr = np.searchsorted(edge_ends[by_end], np.arange(n_ids + 1)).tolist()
-    present, act_mask = np.zeros((2, n_ids), dtype=bool)
+    # Row k moves on steps [first[k], stop[k]), and edge e (sorted by src,
+    # dst) is alive while src[e] moves and dst[e] is present.  At step 0 and
+    # at each step where a row or an edge switches, the walk applies the
+    # step's switches and gathers the active set and the alive edges again;
+    # ``act`` ascends and ``live`` keeps (src, dst) order, so ``np.add.at``
+    # adds each particle's pair terms in one fixed order.
+    rows, row_on, row_ptr = _switches(first, stop, n_steps)
+    edges, edge_on, edge_ptr = _switches(np.maximum(first[src], first[dst]),
+                                         np.minimum(stop[src], ends[dst]), n_steps)
+    act_mask = np.zeros(n_ids, dtype=bool)
     alive = np.zeros(len(src), dtype=bool)
-    moves = (~frozen_mask).tolist()
     local = np.zeros(n_ids, dtype=np.intp)
     widths = np.diff(grid)
     h_steps, sqrt_h = widths.tolist(), np.sqrt(widths).tolist()
     tamed = icfg.scheme == "tamed"
-    stale = True
 
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_steps):
             z = values[j]
             values[j + 1] = z
-            for c in changes[change_ptr[j]:change_ptr[j + 1]]:
-                enter = c < n_ids
-                k = c if enter else c - n_ids
-                present[k] = enter
-                act_mask[k] = enter and moves[k]
-                touched = incident[incident_ptr[k]:incident_ptr[k + 1]]
-                alive[touched] = act_mask[src[touched]] & present[dst[touched]]
-                stale = True
-            if stale:
+            a, b, c, d = row_ptr[j], row_ptr[j + 1], edge_ptr[j], edge_ptr[j + 1]
+            if j == 0 or a < b or c < d:
+                act_mask[rows[a:b]] = row_on[a:b]
+                alive[edges[c:d]] = edge_on[c:d]
                 act = act_mask.nonzero()[0]
                 live = alive.nonzero()[0]
                 esrc, edst, edist = src[live], dst[live], dist[live]
@@ -463,7 +458,6 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
                 noise_at = base[act]
                 if ensemble:
                     edist = edist[:, None]
-                stale = False
             if act.size == 0:
                 continue
             z_act = z[act]
@@ -565,9 +559,9 @@ def check_drift_diffusion_bounds(coeffs: CoefficientSet, sample_size: int = 10_0
 
     Each neighbour sum adds one pair's term into its point's row in place, in
     pair order, the order in which ``np.add.at`` adds; the four inequalities
-    are checked one at a time.  A misdeclared constant (for example a
-    Lipschitz constant below the true one) shows up as a reported violation
-    with a witness.
+    are checked one at a time, and each check's arrays die when it returns.
+    A misdeclared constant (for example a Lipschitz constant below the true
+    one) shows up as a reported violation with a witness.
     """
     config = poisson_configuration(Window(6.0, 2, "periodic"), 1.0, seed=seed + 1)
     ids = config.ids()
@@ -597,6 +591,8 @@ def check_drift_diffusion_bounds(coeffs: CoefficientSet, sample_size: int = 10_0
 
     phi1, psi1 = fields(z1)
     phi2, psi2 = fields(z2)
+    delta, dphi, dpsi = z1 - z2, phi1 - phi2, np.abs(psi1 - psi2)
+    del z2, phi2, psi1, psi2
     psi0 = np.bincount(src, weights=coeffs.diffusion.func(np.zeros_like(dist),
                                                           np.zeros_like(dist), dist),
                        minlength=n_pts)
@@ -606,27 +602,13 @@ def check_drift_diffusion_bounds(coeffs: CoefficientSet, sample_size: int = 10_0
     c_gr = coeffs.single.growth_c
     r_gr = coeffs.single.growth_power
     b_diss = coeffs.single.dissipativity
-    delta = z1 - z2
     nx = n_x[:, None]
-
-    def inequalities():
-        yield ("diffusion_lipschitz",
-               np.abs(psi1 - psi2),
-               m_diff * (nx + 1.0) * np.abs(delta) + m_diff * neighbor_sum(np.abs(delta)))
-        yield ("diffusion_at_zero", np.abs(psi0)[:, None], (m_diff * n_x)[:, None])
-        yield ("drift_growth",
-               np.abs(phi1),
-               c_gr * (1.0 + np.abs(z1) ** r_gr) + a_bar * nx * (1.0 + 2.0 * np.abs(z1))
-               + a_bar * neighbor_sum(np.abs(z1)))
-        yield ("drift_dissipativity",
-               delta * (phi1 - phi2),
-               (b_diss + 0.5 + 4.0 * a_bar**2 * nx**2) * delta**2
-               + 0.5 * a_bar**2 * nx * neighbor_sum(delta**2))
-
     violations = 0
     worst = None
     worst_excess = 0.0
-    for name, lhs, rhs in inequalities():
+
+    def check(name, lhs, rhs):
+        nonlocal violations, worst, worst_excess
         bad = lhs > rhs + 1e-9 * (1.0 + np.abs(rhs))
         count = int(bad.sum())
         violations += count
@@ -637,6 +619,16 @@ def check_drift_diffusion_bounds(coeffs: CoefficientSet, sample_size: int = 10_0
                 worst_excess = float(excess[i, j])
                 worst = {"inequality": name, "point": ids[int(i)], "sample": int(j),
                          "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
+
+    check("diffusion_lipschitz", dpsi,
+          m_diff * (nx + 1.0) * np.abs(delta) + m_diff * neighbor_sum(np.abs(delta)))
+    check("diffusion_at_zero", np.abs(psi0)[:, None], (m_diff * n_x)[:, None])
+    check("drift_growth", np.abs(phi1),
+          c_gr * (1.0 + np.abs(z1) ** r_gr) + a_bar * nx * (1.0 + 2.0 * np.abs(z1))
+          + a_bar * neighbor_sum(np.abs(z1)))
+    check("drift_dissipativity", delta * dphi,
+          (b_diss + 0.5 + 4.0 * a_bar**2 * nx**2) * delta**2
+          + 0.5 * a_bar**2 * nx * neighbor_sum(delta**2))
     return BoundsCheckReport(violations == 0, sample_size, n_pts, violations, worst)
 
 

@@ -644,6 +644,28 @@ def explicit_noise(dense: np.ndarray) -> Iterator[None]:
         spin_sde._keyed_slices = keyed
 
 
+@contextmanager
+def shifted_switches(shift: int) -> Iterator[None]:
+    """Make every mark solve in the block switch rows and edges ``shift``
+    steps late (+1) or early (-1): each interval's begin above step 0 and
+    each end move by ``shift``, clipped to the solve's steps.
+
+    ``spin_sde._switches`` is wrapped, so the faulty schedule is the
+    library's own; only the noise slices stay where the lifetimes put them.
+    """
+    switches = spin_sde._switches
+
+    def shifted(begin, end, n_steps):
+        begin = np.where(begin > 0, np.clip(begin + shift, 0, n_steps), begin)
+        return switches(begin, np.clip(end + shift, 0, n_steps), n_steps)
+
+    spin_sde._switches = shifted
+    try:
+        yield
+    finally:
+        spin_sde._switches = switches
+
+
 def _keyed_normals(seed: int, ids: Sequence[int], n_steps: int) -> np.ndarray:
     """The first ``n_steps`` normals of every keyed stream, shape (n_steps, ids),
     each from its own ``rng.keyed_generator``: a SeedSequence, a Philox and a

@@ -14,7 +14,8 @@ import pytest
 from bdspin import cli
 from bdspin.birth_death import simulate
 from bdspin.cli import SUITES, _load_run_dir, load_config, main
-from test_golden_artifacts import OPEN_CONFIG
+from oracles import shifted_switches
+from test_golden_artifacts import OPEN_CONFIG, README_CONFIG
 
 
 def base_config(**overrides):
@@ -100,6 +101,9 @@ class TestSimulate:
         ({"initial_configuration": {"kind": "explicit",
                                     "points": [{"id": True, "position": [1.0, 1.0]}]}},
          "initial_configuration.points: point id True is not an integer"),
+        ({"initial_configuration": {"kind": "explicit",
+                                    "points": [{"id": -1, "position": [1.0, 1.0]}]}},
+         "initial_configuration.points: point id -1 is negative"),
         ({"seed": True}, "seed: expected"),
         ({"horizon": True}, "horizon: expected"),
         ({"output": {"mark_stride": True}}, "output.mark_stride: expected"),
@@ -153,7 +157,7 @@ class TestSimulate:
          "scale_params.alpha_star: must be a finite number"),
     ], ids=["negative_death_rate", "dim_0", "klein_boundary", "point_not_an_object",
             "duplicate_point_id", "point_wrong_dim", "point_outside_open_window",
-            "point_id_fractional", "point_id_true",
+            "point_id_fractional", "point_id_true", "point_id_negative",
             "seed_true", "horizon_true", "mark_stride_true", "kernel_z_string",
             "kernel_z_negative", "kernel_z_true", "kernel_phi_param_true",
             "coefficient_param_true", "kernel_phi_param_nan", "kernel_a_param_nan",
@@ -432,6 +436,22 @@ class TestVerify:
         assert "witness" in capsys.readouterr().err
         assert not json.loads((out / "cadlag_report.json").read_text())["passed"]
 
+    @pytest.mark.parametrize("shift", [1, -1], ids=["late", "early"])
+    def test_cadlag_suite_fails_on_shifted_switches(self, tmp_path, capsys, shift):
+        # the benchmark's verify size: README config, side 10, T 0.25
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(dict(README_CONFIG, horizon=0.25, seed=1,
+                                       window={"side": 10.0, "dim": 2,
+                                               "boundary": "periodic"})))
+        assert cli.run_suite(load_config(cfg), "cadlag")["passed"]
+        out = tmp_path / "rep"
+        with shifted_switches(shift):
+            report = cli.run_suite(load_config(cfg), "cadlag")
+            assert main(["verify", "--config", str(cfg), "--out", str(out),
+                         "--suite", "cadlag"]) == 1
+        assert not report["passed"] and report["frozen_mark_deviation"] > 0
+        assert "witness" in capsys.readouterr().err
+
     @pytest.mark.parametrize("suite,message", [("nonsense", "unknown suite"),
                                                (",", "no suite named"),
                                                (" ", "no suite named"),
@@ -599,6 +619,7 @@ class TestEmitPlotdata:
                                             "header_not_an_object", "window_without_side",
                                             "gamma0_record_without_id",
                                             "gamma0_id_fractional", "gamma0_id_true",
+                                            "gamma0_id_negative",
                                             "kernel_without_z", "birth_position_wrong_dim",
                                             "window_norm_origin_moved"])
     def test_corrupt_run_exit_2_before_output(self, tmp_path, capsys, corruption):
@@ -640,6 +661,8 @@ class TestEmitPlotdata:
             elif corruption == "gamma0_id_true":  # int() would give 1, the id it replaces
                 assert header["gamma0"][1]["id"] == 1
                 header["gamma0"][1]["id"] = True
+            elif corruption == "gamma0_id_negative":  # no noise stream has a negative key
+                header["gamma0"][-1]["id"] = -1
             else:
                 assert header["kernel"]["variant"] == "glauber"
                 del header["kernel"]["z"]
@@ -668,6 +691,8 @@ class TestEmitPlotdata:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and f"corrupt run directory {out}" in err
+        if corruption == "gamma0_id_negative":  # caught at the header, not at marks.csv
+            assert "point id -1 is negative" in err
         assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("t", [math.nan, 5.0], ids=["nan", "after_horizon"])

@@ -60,8 +60,8 @@ def assert_pairs_match(config, radius):
 
 
 class TestNeighborPairs:
-    # (side, radius): 7 cells per axis, exactly 3, 2 (every pair scanned),
-    # and a radius wider than the window
+    # (side, radius): 7 cells per axis, exactly 3, 2, and 1 (a radius wider
+    # than the window); a torus of 2 or 1 cells visits each cell once
     @pytest.mark.parametrize("side,radius", [(8.0, 1.0), (4.0, 1.0), (2.5, 1.0),
                                              (1.0, 1.5)])
     @pytest.mark.parametrize("boundary", ["periodic", "open"])
@@ -257,6 +257,10 @@ class TestNeighborQueries:
         assert ids == [3] and type(ids[0]) is int
         for pid in (1.5, True, "1", np.float64(1.0)):
             with pytest.raises(TypeError, match="is not an integer"):
+                Configuration(window, [(pid, [1.0, 1.0])])
+        # an id keys its noise stream, whose key material is nonnegative
+        for pid in (-1, np.int64(-7)):
+            with pytest.raises(ValueError, match=f"point id {int(pid)} is negative"):
                 Configuration(window, [(pid, [1.0, 1.0])])
 
     def test_outside_window_rejected_open(self):

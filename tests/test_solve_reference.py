@@ -6,12 +6,13 @@ the positions from ``oracles.phantom_positions``, which rebuilds them from
 gamma0 and the birth events, not from the trajectory's phantom table.  It rebuilds each segment's active set and edge list from all
 phantom edges, finds the edges with a per-point ``neighbors_within`` loop and
 draws the keyed noise as one dense (steps x phantom) array, one SeedSequence
-per stream.  The library solve applies each particle's entry and leave at
-the grid steps of its lifetime, re-evaluates only the edges of the particle
-each change touches, derives the stream keys in one
-vectorised pass and stores each keyed stream only over its particle's
-lifetime; both must give bit-identical paths, also on the edge cases of the
-walk (``TestEventWalkEdgeCases``).
+per stream.  The library solve gives each row and each edge of the phantom
+graph its interval of grid steps, switches them on and off at the ends of
+those intervals and gathers the active set and the alive edges only at a
+step with a switch; it derives the stream keys in one vectorised pass and
+stores each keyed stream only over its particle's lifetime.  Both must
+give bit-identical paths, also on the edge cases of the walk
+(``TestEventWalkEdgeCases``).
 """
 
 import math

@@ -482,7 +482,7 @@ class TestBoundsCheck:
     @pytest.mark.parametrize("seed", [0, 4])
     def test_peak_memory_does_not_grow_with_the_pairs(self, seed):
         """At radius 1.7 a point has about nine neighbours, yet the peak stays
-        within 16 arrays of points x samples; a row per pair would take 30-40."""
+        within 12 arrays of points x samples; a row per pair would take 30-40."""
         tracemalloc.start()
         try:
             report = check_drift_diffusion_bounds(default_coeffs(rho=1.7), sample_size=2000,
@@ -490,7 +490,7 @@ class TestBoundsCheck:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * report.points * report.samples * 8
+        assert peak <= 12 * report.points * report.samples * 8
 
 
 class TestMarkPathIO:
