@@ -45,8 +45,6 @@ from .spin_sde import (
     cutoff_convergence_study,
     finite_volume_solve,
     integrate_marks,
-    integrate_marks_ensemble,
-    projection_consistency,
 )
 
 __version__ = "0.1.0"

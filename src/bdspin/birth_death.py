@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -399,16 +399,6 @@ class Trajectory:
         """
         return (self.births <= t) & (t < self.deaths)
 
-    def restrict(self, horizon: float) -> "Trajectory":
-        """The same path observed only on [0, horizon]; ids are unchanged."""
-        if not 0.0 < horizon <= self.horizon:
-            raise ValueError("restriction horizon must lie in (0, T]")
-        driving = None
-        if self.driving is not None:
-            driving = [dp for dp in self.driving if dp.s <= horizon]
-        return replace(self, horizon=horizon, driving=driving,
-                       events=[ev for ev in self.events if ev.time <= horizon])
-
 
 # fewest candidates in a block: a neighbor_pairs call costs about 0.1 ms
 # before any work, so a sparse configuration still gets blocks of hundreds
@@ -588,14 +578,15 @@ def verify_domination(traj: Trajectory) -> DominationReport:
             violations.append({"kind": "missing_candidate", "id": ev.id, "t": ev.time})
 
     init_pts = traj.gamma0.positions_array()
+    inside = [(box, box.contains_many(cand_x), int(np.count_nonzero(box.contains_many(init_pts))),
+               box.contains_many(traj.phantom_xy)) for box in boxes]
     margins = []
     for t in np.linspace(0.0, traj.horizon, 9)[1:]:
         # phantom up to t = gamma_0 plus all births accepted by time t
-        phantom_arr = traj.phantom_xy[traj.births <= t]
-        for box in boxes:
-            lhs = int(np.count_nonzero(box.contains_many(phantom_arr)))
-            n_cand = int(np.count_nonzero((cand_s <= t) & box.contains_many(cand_x)))
-            n_init = int(np.count_nonzero(box.contains_many(init_pts)))
+        phantom_mask, cand_mask = traj.births <= t, cand_s <= t
+        for box, in_cand, n_init, in_phantom in inside:
+            lhs = int(np.count_nonzero(phantom_mask & in_phantom))
+            n_cand = int(np.count_nonzero(cand_mask & in_cand))
             margins.append(n_cand + n_init - lhs)
             if margins[-1] < 0:
                 violations.append({

@@ -608,8 +608,10 @@ def cmd_emit_plotdata(args) -> int:
         return 0
 
     # each replica's grid refines the shared dt lattice with its own event
-    # times; aggregation happens on the times common to all replicas
-    shared_grid = functools.reduce(np.intersect1d, [mt.grid for mt in runs])
+    # times; aggregation happens on the times common to all replicas (each
+    # grid is strictly increasing: the mark path reader rejects any other)
+    shared_grid = functools.reduce(functools.partial(np.intersect1d, assume_unique=True),
+                                   [mt.grid for mt in runs])
     shared_rows = [np.searchsorted(mt.grid, shared_grid) for mt in runs]
     for g in observables:
         rows = [mt.observable_series(g) for mt in runs]

@@ -146,7 +146,10 @@ def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
                    dtype=float).reshape(-1, 1 + traj.window.dim)
     log_t = log[:, 0]
     support = np.flatnonzero(g.support.contains_many(log[:, 1:]))
-    times, starts = np.unique(log_t[support], return_index=True)
+    support_t = log_t[support]
+    # the log is time-ordered, so each new time starts a run of equal times
+    starts = np.flatnonzero(np.diff(support_t, prepend=-np.inf) != 0)
+    times = support_t[starts]
     index = np.searchsorted(grid, times)
     # a time past the last grid point meets the NaN pad, which equals nothing
     off_grid = np.append(grid, np.nan)[index] != times
@@ -221,8 +224,6 @@ def write_marked_snapshots(path, mt: MarkedTrajectory, stride: int = 1) -> None:
     The bytes are those of ``json.dumps`` on each record: every point's text
     up to its mark is built once, and a float is written as its repr.
     """
-    if mt.marks.values.ndim != 2:
-        raise ValueError("marked snapshots need a single-replica mark path")
     prefixes = [f'{{"id": {pid}, "position": {json.dumps(pos)}, "mark": '
                 for pid, pos in zip(mt.base.phantom_ids(), mt.base.phantom_xy.tolist())]
     # json.dumps writes a non-finite float as NaN or Infinity, not its repr

@@ -11,8 +11,8 @@ while absent, drift and diffusion are identically zero, so the mark is frozen
 bit-exactly.  The integrator is Euler-Maruyama (optionally drift-tamed) on a
 grid refined to contain every jump time, so coefficients are constant within
 each step.  Wiener increments for particle k at step j are a pure function of
-(seed, k, j), which makes solves pathwise comparable across volume cutoffs,
-horizons and replicas.
+(seed, k, j), which makes solves pathwise comparable across volume cutoffs
+and horizons.
 
 A solve walks the grid once.  The in-radius pairs of the phantom
 configuration are found once (``geometry.neighbor_pairs``).  Row k of the
@@ -22,8 +22,8 @@ destination is present: the walk switches rows and edges at the ends of
 these intervals and gathers the live graph only at a step with a switch.
 Each particle's keyed stream is drawn up to its death step and stored only
 over its lifetime; marks frozen by a volume cutoff draw nothing.  The
-streams' keys come from one vectorised pass per seed
-(``rng.keyed_streams``).  The mark array stays dense (grid x phantom).
+streams' keys come from one vectorised pass (``rng.keyed_streams``).  The
+mark array stays dense (grid x phantom).
 """
 from __future__ import annotations
 
@@ -260,8 +260,7 @@ class IntegratorConfig:
 class MarkPath:
     """Marks of every phantom id on the integration grid.
 
-    ``values[j, k]`` is the mark of ``ids[k]`` at ``grid[j]`` (an extra
-    trailing replica axis is present for ensemble solves).
+    ``values[j, k]`` is the mark of ``ids[k]`` at ``grid[j]``.
     """
 
     grid: np.ndarray
@@ -276,8 +275,6 @@ class MarkPath:
         A value bitwise equal to its predecessor in the previous written row
         keeps that row's text, so a frozen mark is formatted once.
         """
-        if self.values.ndim != 2:
-            raise ValueError("CSV export is for single-replica paths")
         with open(path, "w", newline="") as fh:
             fh.write("t,id,value\r\n")
             if not self.values.size:
@@ -354,7 +351,8 @@ def build_time_grid(horizon: float, dt: float, event_times: Sequence[float]) -> 
         base = base[:-1]
     ev = np.asarray(event_times, dtype=float)
     ev = ev[(0.0 < ev) & (ev <= horizon)]
-    return np.unique(np.concatenate((base, [0.0, horizon], ev)))
+    s = np.sort(np.concatenate((base, [0.0, horizon], ev)))
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
 def integration_grid(traj: Trajectory, dt: float) -> np.ndarray:
@@ -363,24 +361,23 @@ def integration_grid(traj: Trajectory, dt: float) -> np.ndarray:
     return build_time_grid(traj.horizon, dt, np.concatenate((traj.births, traj.deaths)))
 
 
-def _keyed_slices(seeds: Sequence[int], ids: Sequence[int], first: np.ndarray,
+def _keyed_slices(seed: int, ids: Sequence[int], first: np.ndarray,
                   stop: np.ndarray) -> np.ndarray:
     """Entries [first[k], stop[k]) of every stream (seed, BROWNIAN, ids[k]),
-    packed id after id into one buffer with a column per seed.
+    packed id after id into one buffer.
 
     A stream is drawn up to ``stop[k]`` and its first ``first[k]`` normals
     are dropped: entry j of a stream is the j-th normal it yields.
     """
     lengths = stop - first
-    out = np.empty((int(lengths.sum()), len(seeds)))
+    out = np.empty(int(lengths.sum()))
     moving = np.flatnonzero(lengths).tolist()
     ends = np.cumsum(lengths)
     starts, ends = (ends - lengths).tolist(), ends.tolist()
     first, stop = first.tolist(), stop.tolist()
-    for r, seed in enumerate(seeds):
-        streams = rng.keyed_streams(seed, rng.BROWNIAN, [ids[k] for k in moving])
-        for k, gen in zip(moving, streams):
-            out[starts[k]:ends[k], r] = gen.standard_normal(stop[k])[first[k]:]
+    streams = rng.keyed_streams(seed, rng.BROWNIAN, [ids[k] for k in moving])
+    for k, gen in zip(moving, streams):
+        out[starts[k]:ends[k]] = gen.standard_normal(stop[k])[first[k]:]
     return out
 
 
@@ -397,8 +394,7 @@ def _switches(begin: np.ndarray, end: np.ndarray,
 
 def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
            icfg: IntegratorConfig, seed: int, *,
-           frozen_box: Box | None = None,
-           n_replicas: int | None = None) -> MarkPath:
+           frozen_box: Box | None = None) -> MarkPath:
     ids = traj.phantom_ids()
     n_ids = len(ids)
     src, dst, dist = neighbor_pairs(traj.window, traj.phantom_xy, coeffs.radius)
@@ -414,17 +410,12 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
     first = np.searchsorted(grid[:-1], traj.births, "left")
     ends = np.searchsorted(grid[:-1], traj.deaths, "left")
     stop = np.where(frozen_mask, first, ends)
-    ensemble = n_replicas is not None
-    seeds = [rng.replica_seed(seed, r) for r in range(n_replicas)] if ensemble else [seed]
-    flat = _keyed_slices(seeds, ids, first, stop)
-    if not ensemble:
-        flat = flat[:, 0]
+    flat = _keyed_slices(seed, ids, first, stop)
     base = np.cumsum(stop - first) - stop
 
     z0 = np.array([init.evaluate(x) for x in traj.phantom_xy], dtype=float)
-    shape = (n_steps + 1, n_ids) if not ensemble else (n_steps + 1, n_ids, n_replicas)
-    values = np.empty(shape)
-    values[0] = z0 if not ensemble else z0[:, None]
+    values = np.empty((n_steps + 1, n_ids))
+    values[0] = z0
 
     # Row k moves on steps [first[k], stop[k]), and edge e (sorted by src,
     # dst) is alive while src[e] moves and dst[e] is present.  At step 0 and
@@ -456,8 +447,6 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
                 local[act] = np.arange(act.size)
                 lsrc = local[esrc]  # position of each edge's source in act
                 noise_at = base[act]
-                if ensemble:
-                    edist = edist[:, None]
             if act.size == 0:
                 continue
             z_act = z[act]
@@ -496,16 +485,6 @@ def integrate_marks(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkP
     return _solve(traj, coeffs, init, icfg, seed)
 
 
-def integrate_marks_ensemble(traj: Trajectory, coeffs: CoefficientSet,
-                             init: InitialMarkPolicy, icfg: IntegratorConfig,
-                             seed: int, n_replicas: int) -> MarkPath:
-    """Replica-batched solve; replica r uses the derived seed replica_seed(seed, r).
-
-    Bit-identical to running ``integrate_marks`` once per derived seed.
-    """
-    return _solve(traj, coeffs, init, icfg, seed, n_replicas=n_replicas)
-
-
 def finite_volume_solve(traj: Trajectory, coeffs: CoefficientSet,
                         init: InitialMarkPolicy, icfg: IntegratorConfig,
                         box: Box, seed: int) -> MarkPath:
@@ -521,19 +500,21 @@ def finite_volume_solve(traj: Trajectory, coeffs: CoefficientSet,
 def frozen_mark_deviation(path: MarkPath, traj: Trajectory) -> float:
     """Largest change of any mark over a step on which its particle is absent.
 
-    The integrator contract makes this exactly 0.0.
+    The integrator contract makes this exactly 0.0; a NaN change gives NaN.
     """
     if path.ids != traj.phantom_ids():
         raise ValueError("mark path columns are not the trajectory's phantom ids")
-    grid = path.grid
-    # step j is absent when its particle is born at or after its end, or
-    # died at or before its start; on every replica of an ensemble path
-    absent = (grid[1:, None] <= traj.births) | (grid[:-1, None] >= traj.deaths)
-    change = np.diff(path.values, axis=0)
-    np.abs(change, out=change)
-    if change.ndim == 3:
-        absent = absent[:, :, None]
-    return float(change.max(where=absent, initial=0.0))
+    grid, values = path.grid, path.values
+    # column k is absent on the steps that end by its birth, [0, born[k]),
+    # and on those that start at or after its death, [gone[k], n_steps)
+    born = np.searchsorted(grid[1:], traj.births, "right").tolist()
+    gone = np.searchsorted(grid[:-1], traj.deaths, "left").tolist()
+    changes = [0.0]  # np.max, unlike Python's max, keeps a NaN anywhere in it
+    for k, (a, b) in enumerate(zip(born, gone)):
+        for run in (values[:a + 1, k], values[b:, k]):
+            if len(run) > 1:
+                changes.append(np.abs(np.diff(run)).max())
+    return float(np.max(changes))
 
 
 # -- verification studies ---------------------------------------------------------
@@ -677,34 +658,6 @@ def cutoff_convergence_study(traj: Trajectory, coeffs: CoefficientSet,
     rho = _spearman(np.arange(len(boxes)), estimates) if len(set(estimates)) > 1 else 0.0
     nonincr = all(a >= b - 1e-15 for a, b in zip(estimates, estimates[1:]))
     return CutoffStudyReport(list(boxes), estimates, rho, nonincr)
-
-
-def projection_consistency(traj: Trajectory, coeffs: CoefficientSet,
-                           init: InitialMarkPolicy, icfg: IntegratorConfig,
-                           horizon: float, seed: int) -> bool:
-    """Re-solve on the restricted horizon and compare against the restriction
-    of the full-horizon solve: exact (bitwise) equality on the shared grid for
-    all shared ids.  Requires ``horizon`` to lie on the full solve's grid."""
-    full = integrate_marks(traj, coeffs, init, icfg, seed)
-    short = integrate_marks(traj.restrict(horizon), coeffs, init, icfg, seed)
-    return _projection_mismatch(full, short) is None
-
-
-def _projection_mismatch(full: MarkPath, short: MarkPath) -> tuple[int, float] | None:
-    """First (id, t) where a shared mark differs, or None if exactly equal."""
-    n = len(short.grid)
-    if n > len(full.grid) or not np.array_equal(short.grid, full.grid[:n]):
-        raise ValueError("restricted grid is not a prefix of the full grid; "
-                         "choose a horizon on the dt lattice")
-    col_full = {pid: k for k, pid in enumerate(full.ids)}
-    for k, pid in enumerate(short.ids):
-        a = short.values[:, k]
-        b = full.values[:n, col_full[pid]]
-        neq = a != b
-        if neq.any():
-            j = int(np.argmax(neq))
-            return pid, float(short.grid[j])
-    return None
 
 
 def run_manifest(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,

@@ -4,13 +4,15 @@ Nothing in the CLI runs these; the tests import them as a plain module (the
 way ``test_acceptance`` imports ``test_scales``).  They build on the library's
 own pieces: ``ovsjannikov_bound_constant`` computes its L with the same
 ``scales._cut_radius`` and ``scales._bound_value`` as the ``gronwall`` and
-``moments`` reports, and ``strong_order_study`` solves with
-``integrate_marks_ensemble`` on noise aggregated from the finest lattice,
-passed in through ``explicit_noise``.  The accessors at the top
-(``phantom_positions``, ``config_at`` and ``present_ids``, a log replay,
-``position_of``, ``count_in``, ``in_box``, ``grid_index``, ``radial_norm``,
-``radial_norms``, ``box_volume``) are what the tests read of the library
-objects beyond what the library itself needs.  The artifact writers
+``moments`` reports, and ``strong_order_study`` solves its replicas as
+isolated pairs of one ``integrate_marks`` call, on noise aggregated from the
+finest lattice and passed in through ``explicit_noise``.  The accessors at
+the top (``phantom_positions``, ``config_at`` and ``present_ids``, a log
+replay, ``restrict``, ``position_of``, ``count_in``, ``in_box``,
+``grid_index``, ``radial_norm``, ``radial_norms``, ``box_volume``) are what
+the tests read of the library objects beyond what the library itself needs;
+``projection_consistency`` checks that a solve restricted to a shorter
+horizon is the prefix of the full one.  The artifact writers
 and reader at the end are the per-value ``csv``/``json`` versions that the
 library's string-joining writers and C-parsed reader must match.
 
@@ -26,7 +28,7 @@ import heapq
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -39,8 +41,7 @@ from bdspin.geometry import Box, Configuration, Window
 from bdspin.scales import _bound_value, _cut_radius, _neighborhoods
 from bdspin.marked_process import MarkedTrajectory
 from bdspin.spin_sde import (CoefficientSet, InitialMarkPolicy, IntegratorConfig, MarkPath,
-                             integrate_marks_ensemble, linear_drift, linear_self_diffusion,
-                             zero_pair)
+                             integrate_marks, linear_drift, linear_self_diffusion, zero_pair)
 
 
 # -- accessors the library does not need ----------------------------------------
@@ -127,6 +128,17 @@ def config_at(traj: Trajectory, t: float, side: str = "right") -> Configuration:
     positions = phantom_positions(traj)
     return Configuration(traj.window, [(pid, positions[pid])
                                        for pid in present_ids(traj, t, side)])
+
+
+def restrict(traj: Trajectory, horizon: float) -> Trajectory:
+    """The same path observed only on [0, horizon]; ids are unchanged."""
+    if not 0.0 < horizon <= traj.horizon:
+        raise ValueError("restriction horizon must lie in (0, T]")
+    driving = None
+    if traj.driving is not None:
+        driving = [dp for dp in traj.driving if dp.s <= horizon]
+    return replace(traj, horizon=horizon, driving=driving,
+                   events=[ev for ev in traj.events if ev.time <= horizon])
 
 
 # -- radius queries by a direct scan ----------------------------------------------
@@ -614,27 +626,55 @@ def assemble_diffusion(pid: int, t: float, marks: Mapping[int, float],
     return total
 
 
+# -- horizon projection of the mark solve ----------------------------------------------
+
+
+def projection_mismatch(full: MarkPath, short: MarkPath) -> tuple[int, float] | None:
+    """First (id, t) where a shared mark differs, or None if exactly equal."""
+    n = len(short.grid)
+    if n > len(full.grid) or not np.array_equal(short.grid, full.grid[:n]):
+        raise ValueError("restricted grid is not a prefix of the full grid; "
+                         "choose a horizon on the dt lattice")
+    col_full = {pid: k for k, pid in enumerate(full.ids)}
+    for k, pid in enumerate(short.ids):
+        a = short.values[:, k]
+        b = full.values[:n, col_full[pid]]
+        neq = a != b
+        if neq.any():
+            j = int(np.argmax(neq))
+            return pid, float(short.grid[j])
+    return None
+
+
+def projection_consistency(traj: Trajectory, coeffs: CoefficientSet,
+                           init: InitialMarkPolicy, icfg: IntegratorConfig,
+                           horizon: float, seed: int) -> bool:
+    """Re-solve on the restricted horizon and compare against the restriction
+    of the full-horizon solve: exact (bitwise) equality on the shared grid for
+    all shared ids.  Requires ``horizon`` to lie on the full solve's grid."""
+    full = integrate_marks(traj, coeffs, init, icfg, seed)
+    short = integrate_marks(restrict(traj, horizon), coeffs, init, icfg, seed)
+    return projection_mismatch(full, short) is None
+
+
 # -- strong order of the integrator -----------------------------------------------------
 
 
 @contextmanager
 def explicit_noise(dense: np.ndarray) -> Iterator[None]:
     """Drive every mark solve in the block by ``dense`` instead of the keyed
-    streams: the normal of phantom column k at step j is ``dense[j, k]``, and
-    an ensemble solve reads replica r from ``dense[j, k, r]``.
+    streams: the normal of phantom column k at step j is ``dense[j, k]``.
 
     ``spin_sde._keyed_slices`` is replaced by the same slices of ``dense``,
     packed in the same layout, so a solve reads exactly the entries on which
     a particle moves.
     """
-    cols = dense.reshape(dense.shape[:2] + (-1,))
-
-    def slices(seeds, ids, first, stop):
-        if cols.shape[1:] != (len(ids), len(seeds)) or np.any(stop > len(cols)):
+    def slices(seed, ids, first, stop):
+        if dense.shape[1] != len(ids) or np.any(stop > len(dense)):
             raise ValueError(f"noise of shape {dense.shape} does not cover {len(ids)} ids "
-                             f"and {len(seeds)} replicas over the solve's steps")
-        return np.concatenate([cols[first[k]:stop[k], k] for k in range(len(ids))]
-                              + [np.empty((0, len(seeds)))])
+                             "over the solve's steps")
+        return np.concatenate([dense[first[k]:stop[k], k] for k in range(len(ids))]
+                              + [np.empty(0)])
 
     keyed = spin_sde._keyed_slices
     spin_sde._keyed_slices = slices
@@ -696,10 +736,14 @@ def strong_order_study(seed: int, *, n_paths: int = 400,
     per-neighbor diffusion kappa*sigma make each mark a geometric diffusion
     with the exact solution x0*exp((a - kappa^2/2)t + kappa*W_t).  Brownian
     paths are fixed on the finest lattice and aggregated to the coarser ones,
-    so the levels see the same driving noise.
+    so the levels see the same driving noise.  The ``n_paths`` paths are the
+    pairs of one solve: pair r sits at offset 2.5 * (r mod 20, r div 20), so
+    two pairs are at least 1.7 apart, beyond the radius of 1, and particle k
+    of pair r is phantom column 2r + k.
     """
-    window = Window(2.0, 2, "open")
-    gamma0 = Configuration(window, [(0, [0.5, 1.0]), (1, [1.3, 1.0])])
+    window = Window(2.5 * max(20, -(-n_paths // 20)), 2, "open")  # side 50 up to 400 paths
+    gamma0 = Configuration(window, [(2 * r + k, [x0 + 2.5 * (r % 20), 1.0 + 2.5 * (r // 20)])
+                                    for r in range(n_paths) for k, x0 in enumerate((0.5, 1.3))])
     traj = simulate(gamma0, ConstantBirthKernel(0.0), 0.0, horizon, seed=seed)
     coeffs = CoefficientSet(linear_drift(drift_rate), zero_pair(),
                             linear_self_diffusion(noise_scale), radius=1.0)
@@ -711,7 +755,7 @@ def strong_order_study(seed: int, *, n_paths: int = 400,
     dt_fine = horizon / n_fine
     z_fine = np.empty((n_fine, 2, n_paths))
     for r in range(n_paths):
-        z_fine[:, :, r] = _keyed_normals(rng.replica_seed(seed, r), traj.phantom_ids(), n_fine)
+        z_fine[:, :, r] = _keyed_normals(rng.replica_seed(seed, r), [0, 1], n_fine)
     dw_fine = math.sqrt(dt_fine) * z_fine
     w_final = dw_fine.sum(axis=0)
     exact = initial_value * np.exp(
@@ -726,9 +770,10 @@ def strong_order_study(seed: int, *, n_paths: int = 400,
         dw = dw_fine.reshape(n_steps, block, 2, n_paths).sum(axis=1)
         noise = dw / math.sqrt(dt)
         icfg = IntegratorConfig(dt=dt)
-        with explicit_noise(noise):
-            path = integrate_marks_ensemble(traj, coeffs, init, icfg, seed, n_paths)
-        em_final = path.values[-1]
+        # column 2r + k of the solve is particle k of path r
+        with explicit_noise(noise.transpose(0, 2, 1).reshape(n_steps, 2 * n_paths)):
+            path = integrate_marks(traj, coeffs, init, icfg, seed)
+        em_final = path.values[-1].reshape(n_paths, 2).T.copy()
         err = math.sqrt(float(np.mean((em_final - exact) ** 2)))
         dts.append(dt)
         errors.append(err)

@@ -42,11 +42,9 @@ from bdspin.spin_sde import (
     exchange_coupling,
     frozen_mark_deviation,
     integrate_marks,
-    integrate_marks_ensemble,
     linear_coupling,
     linear_drift,
     linear_self_diffusion,
-    projection_consistency,
     tanh_diffusion,
     zero_diffusion,
     zero_drift,
@@ -58,6 +56,7 @@ from oracles import (
     check_operator_bound,
     death_events,
     ovsjannikov_bound_constant,
+    projection_consistency,
     radial_norms,
     strong_order_study,
     weighted_lp_norm_from_radii,
@@ -163,16 +162,16 @@ def test_criterion_04_frozen_marks():
 def test_criterion_05_sde_linear_oracle():
     with criterion("criterion 5: linear SDE oracle (mean decay to 4/e)"):
         t0 = time.perf_counter()
-        window = Window(2.0, 2, "open")
-        gamma0 = Configuration(window, [(0, [1.0, 1.0])])
+        # 10 000 replicas as particles 2 apart, beyond the radius of 1
+        window = Window(20_000.0, 1, "open")
+        gamma0 = Configuration(window, [(r, [1.0 + 2.0 * r]) for r in range(10_000)])
         traj = simulate(gamma0, ConstantBirthKernel(0.0), 0.0, 1.0, seed=0)
         coeffs = CoefficientSet(linear_drift(-1.0), zero_pair(), zero_diffusion(),
                                 radius=1.0)
         dt = 1e-3
-        path = integrate_marks_ensemble(traj, coeffs, InitialMarkPolicy.constant(4.0),
-                                        IntegratorConfig(dt=dt), seed=1,
-                                        n_replicas=10_000)
-        finals = path.values[-1, 0, :]
+        path = integrate_marks(traj, coeffs, InitialMarkPolicy.constant(4.0),
+                               IntegratorConfig(dt=dt), seed=1)
+        finals = path.values[-1]
         mc_mean = float(finals.mean())
         mc_sigma = float(finals.std(ddof=1)) / math.sqrt(len(finals)) if len(finals) > 1 else 0.0
         elapsed = time.perf_counter() - t0

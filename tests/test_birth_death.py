@@ -30,7 +30,7 @@ from bdspin.geometry import Box, Configuration, Window, poisson_configuration
 from bdspin.spin_sde import build_time_grid
 from oracles import (TemperedWeight, birth_events, check_rate_perturbation_bound, config_at,
                      count_in, death_events, event_count_in, in_box, phantom_positions,
-                     present_ids, rate_at)
+                     present_ids, rate_at, restrict)
 
 
 def glauber_run(seed, z=1.5, side=5.0, T=1.0, m=0.5, init_intensity=0.5, c=0.8, rho=1.0):
@@ -502,7 +502,7 @@ class TestVerification:
 class TestRestrictAndLog:
     def test_restrict_half_horizon(self):
         traj = glauber_run(seed=31, m=1.0, T=2.0, z=2.0)
-        half = traj.restrict(1.0)
+        half = restrict(traj, 1.0)
         assert all(ev.time <= 1.0 for ev in half.events)
         assert half.events == [ev for ev in traj.events if ev.time <= 1.0]
         for t in (0.0, 0.25, 0.7, 1.0):
@@ -607,7 +607,7 @@ class TestDerivedPresence:
         for h in (0.75, deaths[len(deaths) // 2]):
             want = {pid: (birth, death if death is not None and death <= h else None)
                     for pid, (birth, death) in traj.presence.items() if birth <= h}
-            short = traj.restrict(h)
+            short = restrict(traj, h)
             assert short.presence == want
             assert short.phantom_ids() == sorted(want)
             rows = np.searchsorted(traj.phantom_ids(), sorted(want))
@@ -660,7 +660,7 @@ class TestPhantomTable:
 
     def test_restricted_trajectory(self):
         traj = glauber_run(seed=31, m=1.0, T=2.0, z=2.0)
-        short = traj.restrict(1.0)
+        short = restrict(traj, 1.0)
         self.assert_table_matches(short)
         assert len(short.phantom_ids()) < len(traj.phantom_ids())
 
@@ -709,7 +709,7 @@ class TestPresenceSweep:
         self.assert_left_limits_match(traj)
 
     def test_restricted_trajectory(self):
-        traj = glauber_run(seed=31, m=1.0, T=2.0, z=2.0).restrict(1.0)
+        traj = restrict(glauber_run(seed=31, m=1.0, T=2.0, z=2.0), 1.0)
         self.assert_masks_match(traj, self.grid_and_segment_starts(traj))
         self.assert_left_limits_match(traj)
 

@@ -335,6 +335,29 @@ class TestFailureContract:
         report = json.loads((out / "cutoff_report.json").read_text())
         assert len(set(report["estimates"])) > 1  # the correlation was computed
 
+    def test_no_command_loads_numpy_ma(self, tmp_path):
+        # np.unique and a plain np.intersect1d import numpy.ma on first use
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        cfg = write_config(tmp_path, replicas=2, horizon=0.25)
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps([
+            {"name": "pop", "kind": "count", "box": {"lo": [0.0, 0.0], "hi": [4.0, 4.0]}},
+            {"name": "sum", "kind": "mark_sum", "box": {"lo": [0.0, 0.0], "hi": [2.0, 2.0]}},
+        ]))
+        runs, reports, plots = (str(tmp_path / name) for name in ("runs", "reports", "plots"))
+        commands = [["simulate", "--config", str(cfg), "--out", runs, "--jobs", "1"],
+                    *(["verify", "--config", str(cfg), "--out", reports, "--suite", suite]
+                      for suite in SUITES),
+                    ["emit-plotdata", "--artifacts", runs, "--observables", str(obs),
+                     "--out", plots]]
+        probe = ("import sys; from bdspin.cli import main; "
+                 f"codes = [main(c) for c in {commands!r}]; "
+                 "print(codes, 'numpy.ma' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip().splitlines()[-1] == f"{[0] * (len(SUITES) + 2)} False"
+
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     @pytest.mark.parametrize("source", ["flag", "config"])

@@ -27,7 +27,6 @@ from bdspin.spin_sde import (
     cubic_drift,
     exchange_coupling,
     integrate_marks,
-    integrate_marks_ensemble,
     tanh_diffusion,
 )
 from oracles import (birth_events, config_at, count_in, grid_index, in_box, phantom_positions,
@@ -384,12 +383,3 @@ class TestWriters:
         assert sorted(p["id"] for p in first) == traj.gamma0.ids()
         for p in first:
             assert p["mark"] == 0.5
-
-    def test_snapshots_need_a_single_replica(self, tmp_path):
-        traj, path, _ = glauber_marked(seed=12, T=0.25)
-        coeffs = CoefficientSet(cubic_drift(0.4), exchange_coupling(0.3),
-                                tanh_diffusion(0.25), radius=1.0)
-        ensemble = integrate_marks_ensemble(traj, coeffs, InitialMarkPolicy.constant(0.5),
-                                            IntegratorConfig(dt=1 / 64), seed=12, n_replicas=2)
-        with pytest.raises(ValueError, match="single-replica"):
-            write_marked_snapshots(tmp_path / "snaps.jsonl", combine(traj, ensemble))

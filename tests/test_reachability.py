@@ -20,9 +20,6 @@ from test_unused_imports import MODULES
 
 # reached only from tests or the benchmark today, each for a stated reason
 ALLOWED = {
-    "spin_sde.integrate_marks_ensemble":
-        "the moments suite is to run one ensemble solve (ROADMAP item 7)",
-    "spin_sde.projection_consistency": "the planned projection suite (ROADMAP item 7)",
     "birth_death.Trajectory.present_ids": "bench/checks.py counts the final state with it",
 }
 

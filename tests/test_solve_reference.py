@@ -20,7 +20,6 @@ import math
 import numpy as np
 import pytest
 
-from bdspin import rng
 from bdspin.birth_death import (ConstantBirthKernel, Event, GlauberBirthKernel, Trajectory,
                                 simulate, step_potential)
 from bdspin.geometry import Box, Configuration, Window, poisson_configuration
@@ -35,14 +34,13 @@ from bdspin.spin_sde import (
     cubic_drift,
     finite_volume_solve,
     integrate_marks,
-    integrate_marks_ensemble,
     linear_coupling,
     linear_self_diffusion,
     zero_pair,
 )
 
 from oracles import (_keyed_normals, explicit_noise, in_box, neighbors_within,
-                     phantom_positions)
+                     phantom_positions, restrict)
 from test_birth_death import same_time_trajectory
 from test_spin_sde import default_coeffs, make_glauber_traj, shared_noise
 
@@ -63,20 +61,14 @@ def reference_edges(traj, radius):
             np.asarray(dist, dtype=float))
 
 
-def reference_solve(traj, coeffs, init, icfg, seed, *, frozen_box=None, noise=None,
-                    n_replicas=None):
+def reference_solve(traj, coeffs, init, icfg, seed, *, frozen_box=None, noise=None):
     positions = phantom_positions(traj)
     ids, src, dst, dist = reference_edges(traj, coeffs.radius)
     grid = build_time_grid(traj.horizon, icfg.dt, [ev.time for ev in traj.events])
     n_steps = len(grid) - 1
     n_ids = len(ids)
 
-    ensemble = n_replicas is not None
-    if noise is None and ensemble:
-        noise = np.empty((n_steps, n_ids, n_replicas))
-        for r in range(n_replicas):
-            noise[:, :, r] = _keyed_normals(rng.replica_seed(seed, r), ids, n_steps)
-    elif noise is None:
+    if noise is None:
         noise = _keyed_normals(seed, ids, n_steps)
 
     frozen_mask = np.zeros(n_ids, dtype=bool)
@@ -91,9 +83,8 @@ def reference_solve(traj, coeffs, init, icfg, seed, *, frozen_box=None, noise=No
 
     z0 = np.array([init.evaluate(np.asarray(positions[pid], dtype=float))
                    for pid in ids], dtype=float)
-    shape = (n_steps + 1, n_ids) if not ensemble else (n_steps + 1, n_ids, n_replicas)
-    values = np.empty(shape)
-    values[0] = z0 if not ensemble else z0[:, None]
+    values = np.empty((n_steps + 1, n_ids))
+    values[0] = z0
     segment_starts = {ev.time for ev in traj.events}
     tamed = icfg.scheme == "tamed"
 
@@ -107,8 +98,6 @@ def reference_solve(traj, coeffs, init, icfg, seed, *, frozen_box=None, noise=No
                 act = np.flatnonzero(act_mask)
                 keep = act_mask[src] & present[dst]
                 esrc, edst, edist = src[keep], dst[keep], dist[keep]
-                if ensemble:
-                    edist = edist[:, None]
             if act.size == 0:
                 continue
             h = float(grid[j + 1] - grid[j])
@@ -165,12 +154,6 @@ class TestAgainstReference:
             assert_same_path(integrate_marks(traj, coeffs, INIT, ICFG, seed=11),
                              reference_solve(traj, coeffs, INIT, ICFG, 11))
 
-    def test_ensemble(self):
-        traj = make_glauber_traj(seed=5)
-        coeffs = default_coeffs()
-        assert_same_path(integrate_marks_ensemble(traj, coeffs, INIT, ICFG, 7, 3),
-                         reference_solve(traj, coeffs, INIT, ICFG, 7, n_replicas=3))
-
     @pytest.mark.parametrize("factor", [1.0, 0.6, 0.3, 0.0])
     def test_finite_volume_nested_and_degenerate_boxes(self, factor):
         traj = make_glauber_traj(seed=6, side=6.0)
@@ -193,11 +176,6 @@ class TestAgainstReference:
         with explicit_noise(noise):
             path = integrate_marks(traj, coeffs, INIT, ICFG, 0)
         assert_same_path(path, reference_solve(traj, coeffs, INIT, ICFG, 0, noise=noise))
-        ens = np.stack([shared_noise(traj, ICFG, s) for s in (1, 2)], axis=2)
-        with explicit_noise(ens):
-            path = integrate_marks_ensemble(traj, coeffs, INIT, ICFG, 0, 2)
-        assert_same_path(path,
-                         reference_solve(traj, coeffs, INIT, ICFG, 0, noise=ens, n_replicas=2))
 
     def test_tamed_scheme(self):
         traj = make_glauber_traj(seed=8)
@@ -209,7 +187,7 @@ class TestAgainstReference:
                          reference_solve(traj, coeffs, init, icfg, 5))
 
     def test_restricted_horizon(self):
-        traj = make_glauber_traj(seed=9, T=1.0).restrict(0.5)
+        traj = restrict(make_glauber_traj(seed=9, T=1.0), 0.5)
         coeffs = default_coeffs()
         assert_same_path(integrate_marks(traj, coeffs, INIT, ICFG, 4),
                          reference_solve(traj, coeffs, INIT, ICFG, 4))
@@ -264,15 +242,13 @@ class TestEventWalkEdgeCases:
     icfg = IntegratorConfig(dt=0.125)
     coeffs = default_coeffs(rho=1.5, J=0.5, kappa=0.4)
 
-    def check(self, traj, *, n_replicas=None, box=None):
-        if n_replicas is not None:
-            got = integrate_marks_ensemble(traj, self.coeffs, INIT, self.icfg, 3, n_replicas)
-        elif box is not None:
+    def check(self, traj, *, box=None):
+        if box is not None:
             got = finite_volume_solve(traj, self.coeffs, INIT, self.icfg, box, 3)
         else:
             got = integrate_marks(traj, self.coeffs, INIT, self.icfg, 3)
         assert_same_path(got, reference_solve(traj, self.coeffs, INIT, self.icfg, 3,
-                                              frozen_box=box, n_replicas=n_replicas))
+                                              frozen_box=box))
         return got
 
     def test_events_on_lattice_times(self):
@@ -284,7 +260,6 @@ class TestEventWalkEdgeCases:
         assert np.all(path.values[:3, k] == INIT.value)  # absent up to its birth step
         assert path.values[3, k] != INIT.value
         assert np.all(path.values[6:, k] == path.values[6, k])  # frozen from its death
-        self.check(traj, n_replicas=2)
 
     def test_gamma0_death_at_time_zero(self):
         # row 1 enters and leaves at step 0 (first == ends == 0): it never
@@ -293,7 +268,6 @@ class TestEventWalkEdgeCases:
         path = self.check(traj)
         assert len(path.grid) == 9
         assert np.all(path.values[:, path.ids.index(1)] == INIT.value)
-        self.check(traj, n_replicas=2)
         self.check(traj, box=Box((0.5, 0.5), (1.8, 1.8)))
 
     def test_events_at_horizon_are_never_applied(self):
@@ -308,17 +282,12 @@ class TestEventWalkEdgeCases:
         traj = hand_traj([])
         path = self.check(traj)
         assert np.all(path.values[-1] != INIT.value)  # every point moves on every step
-        self.check(traj, n_replicas=3)
         self.check(traj, box=Box((0.5, 0.5), (1.8, 1.8)))
 
     def test_empty_phantom(self):
         traj = hand_traj([], points=())
         path = self.check(traj)
         assert path.ids == [] and path.values.shape == (9, 0)
-        self.check(traj, n_replicas=2)
-
-    def test_same_time_trajectory_ensemble(self):
-        self.check(same_time_trajectory(), n_replicas=3)
 
     def test_birth_and_death_at_one_time_outside_the_box(self):
         traj = hand_traj([Event(0.3, "birth", 4, (3.2, 3.2)), Event(0.3, "death", 4, (3.2, 3.2)),

@@ -25,10 +25,8 @@ from bdspin.spin_sde import (
     finite_volume_solve,
     frozen_mark_deviation,
     integrate_marks,
-    integrate_marks_ensemble,
     linear_coupling,
     linear_drift,
-    projection_consistency,
     read_mark_path_csv,
     tanh_diffusion,
     zero_diffusion,
@@ -36,9 +34,9 @@ from bdspin.spin_sde import (
     zero_pair,
     _spearman,
 )
-from bdspin.spin_sde import _projection_mismatch
 from oracles import (assemble_diffusion, assemble_drift, explicit_noise, in_box,
-                     phantom_positions, position_of, strong_order_study)
+                     phantom_positions, position_of, projection_consistency,
+                     projection_mismatch, restrict, strong_order_study)
 import dataclasses
 
 
@@ -224,29 +222,50 @@ class TestIntegration:
                                seed=seed)
         assert frozen_mark_deviation(path, traj) == 0.0
 
-    @pytest.mark.parametrize("n_replicas", [None, 3])
-    def test_frozen_mark_deviation_reports_a_nudged_absent_mark(self, n_replicas):
+    def test_frozen_mark_deviation_reports_a_nudged_absent_mark(self):
         traj = make_glauber_traj(seed=2, m=2.0, z=3.0, T=1.5)
         coeffs = default_coeffs()
         icfg = IntegratorConfig(dt=1 / 32)
-        init = InitialMarkPolicy.constant(1.0)
-        if n_replicas is None:
-            path = integrate_marks(traj, coeffs, init, icfg, seed=2)
-            cell = ()
-        else:
-            path = integrate_marks_ensemble(traj, coeffs, init, icfg, 2, n_replicas)
-            cell = (1,)  # the middle replica
+        path = integrate_marks(traj, coeffs, InitialMarkPolicy.constant(1.0), icfg, seed=2)
         values, grid = path.values, path.grid
         dead = int(np.flatnonzero(traj.deaths <= grid[-2])[0])  # absent on the last step
         late = int(np.flatnonzero(traj.births >= grid[1])[0])  # absent on the first step
         alive = int(np.flatnonzero(traj.deaths == math.inf)[0])  # present on the last step
-        values[(-1, dead) + cell] += 0.3
-        values[(0, late) + cell] -= 0.7
-        values[(-1, alive) + cell] += 10.0  # a present step: not a frozen mark
-        want = max(abs(float(values[(-1, dead) + cell]) - float(values[(-2, dead) + cell])),
-                   abs(float(values[(1, late) + cell]) - float(values[(0, late) + cell])))
+        values[-1, dead] += 0.3
+        values[0, late] -= 0.7
+        values[-1, alive] += 10.0  # a present step: not a frozen mark
+        want = max(abs(float(values[-1, dead]) - float(values[-2, dead])),
+                   abs(float(values[1, late]) - float(values[0, late])))
         assert 0.6 < want < 0.8
         assert frozen_mark_deviation(path, traj) == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_frozen_mark_deviation_keeps_a_non_finite_change(self, bad, first):
+        # a NaN or inf change on an absent step is reported whether it comes
+        # before or after a finite one, which a Python max(dev, nan) would drop
+        traj = make_glauber_traj(seed=2, m=2.0, z=3.0, T=1.5)
+        path = integrate_marks(traj, default_coeffs(), InitialMarkPolicy.constant(1.0),
+                               IntegratorConfig(dt=1 / 32), seed=2)
+        absent = np.flatnonzero(traj.deaths <= path.grid[-2])  # absent on the last step
+        bad_col, nudged_col = (absent[0], absent[-1]) if first else (absent[-1], absent[0])
+        path.values[-1, bad_col] = bad
+        path.values[-1, nudged_col] += 0.3
+        got = frozen_mark_deviation(path, traj)
+        assert math.isnan(got) if math.isnan(bad) else got == math.inf
+
+    def test_frozen_mark_deviation_needs_no_grid_sized_temporary(self):
+        traj = make_glauber_traj(seed=1, side=16.0, T=1.0, m=2.0, z=3.0)
+        path = integrate_marks(traj, default_coeffs(), InitialMarkPolicy.constant(1.0),
+                               IntegratorConfig(dt=1 / 64), seed=1)
+        tracemalloc.start()
+        try:
+            assert frozen_mark_deviation(path, traj) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.values.nbytes > 1_000_000
+        assert peak < path.values.nbytes / 10, (peak, path.values.nbytes)
 
     def test_one_step_matches_assembly(self):
         # a single drift-only EM step must equal the reference assembly ops
@@ -291,16 +310,6 @@ class TestIntegration:
         tamed = integrate_marks(traj, coeffs, init,
                                 IntegratorConfig(dt=0.25, scheme="tamed"), seed=0)
         assert np.all(np.isfinite(tamed.values))
-
-    def test_ensemble_matches_looped_single_solves(self):
-        traj = make_glauber_traj(seed=17, m=1.0, z=2.0, T=0.5)
-        coeffs = default_coeffs()
-        icfg = IntegratorConfig(dt=1 / 32)
-        init = InitialMarkPolicy.constant(0.2)
-        batch = integrate_marks_ensemble(traj, coeffs, init, icfg, seed=5, n_replicas=4)
-        for r in range(4):
-            single = integrate_marks(traj, coeffs, init, icfg, seed=rng.replica_seed(5, r))
-            assert np.array_equal(batch.values[:, :, r], single.values)
 
 
 class TestFiniteVolume:
@@ -407,11 +416,11 @@ class TestProjection:
             if n_births == 0:
                 continue  # phantom identical on both horizons: sharing is harmless
             paths = []  # the full and the restricted solve
-            for tr in (traj, traj.restrict(0.5)):
+            for tr in (traj, restrict(traj, 0.5)):
                 with explicit_noise(shared_noise(tr, icfg, seed)):
                     paths.append(integrate_marks(tr, default_coeffs(kappa=0.4),
                                                  InitialMarkPolicy.constant(0.1), icfg, seed))
-            assert _projection_mismatch(*paths) is not None
+            assert projection_mismatch(*paths) is not None
             return
         pytest.fail("no run with late births found")
 
