@@ -295,6 +295,13 @@ def load_config(path, *, seed_override: int | None = None,
                      persist_driving, resolved)
 
 
+def _make_out_dir(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file is in the way
+        raise ConfigError(f"out: cannot create directory {out}: {exc.strerror}") from None
+
+
 # -- simulate -------------------------------------------------------------------
 
 
@@ -341,7 +348,7 @@ def cmd_simulate(args) -> int:
                       replicas_override=args.replicas)
     out = Path(args.out)
     created = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     try:
         _simulate_into(args, cfg, out)
     except BaseException:
@@ -474,7 +481,7 @@ def cmd_verify(args) -> int:
         if s in suites[:i]:
             raise ConfigError(f"suite: {s!r} is named twice")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     all_passed = True
     for s in suites:
         report = run_suite(cfg, s)
@@ -602,7 +609,7 @@ def cmd_emit_plotdata(args) -> int:
             raise ConfigError(f"observables[{i}].box: {g.support.dim}-d, the run is {dim}-d")
     # only a run that loaded, with observables it can pair, gets an output directory
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     if not observables:
         print("empty observables spec: nothing to emit")
         return 0

@@ -1,13 +1,10 @@
-"""The combined marked trajectory: positions plus marks, and its regularity.
+"""The combined marked trajectory: positions plus marks, and its grid checks.
 
 The marked state at a grid time pairs each present particle with its mark.
 Every consumer here (observable series, snapshots, the cadlag check) reads
 who is present off the trajectory's phantom table with
-``Trajectory.present_at``.  The topology of the marked state is probed
-operationally, through pairings with bounded observables of spatially
-compact support; the cadlag check verifies right-continuity and existence of
-left limits of those pairings at every jump time, at the resolution of the
-integrator grid.
+``Trajectory.present_at``.  The cadlag check asks whether the integrator
+grid resolves the jumps inside an observable's support box.
 """
 from __future__ import annotations
 
@@ -32,16 +29,11 @@ class Observable:
     values left to right from 0.0 in the order given (ascending ids in every
     caller), as a ``total += value`` loop would and not by numpy's pairwise
     summation, so each pairing is one fixed float.
-
-    ``spin_lipschitz`` declares a Lipschitz constant in the mark argument;
-    it calibrates the right-continuity modulus in the cadlag check (0 for
-    counting observables that ignore marks).
     """
 
     func: Callable[[np.ndarray, np.ndarray], np.ndarray]
     support: Box
     name: str = "observable"
-    spin_lipschitz: float = 0.0
 
     def pairing(self, positions: np.ndarray, marks: np.ndarray) -> float:
         """Sum of ``func`` over the given points, added left to right from 0.0
@@ -54,11 +46,11 @@ class Observable:
 
 
 def counting_observable(box: Box, name: str = "count") -> Observable:
-    return Observable(lambda pos, mark: np.ones_like(mark), box, name, spin_lipschitz=0.0)
+    return Observable(lambda pos, mark: np.ones_like(mark), box, name)
 
 
 def mark_sum_observable(box: Box, name: str = "mark_sum") -> Observable:
-    return Observable(lambda pos, mark: mark, box, name, spin_lipschitz=1.0)
+    return Observable(lambda pos, mark: mark, box, name)
 
 
 @dataclass
@@ -107,7 +99,7 @@ def combine(traj: Trajectory, marks: MarkPath) -> MarkedTrajectory:
 
 @dataclass
 class CadlagReport:
-    """Per-event right-continuity / left-limit verification at grid resolution."""
+    """The grid facts of one observable's support events (see ``cadlag_check``)."""
 
     passed: bool
     events_checked: int
@@ -116,37 +108,32 @@ class CadlagReport:
     min_support_gap: float
 
 
-def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
-                 atol: float = 1e-9) -> CadlagReport:
-    """Check the observable path t -> <g, state_t> at every event in g's support.
+def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float) -> CadlagReport:
+    """Check that the grid resolves every event in g's support to within ``eps_t``.
 
-    Right continuity: the value drift over the first grid step after the event
-    is bounded by spin_lipschitz * (particles in support) * (mark modulus over
-    that step).  Left limit: pairings at up to 4 grid points approaching the
-    event from below converge (non-expanding deviations) to the pairing of the
-    pre-jump configuration with the marks at the event time.  All quantities
-    live on the integrator grid; ``eps_t`` caps how far right of the event the
-    stability point may be taken.
+    The support events are the logged events inside g's support box, in log
+    order (``Trajectory`` rejects a log that is not time-sorted);
+    ``events_checked`` counts them.  Each support time t must be a grid time
+    (else ``ValueError``).  Where a grid point follows t = grid[j], the step
+    to it must be at most ``eps_t`` (up to a relative 1e-9): a longer step
+    gives one ``grid_coarser_than_eps`` violation per support event at t, and
+    a step within ``eps_t`` feeds ``max_right_modulus``, the largest
+    |z(grid[j + 1]) - z(t)| of a particle present in the support at t.  The
+    grid holds every event time, so no particle comes or goes in that step.
+    ``min_support_gap`` is the least gap between distinct support times, or
+    -1.0 with fewer than two.
 
-    The event log is time-sorted (``Trajectory`` rejects any other).  For
-    each support event time t = grid[j], the state at grid[j-1] is gamma_{t-}
-    (the grid holds every event time, so the state is constant on
-    [grid[j-1], t)) and the state at t is gamma_t.  The checks depend only on
-    t, so each time is checked once; each violation is then reported once per
-    support event at t, in log order, with that event's id (a
-    ``grid_coarser_than_eps`` violation carries none).  ``events_checked``
-    counts the support events.
+    No pairing of g is compared across a jump: for an observable Lipschitz in
+    its mark such a bound holds for any marks, so it could not fail on a
+    wrong mark path.
     """
     traj = mt.base
     grid = mt.grid
     values = mt.marks.values
-    positions = traj.phantom_xy
-    cols = np.flatnonzero(g.support.contains_many(positions))
+    cols = np.flatnonzero(g.support.contains_many(traj.phantom_xy))
     log = np.array([(ev.time, *ev.position) for ev in traj.events],
                    dtype=float).reshape(-1, 1 + traj.window.dim)
-    log_t = log[:, 0]
-    support = np.flatnonzero(g.support.contains_many(log[:, 1:]))
-    support_t = log_t[support]
+    support_t = log[g.support.contains_many(log[:, 1:]), 0]
     # the log is time-ordered, so each new time starts a run of equal times
     starts = np.flatnonzero(np.diff(support_t, prepend=-np.inf) != 0)
     times = support_t[starts]
@@ -155,62 +142,24 @@ def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float,
     off_grid = np.append(grid, np.nan)[index] != times
     if off_grid.any():
         raise ValueError(f"time {float(times[off_grid][0])} is not on the integration grid")
-    # left side: grid points below the event inside the same constant segment
-    # [seg_lo, t), where seg_lo is the last log time before t (0.0 if none)
-    before = np.searchsorted(log_t, times)
-    seg_lo = np.where(before > 0, log_t[before - 1], 0.0)
-    lows = np.maximum(np.maximum(index - 4, 0), np.searchsorted(grid, seg_lo))
-    lefts = traj.present_at(grid[np.maximum(index - 1, 0), None])[:, cols]
     rights = traj.present_at(grid[index, None])[:, cols]
-    ids = [traj.events[e].id for e in support.tolist()]
-    runs = [*starts.tolist(), len(ids)]
-
-    def pairing(ks: np.ndarray, j: int) -> float:
-        return g.pairing(positions[ks], values[j, ks])
-
-    def support_modulus(ks: np.ndarray, j0: int, j1: int) -> float:
-        if not len(ks):
-            return 0.0
-        return float(np.max(np.abs(values[j1, ks] - values[j0, ks])))
+    runs = np.diff(np.append(starts, len(support_t))).tolist()
 
     violations: list[dict] = []
     max_modulus = 0.0
-    for k, (t, j, i_lo) in enumerate(zip(times.tolist(), index.tolist(), lows.tolist())):
-        left, right = cols[lefts[k]], cols[rights[k]]
-        value = pairing(right, j)
-        v_limit = pairing(left, j)
-        found = []  # this time's violations; an "id" entry is filled per event
-        # right side: first grid point after the event, within eps_t
-        if j + 1 < len(grid):
-            if grid[j + 1] - t > eps_t * (1 + 1e-9):
-                found.append({"kind": "grid_coarser_than_eps", "t": t,
-                              "next_grid": float(grid[j + 1])})
-            else:
-                # the grid holds every event time, so no event lies in
-                # (t, grid[j + 1]): the position set is unchanged
-                omega = support_modulus(right, j, j + 1)
-                max_modulus = max(max_modulus, omega)
-                jump = abs(pairing(right, j + 1) - value)
-                bound = g.spin_lipschitz * len(right) * omega + atol
-                if jump > bound:
-                    found.append({"kind": "right_continuity", "t": t, "id": None,
-                                  "jump": jump, "bound": bound})
-
-        # each left pairing must sit within the mark modulus at its own scale
-        # of the limit value (marks fluctuate, so the deviations themselves
-        # need not be monotone)
-        for i in range(i_lo, j):
-            dev = abs(pairing(left, i) - v_limit)
-            bound = g.spin_lipschitz * len(left) * support_modulus(left, i, j) + atol
-            if dev > bound:
-                found.append({"kind": "left_limit_value", "t": t, "id": None,
-                              "s": float(grid[i]), "deviation": dev, "bound": bound})
-
-        violations += [dict(v, id=pid) if "id" in v else dict(v)
-                       for pid in ids[runs[k]:runs[k + 1]] for v in found]
+    for k, (t, j) in enumerate(zip(times.tolist(), index.tolist())):
+        if j + 1 == len(grid):
+            continue
+        if grid[j + 1] - t > eps_t * (1 + 1e-9):
+            violations += [{"kind": "grid_coarser_than_eps", "t": t,
+                            "next_grid": float(grid[j + 1])} for _ in range(runs[k])]
+        elif rights[k].any():
+            ks = cols[rights[k]]
+            move = float(np.max(np.abs(values[j + 1, ks] - values[j, ks])))
+            max_modulus = max(max_modulus, move)
 
     gaps = np.diff(times)
-    return CadlagReport(not violations, len(ids), violations, max_modulus,
+    return CadlagReport(not violations, len(support_t), violations, max_modulus,
                         float(gaps.min()) if len(gaps) else -1.0)
 
 

@@ -706,6 +706,23 @@ def shifted_switches(shift: int) -> Iterator[None]:
         spin_sde._switches = switches
 
 
+@contextmanager
+def shared_streams() -> Iterator[None]:
+    """Make particles 2k and 2k + 1 draw one Brownian stream, that of key k,
+    in every mark solve in the block.
+
+    ``spin_sde._keyed_slices`` is wrapped, so each particle still reads its
+    own steps of the stream; only the keys are merged.
+    """
+    keyed = spin_sde._keyed_slices
+    spin_sde._keyed_slices = lambda seed, ids, first, stop: keyed(
+        seed, [pid // 2 for pid in ids], first, stop)
+    try:
+        yield
+    finally:
+        spin_sde._keyed_slices = keyed
+
+
 def _keyed_normals(seed: int, ids: Sequence[int], n_steps: int) -> np.ndarray:
     """The first ``n_steps`` normals of every keyed stream, shape (n_steps, ids),
     each from its own ``rng.keyed_generator``: a SeedSequence, a Philox and a

@@ -58,6 +58,7 @@ from oracles import (
     ovsjannikov_bound_constant,
     projection_consistency,
     radial_norms,
+    shared_streams,
     strong_order_study,
     weighted_lp_norm_from_radii,
 )
@@ -159,25 +160,57 @@ def test_criterion_04_frozen_marks():
             assert frozen_mark_deviation(path, traj) == 0.0, seed
 
 
+def linear_pairs_solve():
+    """One solve of 5000 isolated pairs: particles 2r and 2r + 1 at 1 + 4r and
+    1.5 + 4r, mutual neighbours 0.5 apart and 3.5 from the next pair.  With
+    drift -z and noise 1 per neighbour, each mark follows
+    z_{j+1} = (1 - h_j) z_j + sqrt(h_j) xi_j from z_0 = 4."""
+    window = Window(20_000.0, 1, "open")
+    gamma0 = Configuration(window, [(2 * r + k, [x + 4.0 * r])
+                                    for r in range(5000) for k, x in enumerate((1.0, 1.5))])
+    traj = simulate(gamma0, ConstantBirthKernel(0.0), 0.0, 1.0, seed=0)
+    coeffs = CoefficientSet(linear_drift(-1.0), zero_pair(), constant_diffusion(1.0),
+                            radius=1.0)
+    return integrate_marks(traj, coeffs, InitialMarkPolicy.constant(4.0),
+                           IntegratorConfig(dt=1e-3), seed=1)
+
+
+def linear_pairs_checks(path) -> dict:
+    """The final marks of ``linear_pairs_solve`` against their exact Euler law:
+    mean prod(1 - h_j) * 4, variance v with v_{j+1} = (1 - h_j)^2 v_j + h_j,
+    and independent pair members, each to 3 standard errors; the mean also
+    within max(3 SE, 5 dt) of the limit 4/e, where 3 SE must exceed 5 dt."""
+    finals, widths = path.values[-1], np.diff(path.grid)
+    n, dt = len(finals), float(widths.max())
+    v = 0.0
+    for h in widths.tolist():
+        v = (1.0 - h) ** 2 * v + h
+    mean = float(finals.mean())
+    se = float(finals.std(ddof=1)) / math.sqrt(n)
+    rho = float(np.corrcoef(finals[0::2], finals[1::2])[0, 1])
+    return {
+        "euler_mean": abs(mean - 4.0 * float(np.prod(1.0 - widths))) < 3 * se,
+        "limit_mean": abs(mean - 4.0 * math.exp(-1.0)) < max(3 * se, 5 * dt),
+        "noise_decides": 3 * se > 5 * dt,
+        "variance": abs(float(finals.var(ddof=1)) / v - 1.0) < 3 * math.sqrt(2 / (n - 1)),
+        "pair_correlation": abs(rho) < 3 / math.sqrt(n // 2),
+    }
+
+
 def test_criterion_05_sde_linear_oracle():
-    with criterion("criterion 5: linear SDE oracle (mean decay to 4/e)"):
+    with criterion("criterion 5: linear SDE oracle (Euler mean, variance, 4/e)"):
         t0 = time.perf_counter()
-        # 10 000 replicas as particles 2 apart, beyond the radius of 1
-        window = Window(20_000.0, 1, "open")
-        gamma0 = Configuration(window, [(r, [1.0 + 2.0 * r]) for r in range(10_000)])
-        traj = simulate(gamma0, ConstantBirthKernel(0.0), 0.0, 1.0, seed=0)
-        coeffs = CoefficientSet(linear_drift(-1.0), zero_pair(), zero_diffusion(),
-                                radius=1.0)
-        dt = 1e-3
-        path = integrate_marks(traj, coeffs, InitialMarkPolicy.constant(4.0),
-                               IntegratorConfig(dt=dt), seed=1)
-        finals = path.values[-1]
-        mc_mean = float(finals.mean())
-        mc_sigma = float(finals.std(ddof=1)) / math.sqrt(len(finals)) if len(finals) > 1 else 0.0
+        checks = linear_pairs_checks(linear_pairs_solve())
         elapsed = time.perf_counter() - t0
-        target = 4.0 * math.exp(-1.0)
-        assert abs(mc_mean - target) < max(3 * mc_sigma, 5 * dt)
+        assert all(checks.values()), checks
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
+
+
+def test_criterion_05_fails_on_shared_streams():
+    # pair members drawing one stream keep their marginal law, not their independence
+    with shared_streams():
+        checks = linear_pairs_checks(linear_pairs_solve())
+    assert not checks["pair_correlation"], checks
 
 
 def test_criterion_06_strong_order():

@@ -373,6 +373,30 @@ class TestFailureContract:
             f"config error: seed: must be >= 0, got {-1 if source == 'flag' else -3}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "verify", "emit-plotdata"])
+    @pytest.mark.parametrize("where", ["is_a_file", "under_a_file"])
+    def test_out_blocked_by_a_file_exit_2(self, tmp_path, capsys, command, where):
+        cfg = write_config(tmp_path, horizon=0.25)
+        runs, obs = tmp_path / "runs", tmp_path / "obs.json"
+        obs.write_text(json.dumps([
+            {"name": "pop", "kind": "count", "box": {"lo": [0.0, 0.0], "hi": [4.0, 4.0]}}]))
+        if command == "emit-plotdata":
+            assert main(["simulate", "--config", str(cfg), "--out", str(runs)]) == 0
+            capsys.readouterr()
+        blocker = tmp_path / "taken"
+        blocker.write_text("mine")
+        out = blocker if where == "is_a_file" else blocker / "sub"
+        argv = {"simulate": ["simulate", "--config", str(cfg)],
+                "verify": ["verify", "--config", str(cfg), "--suite", "bounds"],
+                "emit-plotdata": ["emit-plotdata", "--artifacts", str(runs),
+                                  "--observables", str(obs)]}[command]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and str(out) in lines[0]
+        assert blocker.read_text() == "mine"
+
 
 class TestVerify:
     def test_domination_and_bounds_pass(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Every function, class and method of the library is named by the library.
+"""Every function, class and method of the library is named by the library,
+and every defaulted parameter is set by some call in it.
 
 A definition that only the tests reach belongs in the tests (``oracles.py``).
 This walks each module's syntax tree with the standard library, as
@@ -11,6 +12,10 @@ Matching is by short name: ``Trajectory.b_max`` would count as reached by any
 ``.b_max``, such as the kernels' own, and ``Box.volume`` by
 ``Window.volume()``.  A member that shares its name with a used one is
 therefore not caught here and has to be found by hand.
+
+A default that no library call overrides is a parameter only the tests set;
+its value belongs in the body as a literal.  Calls are matched by short name
+in the same way.
 """
 
 import ast
@@ -80,3 +85,79 @@ def test_only_birth_death_reads_the_id_keyed_phantom():
                for p in MODULES if p.stem != "birth_death"}
     assert {module: dict(reads) for module, reads in readers.items() if reads} == {}
 
+
+
+# defaulted parameters no library call sets, each for a stated reason
+UNSET_ALLOWED = {
+    "cli.main.argv": "the console entry point calls main(); tests pass argv",
+}
+
+
+def _functions(body, prefix: str, in_class: bool = False):
+    """(qualified name, node, takes self or cls) for every function in
+    ``body``, nested ones included."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}.{node.name}", in_class=True)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            bound = in_class and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                         for d in node.decorator_list)
+            yield f"{prefix}.{node.name}", node, bound
+            yield from _functions(node.body, f"{prefix}.{node.name}")
+
+
+def _sets(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` passes the parameter ``name`` (at call position
+    ``position``, None for keyword-only); a ``*`` or ``**`` argument may pass
+    any parameter after it."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(isinstance(arg, ast.Starred) or i == position for i, arg in
+               enumerate(call.args[:position + 1]))
+
+
+def unset_defaults(sources: dict[str, str]) -> list[str]:
+    """``module.function.parameter`` for every defaulted parameter in
+    ``sources`` (module name -> source text) that no call there sets, by
+    keyword or by position.  A call through an attribute does not pass the
+    ``self`` or ``cls`` of a method, and a class's name calls its
+    ``__init__``."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for module, tree in trees.items():
+        for qualname, node, bound in _functions(tree.body, module):
+            name = qualname.split(".")[-2] if node.name == "__init__" else node.name
+            params = node.args.posonlyargs + node.args.args
+            defaulted = [(arg.arg, i - bound) for i, arg in enumerate(params)
+                         if i >= len(params) - len(node.args.defaults)]
+            defaulted += [(arg.arg, None) for arg, default in
+                          zip(node.args.kwonlyargs, node.args.kw_defaults) if default]
+            found += [f"{qualname}.{param}" for param, position in defaulted
+                      if not any(_sets(call, param, position) for call in calls.get(name, ()))]
+    return found
+
+
+def test_parameter_guard_flags_an_unset_default():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n"
+              "f(0, 1)\nf(0, e=5)\n"
+              "def g(a, b=1):\n    return a\n"
+              "g(*[0, 1])\n"
+              "class Box:\n"
+              "    def __init__(self, side=1.0):\n        self.side = side\n"
+              "    def scaled(self, f=2.0, g=3.0):\n        return f * g\n"
+              "Box(2.0).scaled(0.5)\n")
+    assert unset_defaults({"m": source}) == ["m.f.c", "m.f.d", "m.Box.scaled.g"]
+
+
+def test_every_default_is_set_by_the_library():
+    found = unset_defaults({p.stem: p.read_text() for p in MODULES})
+    assert sorted(found) == sorted(UNSET_ALLOWED)
