@@ -399,6 +399,13 @@ class Trajectory:
         """
         return (self.births <= t) & (t < self.deaths)
 
+    def present_rows(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)``: row k is present on ``grid[lo[k]:hi[k]]`` of an
+        increasing grid, the times t with ``births[k] <= t < deaths[k]``,
+        whether or not its birth and death are grid times."""
+        return (np.searchsorted(grid, self.births, "left"),
+                np.searchsorted(grid, self.deaths, "left"))
+
 
 # fewest candidates in a block: a neighbor_pairs call costs about 0.1 ms
 # before any work, so a sparse configuration still gets blocks of hundreds

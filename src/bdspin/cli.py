@@ -311,7 +311,6 @@ def _run_one_replica(config_path: str, out_dir: str, replica: int,
                       replicas_override=replicas_override)
     replica_seed = cfg.seed if cfg.replicas == 1 else rng.replica_seed(cfg.seed, replica)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     gamma0 = cfg.build_gamma0(replica_seed)
     traj = simulate(gamma0, cfg.kernel, cfg.death_rate, cfg.horizon, replica_seed)
@@ -364,6 +363,9 @@ def _simulate_into(args, cfg: RunConfig, out: Path) -> None:
         dirs = [(0, str(out))]
     else:
         dirs = [(r, str(out / f"replica_{r:04d}")) for r in range(cfg.replicas)]
+        # a blocked replica directory fails the run before any replica writes
+        for _, d in dirs:
+            _make_out_dir(Path(d))
     # a fork pool starts all its workers at the first submit
     jobs = min(args.jobs or os.cpu_count() or 1, len(dirs))
     if jobs == 1:
@@ -436,7 +438,7 @@ def run_suite(cfg: RunConfig, suite: str) -> dict:
     if suite == "cutoff":
         report = cutoff_convergence_study(
             traj, cfg.coeffs, cfg.init_marks, cfg.icfg, _nested_boxes(cfg.window),
-            cfg.scale.alpha, cfg.scale.beta, cfg.scale.p,
+            cfg.scale.beta, cfg.scale.p,
             seeds=[rng.replica_seed(seed, r) for r in range(max(cfg.replicas, 5))],
         )
         obj = asdict(report)

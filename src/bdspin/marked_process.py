@@ -1,17 +1,16 @@
 """The combined marked trajectory: positions plus marks, and its grid checks.
 
 The marked state at a grid time pairs each present particle with its mark.
-Every consumer here (observable series, snapshots, the cadlag check) reads
-who is present off the trajectory's phantom table with
-``Trajectory.present_at``.  The cadlag check asks whether the integrator
-grid resolves the jumps inside an observable's support box.
+An observable's series adds each in-box particle's marks over its lifetime
+rows (``Trajectory.present_rows``); the snapshot writer and the cadlag check
+read who is present with ``Trajectory.present_at``.  The cadlag check asks
+whether the integrator grid resolves the jumps inside a support box.
 """
 from __future__ import annotations
 
 import json
 import operator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -22,35 +21,20 @@ from .spin_sde import MarkPath
 
 @dataclass(frozen=True)
 class Observable:
-    """Bounded function of (position, mark) supported in a box.
+    """<g, gamma_t> for g = 1 (a count) or g = the mark (``marked``) on the
+    support box, and 0 outside it."""
 
-    ``func`` is array-valued: it maps the positions ``(n, d)`` and marks
-    ``(n,)`` of n points to their ``(n,)`` values.  ``pairing`` adds those
-    values left to right from 0.0 in the order given (ascending ids in every
-    caller), as a ``total += value`` loop would and not by numpy's pairwise
-    summation, so each pairing is one fixed float.
-    """
-
-    func: Callable[[np.ndarray, np.ndarray], np.ndarray]
     support: Box
-    name: str = "observable"
-
-    def pairing(self, positions: np.ndarray, marks: np.ndarray) -> float:
-        """Sum of ``func`` over the given points, added left to right from 0.0
-        as ``total += value`` would add them."""
-        values = np.asarray(self.func(positions, marks), dtype=float)
-        if values.shape != marks.shape:
-            raise ValueError(f"observable {self.name}: func gave shape {values.shape} "
-                             f"for {len(marks)} points")
-        return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
+    marked: bool
+    name: str
 
 
 def counting_observable(box: Box, name: str = "count") -> Observable:
-    return Observable(lambda pos, mark: np.ones_like(mark), box, name)
+    return Observable(box, False, name)
 
 
 def mark_sum_observable(box: Box, name: str = "mark_sum") -> Observable:
-    return Observable(lambda pos, mark: mark, box, name)
+    return Observable(box, True, name)
 
 
 @dataclass
@@ -71,18 +55,18 @@ class MarkedTrajectory:
         return self.marks.grid
 
     def observable_series(self, g: Observable) -> np.ndarray:
-        """<g, state> at every grid time (right-continuous values).
+        """<g, gamma_t> at every grid time t (right-continuous values).
 
-        Each value sums over the points present in the support, in
-        ascending id order.
+        Each in-support column, in ascending order, adds its marks (or 1.0)
+        over its present rows into zeros.  So each value is ``total += value``
+        from 0.0 over the present ids in ascending order, not numpy's pairwise
+        sum; the plot bytes depend on that order.
         """
-        positions = self.base.phantom_xy
-        cols = np.flatnonzero(g.support.contains_many(positions))
-        present = self.base.present_at(self.grid[:, None])[:, cols]
+        lo, hi = (rows.tolist() for rows in self.base.present_rows(self.grid))
+        values = self.marks.values
         out = np.zeros(len(self.grid))
-        for j, row in enumerate(present):
-            ks = cols[row]
-            out[j] = g.pairing(positions[ks], self.marks.values[j, ks])
+        for k in np.flatnonzero(g.support.contains_many(self.base.phantom_xy)).tolist():
+            out[lo[k]:hi[k]] += values[lo[k]:hi[k], k] if g.marked else 1.0
         return out
 
 

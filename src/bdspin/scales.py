@@ -86,12 +86,11 @@ def _bound_value(growth_c: float, q: float, radius: float, n_0r: int,
 
 
 class KTEstimate(NamedTuple):
-    """Truncated series value, a rigorous bound on its error (truncation tail
-    plus log-space rounding) and the term count."""
+    """Truncated series value and a rigorous bound on its error (truncation
+    tail plus log-space rounding)."""
 
     value: float
     tail_bound: float
-    terms: int
 
 
 # ln of the largest double, rounded down: exp of any log up to it is finite,
@@ -122,7 +121,7 @@ def gronwall_series_constant(alpha: float, beta: float, q: float, bound_l: float
     if tol <= 0:
         raise ValueError("tol must be positive")
     if bound_l == 0.0 or horizon == 0.0:
-        return KTEstimate(1.0, 0.0, 1)
+        return KTEstimate(1.0, 0.0)
 
     x = bound_l * horizon / (beta - alpha) ** q
     log_x = math.log(x)
@@ -143,14 +142,14 @@ def gronwall_series_constant(alpha: float, beta: float, q: float, bound_l: float
         log_total = m + math.log(math.exp(log_total - m) + math.exp(lt - m))
         if log_total > _LOG_DOUBLE_MAX:
             # partial sums only grow: the value is beyond double range already
-            return KTEstimate(math.inf, math.inf, n + 1)
+            return KTEstimate(math.inf, math.inf)
         # ratio of any later consecutive terms is at most x e^q (m+1)^{q-1}
         ratio_cap = x * math.exp(q) * (n + 2) ** (q - 1.0)
         if lt < math.log(tol) and ratio_cap < 0.5:
             value = math.exp(log_total)
             rounding = 4 * (n + 1) * sys.float_info.epsilon * max(1.0, log_total) * value
             tail = math.exp(log_term(n + 1)) / (1.0 - ratio_cap)
-            return KTEstimate(value, tail + rounding, n + 1)
+            return KTEstimate(value, tail + rounding)
         n += 1
         if n > 500_000:
             raise RuntimeError("series truncation did not trigger; check parameters")

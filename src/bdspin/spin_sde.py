@@ -407,8 +407,8 @@ def _solve(traj: Trajectory, coeffs: CoefficientSet, init: InitialMarkPolicy,
 
     # Particle k is present on steps [first[k], ends[k]).  Its noise at step
     # j is flat[base[k] + j], stored only for the steps on which k moves.
-    first = np.searchsorted(grid[:-1], traj.births, "left")
-    ends = np.searchsorted(grid[:-1], traj.deaths, "left")
+    first, ends = traj.present_rows(grid)
+    ends = np.minimum(ends, n_steps)
     stop = np.where(frozen_mask, first, ends)
     flat = _keyed_slices(seed, ids, first, stop)
     base = np.cumsum(stop - first) - stop
@@ -504,14 +504,12 @@ def frozen_mark_deviation(path: MarkPath, traj: Trajectory) -> float:
     """
     if path.ids != traj.phantom_ids():
         raise ValueError("mark path columns are not the trajectory's phantom ids")
-    grid, values = path.grid, path.values
-    # column k is absent on the steps that end by its birth, [0, born[k]),
-    # and on those that start at or after its death, [gone[k], n_steps)
-    born = np.searchsorted(grid[1:], traj.births, "right").tolist()
-    gone = np.searchsorted(grid[:-1], traj.deaths, "left").tolist()
+    # column k is absent on the steps before its first present row,
+    # [0, born[k]), and on those from its first absent row on, [gone[k], ...)
+    born, gone = (rows.tolist() for rows in traj.present_rows(path.grid))
     changes = [0.0]  # np.max, unlike Python's max, keeps a NaN anywhere in it
     for k, (a, b) in enumerate(zip(born, gone)):
-        for run in (values[:a + 1, k], values[b:, k]):
+        for run in (path.values[:a + 1, k], path.values[b:, k]):
             if len(run) > 1:
                 changes.append(np.abs(np.diff(run)).max())
     return float(np.max(changes))
@@ -635,12 +633,10 @@ def _spearman(x, y) -> float:
 
 def cutoff_convergence_study(traj: Trajectory, coeffs: CoefficientSet,
                              init: InitialMarkPolicy, icfg: IntegratorConfig,
-                             boxes: Sequence[Box], alpha: float, beta: float,
-                             p: float, seeds: Sequence[int]) -> CutoffStudyReport:
+                             boxes: Sequence[Box], beta: float, p: float,
+                             seeds: Sequence[int]) -> CutoffStudyReport:
     """Estimate sup_t E || cutoff minus full solve ||^p in the beta-weighted
     norm for each nested box, and report the monotone decay trend."""
-    if beta <= alpha:
-        raise ValueError("scale order violated: beta must exceed alpha")
     if p < coeffs.single.growth_power:
         raise ValueError(f"moment order p={p} below drift growth power "
                          f"{coeffs.single.growth_power}")

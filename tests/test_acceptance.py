@@ -241,7 +241,7 @@ def test_criterion_08_cutoff_convergence():
         boxes = [traj.window.box.scaled(f) for f in (0.35, 0.55, 0.75, 0.95)]
         report = cutoff_convergence_study(
             traj, coeffs, InitialMarkPolicy.constant(1.0), icfg, boxes,
-            alpha=0.2, beta=0.7, p=4.0,
+            beta=0.7, p=4.0,
             seeds=[rng.replica_seed(7, r) for r in range(20)],
         )
         assert report.spearman_rho < -0.8, report.estimates

@@ -155,6 +155,9 @@ class TestSimulate:
         ({"scale_params": {"alpha_star": math.nan, "alpha_sup": 1.0, "alpha": 0.2,
                            "beta": 0.7, "p": 4.0, "q": 0.5}},
          "scale_params.alpha_star: must be a finite number"),
+        ({"scale_params": {"alpha_star": 0.0, "alpha_sup": 1.0, "alpha": 0.7,
+                           "beta": 0.2, "p": 4.0, "q": 0.5}},
+         "scale_params: need 0 <= alpha_star <= alpha < beta <= alpha_sup"),
     ], ids=["negative_death_rate", "dim_0", "klein_boundary", "point_not_an_object",
             "duplicate_point_id", "point_wrong_dim", "point_outside_open_window",
             "point_id_fractional", "point_id_true", "point_id_negative",
@@ -163,7 +166,7 @@ class TestSimulate:
             "coefficient_param_true", "kernel_phi_param_nan", "kernel_a_param_nan",
             "single_param_nan", "diffusion_param_nan", "initial_value_nan",
             "initial_amplitude_nan", "scale_p_nan", "scale_p_inf", "scale_alpha_sup_inf",
-            "scale_alpha_star_nan"])
+            "scale_alpha_star_nan", "scale_alpha_above_beta"])
     def test_invalid_config_exit_2_names_field(self, tmp_path, capsys, overrides, field):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "o"
@@ -298,6 +301,22 @@ class TestFailureContract:
         (out / "keep.txt").write_text("mine")
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
         assert (out / "keep.txt").read_text() == "mine"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_file_in_place_of_a_replica_dir_exit_2(self, tmp_path, capsys, jobs):
+        # every replica directory is made before any replica runs
+        cfg = write_config(tmp_path, replicas=2)
+        out = tmp_path / "out"
+        out.mkdir()
+        blocker = out / "replica_0001"
+        blocker.write_text("mine")
+        code = main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", jobs])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: out: cannot create "
+                                                       f"directory {blocker}"), lines
+        assert blocker.read_text() == "mine"
+        assert not list(out.rglob("events.jsonl")) and not list(out.rglob("manifest.json"))
 
     def test_blow_up_exit_3(self, tmp_path, capsys):
         # explicit Euler on the cubic drift from a huge initial mark overflows

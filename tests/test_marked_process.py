@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -10,9 +11,9 @@ import pytest
 
 from bdspin import rng
 from bdspin.birth_death import ConstantBirthKernel, GlauberBirthKernel, simulate, step_potential
+from bdspin.cli import load_config
 from bdspin.geometry import Box, Configuration, Window, poisson_configuration
 from bdspin.marked_process import (
-    Observable,
     cadlag_check,
     combine,
     counting_observable,
@@ -32,11 +33,12 @@ from bdspin.spin_sde import (
 from oracles import (birth_events, config_at, count_in, grid_index, in_box, phantom_positions,
                      position_of)
 from test_birth_death import same_time_trajectory
+from test_golden_artifacts import OPEN_CONFIG
 
 
-def point_value(g, pos, mark):
-    """g at one point, through its array-valued ``func``."""
-    return float(g.func(np.array([pos], dtype=float), np.array([mark]))[0])
+def point_value(g, mark):
+    """g at a point in its support: the mark for a mark sum, 1.0 for a count."""
+    return mark if g.marked else 1.0
 
 
 def cadlag_reference(mt, g, eps_t):
@@ -101,12 +103,6 @@ class TestMarkedConfiguration:
         with pytest.raises(ValueError, match="missing mark"):
             combine(traj, path)
 
-    def test_observable_zero_function(self):
-        window = Window(4.0, 2, "open")
-        mt = static_marked(Configuration(window, [(0, [1.0, 1.0])]), [2.0])
-        g = Observable(lambda pos, mark: np.zeros_like(mark), window.box, "zero")
-        assert mt.observable_series(g).tolist() == [0.0, 0.0]
-
     def test_mark_sum_in_box(self, tmp_path):
         window = Window(4.0, 2, "open")
         config = Configuration(window, [(0, [1.0, 1.0]), (1, [3.5, 3.5])])
@@ -123,49 +119,84 @@ class TestMarkedConfiguration:
         marks = gen.standard_normal(len(config))
         mt = static_marked(config, marks)
         box = Box((1.0, 1.0), (4.0, 5.0))
-        g = Observable(lambda pos, mark: mark**2 + pos[:, 0], box, "mix")
-        want = sum(
-            mark ** 2 + pos[0]
-            for (pid, pos), mark in zip(config.items(), marks) if in_box(box, pos)
-        )
+        g = mark_sum_observable(box)
+        want = sum(mark for (pid, pos), mark in zip(config.items(), marks) if in_box(box, pos))
         assert mt.observable_series(g)[0] == pytest.approx(want, rel=1e-12)
 
 
-class TestArrayObservable:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_series_equals_pointwise_loop(self, seed):
-        # the old contract: g evaluated point by point, total += value from
-        # 0.0 over the present ids in ascending order
-        traj, path, mt = glauber_marked(seed=seed, m=1.5, z=3.0)
-        box = Box((0.5, 1.0), (4.0, 4.5))
-        for g in (counting_observable(box), mark_sum_observable(box),
-                  Observable(lambda pos, mark: mark**2 + pos[:, 0], box, "mix")):
-            want = []
-            positions = phantom_positions(traj)
-            for j, t in enumerate(path.grid):
-                present, total = set(traj.present_ids(float(t))), 0.0
-                for k, pid in enumerate(path.ids):
-                    pos = positions[pid]
-                    if pid in present and in_box(box, np.array(pos)):
-                        total += point_value(g, pos, path.values[j, k])
-                want.append(total)
-            assert mt.observable_series(g).tolist() == want
+def open_golden_marked(tmp_path):
+    """The open golden config's trajectory and mark path (seed 11), as
+    ``simulate`` solves them."""
+    cfg_path = tmp_path / "open.json"
+    cfg_path.write_text(json.dumps(OPEN_CONFIG))
+    cfg = load_config(cfg_path)
+    traj = simulate(cfg.build_gamma0(cfg.seed), cfg.kernel, cfg.death_rate, cfg.horizon,
+                    cfg.seed)
+    return traj, integrate_marks(traj, cfg.coeffs, cfg.init_marks, cfg.icfg, cfg.seed)
 
-    def test_pairing_adds_left_to_right_from_zero(self):
-        g = mark_sum_observable(Box((0.0,), (1.0,)))
+
+class TestObservableSeries:
+    @pytest.mark.parametrize("case,seed", [("glauber", 0), ("glauber", 1), ("glauber", 2),
+                                           ("mark-stride-3", 0), ("negative-zero", 1),
+                                           ("open-golden", 11)])
+    def test_series_equals_pointwise_loop(self, tmp_path, case, seed):
+        # g evaluated point by point, total += value from 0.0 over the
+        # present ids in ascending order
+        if case == "open-golden":
+            traj, path = open_golden_marked(tmp_path)
+        else:
+            traj, path, _ = glauber_marked(seed=seed, m=1.5, z=3.0)
+        if case == "mark-stride-3":  # the rows emit-plotdata loads from marks.csv
+            path = MarkPath(path.grid[::3], path.ids, path.values[::3])
+        if case == "negative-zero":
+            gen = rng.keyed_generator(seed, rng.SAMPLING)
+            path.values[gen.random(path.values.shape) < 0.3] = -0.0
+            path.values[:, 0] = -0.0
+        mt = combine(traj, path)
+        positions = phantom_positions(traj)
+        side = traj.window.side
+        empty = Box((0.0, 0.0), (1e-9, 1e-9))
+        assert not any(in_box(empty, np.array(pos)) for pos in positions.values())
+        boxes = [Box((0.1 * side, 0.2 * side), (0.8 * side, 0.9 * side)), traj.window.box,
+                 empty]
+        for box in boxes:
+            for g in (counting_observable(box), mark_sum_observable(box)):
+                want = []
+                for j, t in enumerate(path.grid):
+                    present, total = set(traj.present_ids(float(t))), 0.0
+                    for k, pid in enumerate(path.ids):
+                        if pid in present and in_box(box, np.array(positions[pid])):
+                            total += point_value(g, float(path.values[j, k]))
+                    want.append(total)
+                # float.hex tells +0.0 from -0.0
+                got = list(map(float.hex, mt.observable_series(g).tolist()))
+                assert got == list(map(float.hex, want)), (case, g)
+
+    def test_series_adds_left_to_right_from_zero(self):
+        window = Window(1000.0, 1, "open")
+        config = Configuration(window, [(i, [i + 0.5]) for i in range(1000)])
         marks = np.array([1.0] + [1e-16] * 999)
         total = 0.0
         for v in marks.tolist():
             total += v
-        got = g.pairing(np.zeros((len(marks), 1)), marks)
-        assert got == total == 1.0 and np.sum(marks) != total
-        zero = g.pairing(np.zeros((2, 1)), np.array([-0.0, -0.0]))
-        assert math.copysign(1.0, zero) == 1.0 and g.pairing(np.zeros((0, 1)), marks[:0]) == 0.0
+        g = mark_sum_observable(window.box)
+        got = static_marked(config, marks).observable_series(g)
+        assert got.tolist() == [total, total] and total == 1.0 and np.sum(marks) != total
+        zero = static_marked(Configuration(window, [(0, [0.5]), (1, [1.5])]), [-0.0, -0.0])
+        assert [math.copysign(1.0, v) for v in zero.observable_series(g)] == [1.0, 1.0]
 
-    def test_func_must_give_one_value_per_point(self):
-        g = Observable(lambda pos, mark: 1.0, Box((0.0,), (1.0,)), "scalar")
-        with pytest.raises(ValueError, match="scalar: func gave shape"):
-            g.pairing(np.zeros((3, 1)), np.zeros(3))
+    def test_series_needs_no_grid_sized_temporary(self):
+        traj, path, mt = glauber_marked(seed=1, side=24.0, T=1.0)
+        g = mark_sum_observable(traj.window.box)
+        mt.observable_series(g)  # first call's one-off allocations
+        tracemalloc.start()
+        try:
+            mt.observable_series(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.values.nbytes > 1_000_000
+        assert peak < 0.05 * path.values.nbytes, (peak, path.values.nbytes)
 
 
 class TestCombine:
@@ -293,7 +324,7 @@ class TestCadlag:
         j = grid_index(path, ev.time)
         series = mt.observable_series(g)
         col = {pid: k for k, pid in enumerate(path.ids)}
-        left = sum(point_value(g, pos, path.values[j, col[pid]])
+        left = sum(point_value(g, path.values[j, col[pid]])
                    for pid, pos in config_at(traj, ev.time, "left").items()
                    if in_box(g.support, pos))
         assert series[j] - left == 1.0

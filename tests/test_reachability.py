@@ -16,6 +16,11 @@ therefore not caught here and has to be found by hand.
 A default that no library call overrides is a parameter only the tests set;
 its value belongs in the body as a literal.  Calls are matched by short name
 in the same way.
+
+An annotated class field counts as read when its name is loaded, as a name
+or an attribute, anywhere in ``src/bdspin``; a store such as
+``self.field = ...`` does not count.  The short-name limit holds here too: a
+field named ``func`` would count as read by the coefficient terms' ``.func``.
 """
 
 import ast
@@ -71,6 +76,41 @@ def test_guard_flags_an_unused_name():
 def test_every_definition_is_reached():
     found = unreached({p.stem: p.read_text() for p in MODULES})
     assert sorted(found) == sorted(ALLOWED)
+
+
+# the verify reports, which ``cli`` writes whole with ``dataclasses.asdict``
+WRITTEN_WHOLE = {"DominationReport", "BoundsCheckReport", "CutoffStudyReport",
+                 "GronwallReport", "MomentGrowthReport", "CadlagReport"}
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """``module.Class.field`` for every annotated field of a top-level class
+    in ``sources`` (module name -> source text) whose name no code there
+    loads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    loaded = {sub.id if isinstance(sub, ast.Name) else sub.attr
+              for tree in trees.values() for sub in ast.walk(tree)
+              if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)}
+    return [f"{module}.{node.name}.{field.target.id}"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for field in node.body
+            if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+            and field.target.id not in loaded]
+
+
+def test_field_guard_flags_an_unread_field():
+    source = ("class Point:\n"
+              "    x: float\n    y: float\n    label: str = ''\n"
+              "    def __post_init__(self):\n        self.label = str(self.x)\n"
+              "class Report:\n    passed: bool\n"
+              "Point(1.0, 2.0).x\n")
+    assert unread_fields({"m": source}) == ["m.Point.y", "m.Point.label", "m.Report.passed"]
+
+
+def test_every_field_is_read():
+    found = unread_fields({p.stem: p.read_text() for p in MODULES})
+    assert [qualname for qualname in found if qualname.split(".")[1] not in WRITTEN_WHOLE] == []
 
 
 # the id-keyed view of a trajectory; everything else reads its phantom table

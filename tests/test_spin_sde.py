@@ -341,7 +341,7 @@ class TestFiniteVolume:
         init = InitialMarkPolicy.constant(1.0)
         boxes = [traj.window.box.scaled(f) for f in (0.3, 0.6, 0.85)] + [traj.window.box]
         report = cutoff_convergence_study(traj, coeffs, init, icfg, boxes,
-                                          alpha=0.2, beta=0.7, p=4.0, seeds=range(5))
+                                          beta=0.7, p=4.0, seeds=range(5))
         assert report.estimates[-1] == 0.0
         assert report.spearman_rho < -0.5
         assert report.estimates[0] > report.estimates[-2] or report.estimates[0] == 0.0
@@ -382,13 +382,6 @@ class TestFiniteVolume:
                 got = np.float64(_spearman(x, y)).view(np.int64)
                 want = np.float64(stats.spearmanr(x, y).statistic).view(np.int64)
                 assert got == want, (x, y)
-
-    def test_scale_order_violation_rejected(self):
-        traj = make_glauber_traj(seed=29)
-        with pytest.raises(ValueError, match="scale order violated"):
-            cutoff_convergence_study(traj, default_coeffs(), InitialMarkPolicy.constant(0.0),
-                                     IntegratorConfig(dt=0.25), [traj.window.box],
-                                     alpha=0.7, beta=0.2, p=4.0, seeds=[0])
 
 
 class TestProjection:
