@@ -2,8 +2,9 @@
 
 The marked state at a grid time pairs each present particle with its mark.
 An observable's series adds each in-box particle's marks over its lifetime
-rows (``Trajectory.present_rows``); the snapshot writer and the cadlag check
-read who is present with ``Trajectory.present_at``.  The cadlag check asks
+rows (``Trajectory.present_rows``), and so does the snapshot writer for each
+row it writes; the cadlag check reads who is present with
+``Trajectory.present_at``.  The cadlag check asks
 whether the integrator grid resolves the jumps inside a support box.
 """
 from __future__ import annotations
@@ -159,13 +160,16 @@ def write_marked_snapshots(path, mt: MarkedTrajectory, stride: int = 1) -> None:
     """
     prefixes = [f'{{"id": {pid}, "position": {json.dumps(pos)}, "mark": '
                 for pid, pos in zip(mt.base.phantom_ids(), mt.base.phantom_xy.tolist())]
-    # json.dumps writes a non-finite float as NaN or Infinity, not its repr
-    fmt = repr if np.isfinite(mt.marks.values).all() else json.dumps
-    present = mt.base.present_at(mt.grid[::stride, None])
+    values = mt.marks.values
+    # json.dumps writes a non-finite float as NaN or Infinity, not its repr; a
+    # NaN propagates through min and max, so both are finite iff every mark is
+    finite = np.isfinite([values.min(initial=0.0), values.max(initial=0.0)]).all()
+    fmt = repr if finite else json.dumps
+    lo, hi = mt.base.present_rows(mt.grid)
     with open(path, "w") as fh:
-        for j, row in zip(range(0, len(mt.grid), stride), present):
-            cols = np.flatnonzero(row)
+        for j in range(0, len(mt.grid), stride):
+            cols = np.flatnonzero((lo <= j) & (j < hi))
             points = "}, ".join(map(operator.add, map(prefixes.__getitem__, cols.tolist()),
-                                    map(fmt, mt.marks.values[j, cols].tolist())))
+                                    map(fmt, values[j, cols].tolist())))
             fh.write(f'{{"t": {float(mt.grid[j])!r}, "points": ['
                      + (points + "}" if points else "") + "]}\n")

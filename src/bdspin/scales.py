@@ -328,7 +328,9 @@ def check_moment_growth(paths: Sequence[MarkPath], traj, coeffs: CoefficientSet,
     for path in paths:
         if not np.array_equal(path.grid, grid) or path.ids != ids:
             raise ValueError("ensemble paths disagree on grid or ids")
-        contrib = np.abs(path.values) ** p * alive
+        contrib = np.abs(path.values)
+        contrib **= p
+        contrib *= alive  # a product, not a zero fill: inf * False is NaN
         lhs_sum += contrib @ w_beta
         init_sum += float(np.sum(w_alpha * np.abs(path.values[0]) ** p))
     measured = float(np.max(lhs_sum / len(paths)))

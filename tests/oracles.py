@@ -12,7 +12,9 @@ replay, ``restrict``, ``position_of``, ``count_in``, ``in_box``,
 ``grid_index``, ``radial_norm``, ``radial_norms``, ``box_volume``) are what
 the tests read of the library objects beyond what the library itself needs;
 ``projection_consistency`` checks that a solve restricted to a shorter
-horizon is the prefix of the full one.  The artifact writers
+horizon is the prefix of the full one.  ``reference_bounds`` is the
+``bounds`` suite with every sample in one array, and ``traced_peak`` gives a
+call's ``tracemalloc`` peak for the memory tests.  The artifact writers
 and reader at the end are the per-value ``csv``/``json`` versions that the
 library's string-joining writers and C-parsed reader must match.
 
@@ -27,6 +29,7 @@ import csv
 import heapq
 import json
 import math
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -37,11 +40,12 @@ from bdspin import birth_death, rng, spin_sde
 from bdspin.birth_death import (BirthKernel, BoundViolationError, ConstantBirthKernel, Event,
                                 EstablishmentBirthKernel, FecundityBirthKernel,
                                 GlauberBirthKernel, Trajectory, present_neighbors, simulate)
-from bdspin.geometry import Box, Configuration, Window
+from bdspin.geometry import Box, Configuration, Window, neighbor_pairs, poisson_configuration
 from bdspin.scales import _bound_value, _cut_radius, _neighborhoods
 from bdspin.marked_process import MarkedTrajectory
-from bdspin.spin_sde import (CoefficientSet, InitialMarkPolicy, IntegratorConfig, MarkPath,
-                             integrate_marks, linear_drift, linear_self_diffusion, zero_pair)
+from bdspin.spin_sde import (BoundsCheckReport, CoefficientSet, InitialMarkPolicy,
+                             IntegratorConfig, MarkPath, integrate_marks, linear_drift,
+                             linear_self_diffusion, zero_pair)
 
 
 # -- accessors the library does not need ----------------------------------------
@@ -624,6 +628,96 @@ def assemble_diffusion(pid: int, t: float, marks: Mapping[int, float],
         total += float(coeffs.diffusion.func(np.float64(z_x), np.float64(marks[qid]),
                                              np.float64(d)))
     return total
+
+
+# -- the bounds suite over all samples at once --------------------------------------------
+
+
+def reference_bounds(coeffs: CoefficientSet, sample_size: int = 10_000,
+                     seed: int = 0) -> BoundsCheckReport:
+    """``spin_sde.check_drift_diffusion_bounds`` with every sample in one
+    points x samples array: the same draws, the same in-place neighbour sums
+    in pair order, and the four inequalities checked in order, each keeping
+    the row-major first of its largest excess and replacing the witness only
+    on a strictly larger one."""
+    config = poisson_configuration(Window(6.0, 2, "periodic"), 1.0, seed=seed + 1)
+    ids = config.ids()
+    n_pts = len(ids)
+    src, dst, dist = neighbor_pairs(config.window, config.positions_array(), coeffs.radius)
+    pairs = list(zip(src.tolist(), dst.tolist(), dist.tolist()))
+    n_x = np.bincount(src, minlength=n_pts) + 1.0  # the point itself counts
+
+    gen = rng.keyed_generator(seed, rng.SAMPLING)
+    scales = np.array([0.3, 1.0, 3.0, 10.0])[gen.integers(0, 4, size=sample_size)]
+    z1 = gen.standard_normal((n_pts, sample_size)) * scales
+    z2 = gen.standard_normal((n_pts, sample_size)) * scales
+
+    def fields(z):
+        drift = coeffs.single.func(z)
+        diffusion = np.zeros_like(z)
+        for x, y, d in pairs:
+            drift[x] += coeffs.pair.func(z[x], z[y], d)
+            diffusion[x] += coeffs.diffusion.func(z[x], z[y], d)
+        return drift, diffusion
+
+    def neighbor_sum(arr):
+        out = np.zeros_like(arr)
+        for x, y, _ in pairs:
+            out[x] += arr[y]
+        return out
+
+    phi1, psi1 = fields(z1)
+    phi2, psi2 = fields(z2)
+    delta, dphi, dpsi = z1 - z2, phi1 - phi2, np.abs(psi1 - psi2)
+    psi0 = np.bincount(src, weights=coeffs.diffusion.func(np.zeros_like(dist),
+                                                          np.zeros_like(dist), dist),
+                       minlength=n_pts)
+
+    a_bar = coeffs.pair.lipschitz
+    m_diff = coeffs.diffusion.lipschitz
+    c_gr = coeffs.single.growth_c
+    r_gr = coeffs.single.growth_power
+    b_diss = coeffs.single.dissipativity
+    nx = n_x[:, None]
+    violations = 0
+    worst = None
+    worst_excess = 0.0
+
+    def check(name, lhs, rhs):
+        nonlocal violations, worst, worst_excess
+        bad = lhs > rhs + 1e-9 * (1.0 + np.abs(rhs))
+        count = int(bad.sum())
+        violations += count
+        if count:
+            excess = np.where(bad, lhs - rhs, -np.inf)
+            i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
+            if float(excess[i, j]) > worst_excess:
+                worst_excess = float(excess[i, j])
+                worst = {"inequality": name, "point": ids[int(i)], "sample": int(j),
+                         "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
+
+    check("diffusion_lipschitz", dpsi,
+          m_diff * (nx + 1.0) * np.abs(delta) + m_diff * neighbor_sum(np.abs(delta)))
+    check("diffusion_at_zero", np.abs(psi0)[:, None], (m_diff * n_x)[:, None])
+    check("drift_growth", np.abs(phi1),
+          c_gr * (1.0 + np.abs(z1) ** r_gr) + a_bar * nx * (1.0 + 2.0 * np.abs(z1))
+          + a_bar * neighbor_sum(np.abs(z1)))
+    check("drift_dissipativity", delta * dphi,
+          (b_diss + 0.5 + 4.0 * a_bar**2 * nx**2) * delta**2
+          + 0.5 * a_bar**2 * nx * neighbor_sum(delta**2))
+    return BoundsCheckReport(violations == 0, sample_size, n_pts, violations, worst)
+
+
+def traced_peak(func: Callable[[], object]) -> tuple[object, int]:
+    """``func()`` and the peak bytes that ``tracemalloc`` saw allocated
+    during the call."""
+    tracemalloc.start()
+    try:
+        result = func()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 # -- horizon projection of the mark solve ----------------------------------------------

@@ -8,8 +8,14 @@ hashes are re-recorded by running this module's ``_record`` helper:
 
     PYTHONPATH=src python -c "import tests.test_golden_artifacts as g; g._record()"
 
-The hashes are specific to the platform's floating-point behaviour (numpy's
-elementwise tanh, exp and power); they hold for a fixed numpy build.
+The hashes hold for one numpy build on one set of SIMD targets: they were
+recorded with numpy 2.4.6 on x86-64 with the AVX-512 targets X86_V4,
+AVX512_ICL and AVX512_SPR enabled.  numpy picks its elementwise loops by the
+CPU at run time, and they need not agree in the last bit: float64 ``x ** 3``
+on 360 000 normals gives other bits with those three targets disabled
+(``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``), where
+``np.tanh`` does not.  Each assertion's message names the running numpy and
+its enabled AVX-512 targets, so a mismatch on another machine says so.
 """
 
 import contextlib
@@ -19,9 +25,19 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bdspin.cli import main
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+BUILD = "numpy {}, enabled AVX-512 targets: {}".format(np.__version__, " ".join(
+    t for t in __cpu_dispatch__
+    if __cpu_features__.get(t) and (t == "X86_V4" or t.startswith("AVX512"))) or "none")
 
 ARTIFACTS = ("events.jsonl", "marks.csv", "snapshots.jsonl", "manifest.json")
 
@@ -198,24 +214,26 @@ def _record() -> None:
 
 @pytest.mark.parametrize("name,config", RUN_CONFIGS)
 def test_run_artifacts_match_golden_hashes(tmp_path, name, config):
-    assert _run_hashes(tmp_path, name, config) == GOLDEN[name]
+    assert _run_hashes(tmp_path, name, config) == GOLDEN[name], BUILD
 
 
 def test_plot_data_matches_golden_hashes(tmp_path):
-    assert _plot_hashes(tmp_path) == GOLDEN["plot"]
+    assert _plot_hashes(tmp_path) == GOLDEN["plot"], BUILD
 
 
 @pytest.mark.parametrize("name,config", RUN_CONFIGS)
 def test_cadlag_report_matches_golden_hash(tmp_path, name, config):
-    assert _report_hash(tmp_path, name, config, "cadlag") == GOLDEN["reports"]["cadlag"][name]
+    got = _report_hash(tmp_path, name, config, "cadlag")
+    assert got == GOLDEN["reports"]["cadlag"][name], BUILD
 
 
 @pytest.mark.parametrize("suite", [s for s in GOLDEN["reports"] if s != "cadlag"])
 @pytest.mark.parametrize("name,config", RUN_CONFIGS)
 def test_suite_report_matches_golden_hash(tmp_path, name, config, suite):
-    assert _report_hash(tmp_path, name, config, suite) == GOLDEN["reports"][suite][name]
+    got = _report_hash(tmp_path, name, config, suite)
+    assert got == GOLDEN["reports"][suite][name], BUILD
 
 
 def test_record_prints_golden_as_json(capsys):
     _record()
-    assert json.loads(capsys.readouterr().out) == GOLDEN
+    assert json.loads(capsys.readouterr().out) == GOLDEN, BUILD

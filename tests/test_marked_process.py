@@ -3,7 +3,6 @@
 import json
 import math
 import re
-import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -31,7 +30,7 @@ from bdspin.spin_sde import (
     tanh_diffusion,
 )
 from oracles import (birth_events, config_at, count_in, grid_index, in_box, phantom_positions,
-                     position_of)
+                     position_of, traced_peak)
 from test_birth_death import same_time_trajectory
 from test_golden_artifacts import OPEN_CONFIG
 
@@ -189,12 +188,7 @@ class TestObservableSeries:
         traj, path, mt = glauber_marked(seed=1, side=24.0, T=1.0)
         g = mark_sum_observable(traj.window.box)
         mt.observable_series(g)  # first call's one-off allocations
-        tracemalloc.start()
-        try:
-            mt.observable_series(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: mt.observable_series(g))
         assert path.values.nbytes > 1_000_000
         assert peak < 0.05 * path.values.nbytes, (peak, path.values.nbytes)
 
@@ -386,3 +380,14 @@ class TestWriters:
         assert sorted(p["id"] for p in first) == traj.gamma0.ids()
         for p in first:
             assert p["mark"] == 0.5
+
+    def test_snapshots_need_no_grid_sized_temporary(self, tmp_path):
+        # each written row's columns come from the lifetime slices and the
+        # format from the min and max of all marks; a rows x phantom mask of
+        # bools alone would be 0.125 x values.nbytes
+        traj, path, mt = glauber_marked(seed=1, side=16.0, T=1.0)
+        f = tmp_path / "snaps.jsonl"
+        write_marked_snapshots(f, mt)  # first call's one-off allocations
+        _, peak = traced_peak(lambda: write_marked_snapshots(f, mt))
+        assert path.values.nbytes > 1_000_000
+        assert peak < 0.2 * path.values.nbytes, (peak, path.values.nbytes)

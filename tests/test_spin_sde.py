@@ -2,20 +2,22 @@
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from bdspin import rng
+from bdspin import rng, spin_sde
 from bdspin.birth_death import ConstantBirthKernel, GlauberBirthKernel, simulate, step_potential
-from bdspin.geometry import Box, Configuration, Window, poisson_configuration
+from bdspin.geometry import Box, Configuration, Window, neighbor_pairs, poisson_configuration
 from bdspin.spin_sde import (
     BoundsCheckReport,
     CoefficientSet,
     InitialMarkPolicy,
     IntegrationBlowUpError,
     IntegratorConfig,
+    PairDiffusion,
+    PairDrift,
+    SingleDrift,
     build_time_grid,
     check_drift_diffusion_bounds,
     constant_diffusion,
@@ -27,6 +29,7 @@ from bdspin.spin_sde import (
     integrate_marks,
     linear_coupling,
     linear_drift,
+    linear_self_diffusion,
     read_mark_path_csv,
     tanh_diffusion,
     zero_diffusion,
@@ -36,7 +39,8 @@ from bdspin.spin_sde import (
 )
 from oracles import (assemble_diffusion, assemble_drift, explicit_noise, in_box,
                      phantom_positions, position_of, projection_consistency,
-                     projection_mismatch, restrict, strong_order_study)
+                     projection_mismatch, reference_bounds, restrict, strong_order_study,
+                     traced_peak)
 import dataclasses
 
 
@@ -80,6 +84,39 @@ MISDECLARED = {
                                             1.0), "diffusion", 0.01),
     "criterion_12": misdeclared(default_coeffs(), "pair", 0.01),
     "tanh_diffusion": misdeclared(default_coeffs(), "diffusion", 0.02),
+}
+
+# a constant pair drift and pair diffusion of 1 declared with Lipschitz
+# constant 0: each exceeds its bound by the neighbour count, on every sample
+CONSTANT_PAIR = PairDrift(lambda a, b, d: np.full_like(a, 1.0), 0.0)
+CONSTANT_DIFFUSION = PairDiffusion(lambda a, b, d: np.full_like(a, 1.0), 0.0)
+TIES = {
+    "drift_growth": CoefficientSet(zero_drift(), CONSTANT_PAIR, zero_diffusion(), 1.0),
+    "diffusion_at_zero": CoefficientSet(zero_drift(), CONSTANT_PAIR, CONSTANT_DIFFUSION, 1.0),
+}
+# a pair drift of 1 for each neighbour whose mark exceeds 2 in magnitude,
+# declared with Lipschitz constant 0: the largest excess is a whole neighbour
+# count, which several rows reach on different samples, so in small blocks
+# rows tie across blocks (a single-site dissipativity of 100 keeps every
+# drift_dissipativity excess below 1)
+ROW_TIE = CoefficientSet(SingleDrift(np.zeros_like, 0.0, 2.0, 100.0),
+                         PairDrift(lambda a, b, d: (np.abs(b) > 2.0) * 1.0, 0.0),
+                         zero_diffusion(), 1.0)
+
+# every builtin term kind at radii 1.0 and 1.7, the misdeclared sets and the ties
+BOUNDS_CASES = {
+    **{f"{coeffs.single.name}-{coeffs.pair.name}-{coeffs.diffusion.name}-{rho}":
+       dataclasses.replace(coeffs, radius=rho)
+       for rho in (1.0, 1.7)
+       for coeffs in (default_coeffs(),
+                      CoefficientSet(linear_drift(-1.0), linear_coupling(0.4),
+                                     constant_diffusion(0.5), 1.0),
+                      CoefficientSet(zero_drift(), zero_pair(), linear_self_diffusion(0.3), 1.0),
+                      CoefficientSet(linear_drift(0.7), exchange_coupling(0.2),
+                                     zero_diffusion(), 1.0))},
+    **{f"misdeclared-{name}": coeffs for name, coeffs in MISDECLARED.items()},
+    **{f"tie-{name}": coeffs for name, coeffs in TIES.items()},
+    "tie-rows": ROW_TIE,
 }
 
 
@@ -258,12 +295,8 @@ class TestIntegration:
         traj = make_glauber_traj(seed=1, side=16.0, T=1.0, m=2.0, z=3.0)
         path = integrate_marks(traj, default_coeffs(), InitialMarkPolicy.constant(1.0),
                                IntegratorConfig(dt=1 / 64), seed=1)
-        tracemalloc.start()
-        try:
-            assert frozen_mark_deviation(path, traj) == 0.0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        deviation, peak = traced_peak(lambda: frozen_mark_deviation(path, traj))
+        assert deviation == 0.0
         assert path.values.nbytes > 1_000_000
         assert peak < path.values.nbytes / 10, (peak, path.values.nbytes)
 
@@ -485,14 +518,48 @@ class TestBoundsCheck:
     def test_peak_memory_does_not_grow_with_the_pairs(self, seed):
         """At radius 1.7 a point has about nine neighbours, yet the peak stays
         within 12 arrays of points x samples; a row per pair would take 30-40."""
-        tracemalloc.start()
-        try:
-            report = check_drift_diffusion_bounds(default_coeffs(rho=1.7), sample_size=2000,
-                                                  seed=seed)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(lambda: check_drift_diffusion_bounds(
+            default_coeffs(rho=1.7), sample_size=2000, seed=seed))
         assert peak <= 12 * report.points * report.samples * 8
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_peak_memory_is_two_samples_and_a_block(self, seed):
+        """At 10 000 samples only the two samples are held in full; every other
+        array spans one block of columns.  All samples at once peak at 10."""
+        report, peak = traced_peak(lambda: check_drift_diffusion_bounds(
+            default_coeffs(rho=1.7), sample_size=10_000, seed=seed))
+        assert peak <= 4 * report.points * report.samples * 8, peak
+
+    @pytest.mark.parametrize("samples", [0, 1, 1023, 1024, 1025, 2000])
+    @pytest.mark.parametrize("coeffs", [
+        pytest.param(coeffs, id=name) for name, coeffs in BOUNDS_CASES.items()])
+    def test_blocks_match_the_unblocked_reference(self, coeffs, samples):
+        report = check_drift_diffusion_bounds(coeffs, sample_size=samples, seed=2)
+        assert report == reference_bounds(coeffs, sample_size=samples, seed=2)
+
+    @pytest.mark.parametrize("name", ["tie-rows", "tie-diffusion_at_zero",
+                                      "misdeclared-criterion_12"])
+    def test_small_blocks_match_the_unblocked_reference(self, monkeypatch, name):
+        # 15 blocks of 7 columns: in tie-rows the blocks' own witnesses tie on
+        # different rows, so the row order decides between blocks
+        monkeypatch.setattr(spin_sde, "BOUNDS_BLOCK", 7)
+        coeffs = BOUNDS_CASES[name]
+        report = check_drift_diffusion_bounds(coeffs, sample_size=100, seed=2)
+        assert report == reference_bounds(coeffs, sample_size=100, seed=2)
+
+    @pytest.mark.parametrize("inequality", TIES)
+    def test_a_tied_witness_is_the_first(self, inequality):
+        """The excess of each tie set is largest on every sample of the rows
+        with most neighbours, in both blocks, and with a constant diffusion on
+        ``diffusion_at_zero`` too: the witness is the earliest inequality, the
+        lowest of those rows and sample 0."""
+        report = check_drift_diffusion_bounds(TIES[inequality], sample_size=2000, seed=2)
+        config = poisson_configuration(Window(6.0, 2, "periodic"), 1.0, seed=3)
+        counts = np.bincount(neighbor_pairs(config.window, config.positions_array(), 1.0)[0],
+                             minlength=report.points)
+        rows = np.flatnonzero(counts == counts.max())
+        assert len(rows) > 1 and report.worst["inequality"] == inequality
+        assert (report.worst["point"], report.worst["sample"]) == (config.ids()[rows[0]], 0)
 
 
 class TestMarkPathIO:
