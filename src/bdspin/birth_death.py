@@ -325,9 +325,10 @@ class Trajectory:
     right-continuous, deaths and births take effect at their own time.
     The phantom is everything that ever lived.  A log with an event time
     outside [0, T], a death of an id that is not present, a birth of an id
-    already in the phantom, a birth position of another dimension than the
+    already in the phantom, an event position of another dimension than the
     window's, or an event earlier than the one before it is rejected with a
-    ValueError.  The pass also derives the phantom table, whose row k, the
+    ValueError, and after the pass so is a death away from its particle's
+    wrapped position.  The pass derives the phantom table, whose row k, the
     mark column k of every solve, is the k-th smallest id: ``phantom_xy``
     (wrapped), ``births`` and ``deaths`` (inf for a survivor).
     """
@@ -360,9 +361,10 @@ class Trajectory:
                 raise ValueError(f"event log: {ev.kind} of id {ev.id} at t={ev.time} comes "
                                  f"after an event at t={last} (the log must be time-ordered)")
             last = ev.time
+            if len(ev.position) != dim:
+                raise ValueError(f"event log: {ev.kind} of id {ev.id} at t={ev.time} "
+                                 f"is not {dim}-d")
             if ev.kind == "birth" and ev.id not in presence:
-                if len(ev.position) != dim:
-                    raise ValueError(f"event log: birth of id {ev.id} at t={ev.time} is not {dim}-d")
                 presence[ev.id] = (ev.time, None)
                 positions[ev.id] = ev.position
             elif ev.kind == "death" and ev.id in presence and presence[ev.id][1] is None:
@@ -378,6 +380,13 @@ class Trajectory:
         self.births = np.array([presence[pid][0] for pid in ids], dtype=float)
         self.deaths = np.array([math.inf if presence[pid][1] is None else presence[pid][1]
                                 for pid in ids], dtype=float)
+        dead = [ev for ev in self.events if ev.kind == "death"]
+        at = self.window.wrap(np.array([ev.position for ev in dead]).reshape(len(dead), dim))
+        moved = (at != self.phantom_xy[np.searchsorted(ids, [ev.id for ev in dead])]).any(axis=1)
+        if moved.any():
+            ev = dead[int(np.argmax(moved))]
+            raise ValueError(f"event log: death of id {ev.id} at t={ev.time} is not at the "
+                             "position of its particle")
 
     def phantom_ids(self) -> list[int]:
         """The phantom ids in ascending order: row k of the phantom table."""
@@ -387,24 +396,16 @@ class Trajectory:
         """Ids of gamma_t, the right-continuous state at time t."""
         if not 0.0 <= t <= self.horizon:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        return [self._ids[k] for k in np.flatnonzero(self.present_at(t)).tolist()]
+        lo, hi = self.present_rows(np.array([t]))
+        return [self._ids[k] for k in np.flatnonzero(lo < hi).tolist()]
 
-    def present_at(self, t: float | np.ndarray) -> np.ndarray:
-        """Right-continuous present mask over the phantom table's rows at t.
-
-        Row k is present iff ``births[k] <= t < deaths[k]``, which is the
-        log replayed up to t: a birth and a death of one row at t leave it
-        absent.  A column of times, ``times[:, None]``, gives a times x
-        phantom mask.
-        """
-        return (self.births <= t) & (t < self.deaths)
-
-    def present_rows(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(lo, hi)``: row k is present on ``grid[lo[k]:hi[k]]`` of an
-        increasing grid, the times t with ``births[k] <= t < deaths[k]``,
-        whether or not its birth and death are grid times."""
-        return (np.searchsorted(grid, self.births, "left"),
-                np.searchsorted(grid, self.deaths, "left"))
+    def present_rows(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)``: row k is present at ``times[i]`` of a non-decreasing
+        array iff ``lo[k] <= i < hi[k]``, i.e. ``births[k] <= t < deaths[k]``:
+        the log replayed up to t, so a birth and a death of one row at t
+        leave it absent.  It is the one presence rule."""
+        return (np.searchsorted(times, self.births, "left"),
+                np.searchsorted(times, self.deaths, "left"))
 
 
 # fewest candidates in a block: a neighbor_pairs call costs about 0.1 ms
@@ -588,9 +589,11 @@ def verify_domination(traj: Trajectory) -> DominationReport:
     inside = [(box, box.contains_many(cand_x), int(np.count_nonzero(box.contains_many(init_pts))),
                box.contains_many(traj.phantom_xy)) for box in boxes]
     margins = []
-    for t in np.linspace(0.0, traj.horizon, 9)[1:]:
+    times = np.linspace(0.0, traj.horizon, 9)[1:]
+    born = traj.present_rows(times)[0]
+    for i, t in enumerate(times):
         # phantom up to t = gamma_0 plus all births accepted by time t
-        phantom_mask, cand_mask = traj.births <= t, cand_s <= t
+        phantom_mask, cand_mask = born <= i, cand_s <= t
         for box, in_cand, n_init, in_phantom in inside:
             lhs = int(np.count_nonzero(phantom_mask & in_phantom))
             n_cand = int(np.count_nonzero(cand_mask & in_cand))
@@ -627,7 +630,9 @@ def verify_counting_identity(traj: Trajectory) -> bool:
     inside = [(box.contains_many(x), box.contains_many(x0), box.contains_many(traj.phantom_xy))
               for box in boxes]
 
-    for t, present in zip(times, traj.present_at(times[:, None])):
+    lo, hi = traj.present_rows(times)
+    for i, t in enumerate(times):
+        present = (lo <= i) & (i < hi)
         alive = born & (s <= t) & (r > m * (t - s))
         alive0 = lifetimes > m * t
         for in_x, in_x0, in_phantom in inside:
@@ -676,6 +681,10 @@ def read_event_log(path) -> tuple[dict, list[Event]]:
         for n, line in enumerate(fh, 2):
             try:
                 rec = json.loads(line)
+                # a JSON true is a Python bool, which is an int, but no time, id or coordinate
+                if not (type(rec["id"]) is int and type(rec["position"]) is list
+                        and all(type(v) in (int, float) for v in (rec["t"], *rec["position"]))):
+                    raise TypeError("t, id or position has the wrong type")
                 events.append(Event(rec["t"], rec["kind"], rec["id"], tuple(rec["position"])))
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"event log line {n}: not an event record ({exc!r})") from None

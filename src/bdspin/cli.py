@@ -197,6 +197,8 @@ def load_config(path, *, seed_override: int | None = None,
         raise ConfigError(f"config: cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config: expected a JSON object, got {type(raw).__name__}")
 
     schema = _get(raw, "schema", "", str)
     if schema != SCHEMA_ID:

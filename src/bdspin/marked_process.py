@@ -1,11 +1,11 @@
 """The combined marked trajectory: positions plus marks, and its grid checks.
 
 The marked state at a grid time pairs each present particle with its mark.
-An observable's series adds each in-box particle's marks over its lifetime
-rows (``Trajectory.present_rows``), and so does the snapshot writer for each
-row it writes; the cadlag check reads who is present with
-``Trajectory.present_at``.  The cadlag check asks
-whether the integrator grid resolves the jumps inside a support box.
+Who is present comes from each particle's lifetime rows on the grid
+(``Trajectory.present_rows``): an observable's series adds each in-box
+particle's marks over them, the snapshot writer and the cadlag check read
+them at each row they visit.  The cadlag check asks whether the integrator
+grid resolves the jumps inside a support box.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ class MarkedTrajectory:
     Build it with ``combine``, which checks that the mark columns are the
     phantom ids in ascending order, so column k of a row is the mark of the
     particle in row k of the trajectory's phantom table: position
-    ``base.phantom_xy[k]``, entry k of each ``base.present_at`` mask.
+    ``base.phantom_xy[k]``, present on the rows ``base.present_rows`` gives.
     """
 
     base: Trajectory
@@ -127,7 +127,7 @@ def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float) -> CadlagRep
     off_grid = np.append(grid, np.nan)[index] != times
     if off_grid.any():
         raise ValueError(f"time {float(times[off_grid][0])} is not on the integration grid")
-    rights = traj.present_at(grid[index, None])[:, cols]
+    lo, hi = (rows[cols] for rows in traj.present_rows(grid))
     runs = np.diff(np.append(starts, len(support_t))).tolist()
 
     violations: list[dict] = []
@@ -138,8 +138,7 @@ def cadlag_check(mt: MarkedTrajectory, g: Observable, eps_t: float) -> CadlagRep
         if grid[j + 1] - t > eps_t * (1 + 1e-9):
             violations += [{"kind": "grid_coarser_than_eps", "t": t,
                             "next_grid": float(grid[j + 1])} for _ in range(runs[k])]
-        elif rights[k].any():
-            ks = cols[rights[k]]
+        elif (ks := cols[(lo <= j) & (j < hi)]).size:
             move = float(np.max(np.abs(values[j + 1, ks] - values[j, ks])))
             max_modulus = max(max_modulus, move)
 

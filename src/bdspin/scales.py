@@ -319,18 +319,22 @@ def check_moment_growth(paths: Sequence[MarkPath], traj, coeffs: CoefficientSet,
     grid = paths[0].grid
     p = params.p
 
-    alive = traj.present_at(grid[:, None])
+    first, ends = (rows.tolist() for rows in traj.present_rows(grid))
+    absent = [(slice(None, a), k) for k, a in enumerate(first) if a > 0]
+    absent += [(slice(b, None), k) for k, b in enumerate(ends) if b < len(grid)]
 
     w_beta = np.exp(-params.beta * radii)
     w_alpha = np.exp(-params.alpha * radii)
     lhs_sum = np.zeros(len(grid))
     init_sum = 0.0
+    contrib = np.empty_like(paths[0].values)
     for path in paths:
         if not np.array_equal(path.grid, grid) or path.ids != ids:
             raise ValueError("ensemble paths disagree on grid or ids")
-        contrib = np.abs(path.values)
+        np.abs(path.values, out=contrib)
         contrib **= p
-        contrib *= alive  # a product, not a zero fill: inf * False is NaN
+        for rows, k in absent:
+            contrib[rows, k] *= 0.0  # a product, not a zero fill: inf * 0.0 is NaN
         lhs_sum += contrib @ w_beta
         init_sum += float(np.sum(w_alpha * np.abs(path.values[0]) ** p))
     measured = float(np.max(lhs_sum / len(paths)))

@@ -76,26 +76,12 @@ class SingleDrift:
 
 
 @dataclass(frozen=True)
-class PairDrift:
-    """Pair drift g(sigma, s, dist), uniformly Lipschitz with linear growth.
-
-    |g(a1,b1,.) - g(a2,b2,.)| <= lipschitz * (|a1-a2| + |b1-b2|) and
-    |g(a,b,.)| <= lipschitz * (1 + |a| + |b|).
+class PairTerm:
+    """A pair drift g or pair diffusion h, ``func(sigma, s, dist)``, uniformly
+    Lipschitz: |f(a1,b1,.) - f(a2,b2,.)| <= lipschitz * (|a1-a2| + |b1-b2|).
+    A pair drift grows at most linearly, |g(a,b,.)| <= lipschitz * (1 + |a|
+    + |b|); a pair diffusion has |h(0,0,.)| <= lipschitz.
     """
-
-    func: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    lipschitz: float
-    name: str = "custom"
-    params: tuple[float, ...] = ()
-
-    def descriptor(self) -> dict:
-        return {"name": self.name, "params": list(self.params),
-                "lipschitz": self.lipschitz}
-
-
-@dataclass(frozen=True)
-class PairDiffusion:
-    """Pair diffusion h(sigma, s, dist), Lipschitz with |h(0,0,.)| <= lipschitz."""
 
     func: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     lipschitz: float
@@ -112,8 +98,8 @@ class CoefficientSet:
     """Drift/diffusion pieces plus the interaction radius."""
 
     single: SingleDrift
-    pair: PairDrift
-    diffusion: PairDiffusion
+    pair: PairTerm
+    diffusion: PairTerm
     radius: float
 
     def __post_init__(self):
@@ -149,48 +135,48 @@ def zero_drift() -> SingleDrift:
                        dissipativity=0.0, name="zero")
 
 
-def linear_coupling(strength: float) -> PairDrift:
+def linear_coupling(strength: float) -> PairTerm:
     """g(sigma, s) = strength * s."""
-    return PairDrift(lambda a, b, d: strength * b, lipschitz=abs(strength),
-                     name="linear", params=(strength,))
+    return PairTerm(lambda a, b, d: strength * b, lipschitz=abs(strength),
+                    name="linear", params=(strength,))
 
 
-def exchange_coupling(strength: float) -> PairDrift:
+def exchange_coupling(strength: float) -> PairTerm:
     """g(sigma, s) = strength * (s - sigma): conserves the pairwise sum."""
-    return PairDrift(lambda a, b, d: strength * (b - a), lipschitz=abs(strength),
-                     name="exchange", params=(strength,))
+    return PairTerm(lambda a, b, d: strength * (b - a), lipschitz=abs(strength),
+                    name="exchange", params=(strength,))
 
 
-def zero_pair() -> PairDrift:
-    return PairDrift(lambda a, b, d: np.zeros_like(a), lipschitz=0.0, name="zero")
+def zero_pair() -> PairTerm:
+    return PairTerm(lambda a, b, d: np.zeros_like(a), lipschitz=0.0, name="zero")
 
 
-def constant_diffusion(kappa: float) -> PairDiffusion:
+def constant_diffusion(kappa: float) -> PairTerm:
     """h = kappa per neighbor."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    return PairDiffusion(lambda a, b, d: np.full_like(a, kappa), lipschitz=kappa,
-                         name="constant", params=(kappa,))
+    return PairTerm(lambda a, b, d: np.full_like(a, kappa), lipschitz=kappa,
+                    name="constant", params=(kappa,))
 
 
-def tanh_diffusion(kappa: float) -> PairDiffusion:
+def tanh_diffusion(kappa: float) -> PairTerm:
     """h(sigma, s) = kappa * tanh(s): bounded, Lipschitz constant kappa."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    return PairDiffusion(lambda a, b, d: kappa * np.tanh(b), lipschitz=kappa,
-                         name="tanh", params=(kappa,))
+    return PairTerm(lambda a, b, d: kappa * np.tanh(b), lipschitz=kappa,
+                    name="tanh", params=(kappa,))
 
 
-def linear_self_diffusion(kappa: float) -> PairDiffusion:
+def linear_self_diffusion(kappa: float) -> PairTerm:
     """h(sigma, s) = kappa * sigma: multiplicative noise per neighbor."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    return PairDiffusion(lambda a, b, d: kappa * a, lipschitz=kappa,
-                         name="linear_self", params=(kappa,))
+    return PairTerm(lambda a, b, d: kappa * a, lipschitz=kappa,
+                    name="linear_self", params=(kappa,))
 
 
-def zero_diffusion() -> PairDiffusion:
-    return PairDiffusion(lambda a, b, d: np.zeros_like(a), lipschitz=0.0, name="zero")
+def zero_diffusion() -> PairTerm:
+    return PairTerm(lambda a, b, d: np.zeros_like(a), lipschitz=0.0, name="zero")
 
 
 COEFFICIENT_LIBRARY = {

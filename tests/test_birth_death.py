@@ -345,7 +345,7 @@ def counting_identity_path(case):
 
 def death_moved_to_horizon(traj):
     """The path with its first death before T/2 moved to T in the event log.
-    The phantom table's lifetimes (read by ``present_at``) and ``config_at``'s
+    The phantom table's lifetimes (read by ``present_rows``) and ``config_at``'s
     log replay both follow the log: the point then outlives its survival
     mark at the checks in [t, T)."""
     ev = next(ev for ev in traj.events if ev.kind == "death" and ev.time < traj.horizon / 2)
@@ -568,11 +568,23 @@ class TestDerivedPresence:
         Event(0.9, "birth", 4, (3.5, 0.5)),  # a dead id born again
         Event(0.9, "move", 1, (3.0, 3.0)),
         Event(0.9, "birth", 5, (3.0, 2.0, 1.0)),  # a 3-d position in a 2-d window
+        Event(0.9, "death", 1, (3.0, 3.0, 0.0)),  # a 3-d death
+        Event(0.9, "death", 1, (2.0, 2.0)),  # at the position of id 2
     ])
     def test_malformed_log_rejected(self, event):
         traj = same_time_trajectory()
         with pytest.raises(ValueError, match=f"{event.kind} of id {event.id} at t={event.time}"):
             dataclasses.replace(traj, events=traj.events + [event])
+
+    def test_a_death_is_at_its_wrapped_position(self):
+        window = Window(4.0, 2, "periodic")
+        gamma0 = Configuration(window, [(0, [3.0, 1.0])])
+        traj = simulate(gamma0, ConstantBirthKernel(0.0), 0.0, 1.0, seed=0)
+        # an image of the point on the torus is the point
+        dead = dataclasses.replace(traj, events=[Event(0.5, "death", 0, (-1.0, 5.0))])
+        assert dead.deaths.tolist() == [0.5]
+        with pytest.raises(ValueError, match="death of id 0 at t=0.5 is not at the position"):
+            dataclasses.replace(traj, events=[Event(0.5, "death", 0, (3.0, 1.5))])
 
     @pytest.mark.parametrize("event", [
         Event(math.nan, "birth", 5, (3.0, 2.0)),
@@ -671,17 +683,25 @@ class TestPhantomTable:
         self.assert_table_matches(traj)
 
 
+def present_masks(traj, times):
+    """The present mask at each of a non-decreasing list of times, from the
+    lifetime rows: row k is present at ``times[i]`` iff ``lo[k] <= i < hi[k]``."""
+    lo, hi = traj.present_rows(np.asarray(times, dtype=float))
+    return [(lo <= i) & (i < hi) for i in range(len(times))]
+
+
 class TestPresenceSweep:
-    """``present_at`` against the log replay of ``oracles.present_ids``."""
+    """``present_rows`` against the log replay of ``oracles.present_ids``."""
 
     @staticmethod
     def assert_masks_match(traj, times):
         ids = traj.phantom_ids()
-        masks = traj.present_at(np.asarray(times)[:, None])
-        assert masks.shape == (len(times), len(ids))
-        for t, mask in zip(times, masks):
-            assert traj.present_at(t).tolist() == mask.tolist(), t
+        lo, hi = traj.present_rows(np.asarray(times, dtype=float))
+        assert lo.shape == hi.shape == (len(ids),)
+        for t, mask in zip(times, present_masks(traj, times)):
+            assert present_masks(traj, [t])[0].tolist() == mask.tolist(), t
             assert [pid for pid, on in zip(ids, mask) if on] == present_ids(traj, t), t
+            assert traj.present_ids(t) == present_ids(traj, t), t
 
     @staticmethod
     def assert_left_limits_match(traj, dt=1 / 64):
@@ -691,7 +711,7 @@ class TestPresenceSweep:
         times = sorted({ev.time for ev in traj.events})
         before = [float(grid[int(np.searchsorted(grid, t)) - 1]) for t in times]
         ids = traj.phantom_ids()
-        for t, mask in zip(times, traj.present_at(np.array(before)[:, None])):
+        for t, mask in zip(times, present_masks(traj, before)):
             assert [pid for pid, on in zip(ids, mask) if on] == present_ids(traj, t, "left"), t
 
     @staticmethod
@@ -725,15 +745,18 @@ class TestPresenceSweep:
         traj = same_time_trajectory()
         times = [0.0, 0.25, 0.4, 0.5, 0.5, 0.6, 0.75, 0.9, 1.0]
         self.assert_masks_match(traj, times)
-        assert traj.present_at(0.5).tolist() == [False, True, True, True, False]
-        assert traj.present_at(0.75).tolist() == [False, True, True, True, False]
+        at_half, at_three_quarters = present_masks(traj, [0.5, 0.75])
+        assert at_half.tolist() == [False, True, True, True, False]
+        assert at_three_quarters.tolist() == [False, True, True, True, False]
         self.assert_left_limits_match(traj)
         self.assert_left_limits_match(traj, dt=0.25)
 
     def test_empty_phantom(self):
         window = Window(3.0, 2, "periodic")
         traj = simulate(Configuration(window, []), ConstantBirthKernel(0.0), 1.0, 1.0, seed=0)
-        assert traj.present_at(np.array([0.0, 0.5, 1.0])[:, None]).shape == (3, 0)
+        lo, hi = traj.present_rows(np.array([0.0, 0.5, 1.0]))
+        assert lo.shape == hi.shape == (0,)
+        assert [mask.shape for mask in present_masks(traj, [0.0, 0.5, 1.0])] == [(0,)] * 3
         assert traj.present_ids(0.5) == []
 
     def test_present_ids_rejects_a_time_outside_the_horizon(self):

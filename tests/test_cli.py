@@ -176,6 +176,20 @@ class TestSimulate:
         assert err.startswith("config error: ") and field in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("text,kind", [("42", "int"), ("null", "NoneType"),
+                                           ('["schema"]', "list"), ('"x"', "str")],
+                             ids=["number", "null", "list", "string"])
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys, command, text, kind):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        args = [command, "--config", str(cfg), "--out", str(out)]
+        assert main(args + (["--suite", "domination"] if command == "verify" else [])) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"config error: config: expected a JSON object, got {kind}"]
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "one", tmp_path / "two"
@@ -546,7 +560,6 @@ class TestVerify:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         import bdspin.cli as cli_mod
-        from bdspin.spin_sde import PairDiffusion
         import dataclasses
 
         orig = cli_mod.check_drift_diffusion_bounds
@@ -687,7 +700,9 @@ class TestEmitPlotdata:
                                             "gamma0_id_fractional", "gamma0_id_true",
                                             "gamma0_id_negative",
                                             "kernel_without_z", "birth_position_wrong_dim",
-                                            "window_norm_origin_moved"])
+                                            "window_norm_origin_moved", "time_a_string",
+                                            "death_id_true", "death_position_strings",
+                                            "death_position_3d", "death_onto_another_point"])
     def test_corrupt_run_exit_2_before_output(self, tmp_path, capsys, corruption):
         cfg = write_config(tmp_path, horizon=0.25)
         out = tmp_path / "run"
@@ -740,6 +755,24 @@ class TestEmitPlotdata:
             birth["position"].append(1.0)
             (out / "events.jsonl").write_text(
                 "\n".join([header] + [json.dumps(r) for r in records]) + "\n")
+        elif corruption == "time_a_string" or corruption.startswith("death_"):
+            header, *records = (out / "events.jsonl").read_text().splitlines()
+            records = [json.loads(r) for r in records]
+            # not a death of id 1, which a true id would read as
+            death = next(r for r in records if r["kind"] == "death" and r["id"] > 1)
+            if corruption == "time_a_string":
+                death["t"] = str(death["t"])
+            elif corruption == "death_id_true":
+                death["id"] = True
+            elif corruption == "death_position_strings":
+                death["position"] = ["a", "b"]
+            elif corruption == "death_position_3d":
+                death["position"].append(1.0)
+            else:
+                other = next(p for p in json.loads(header)["gamma0"] if p["id"] != death["id"])
+                death["position"] = other["position"]
+            (out / "events.jsonl").write_text(
+                "\n".join([header] + [json.dumps(r) for r in records]) + "\n")
         elif corruption in ("unknown_id_death", "not_an_event_record"):
             record = ({"t": 0.25, "kind": "death", "id": 999, "position": [1.0, 1.0]}
                       if corruption == "unknown_id_death" else {"t": 0.25})
@@ -759,6 +792,13 @@ class TestEmitPlotdata:
         assert len(err.strip().splitlines()) == 1 and f"corrupt run directory {out}" in err
         if corruption == "gamma0_id_negative":  # caught at the header, not at marks.csv
             assert "point id -1 is negative" in err
+        # caught at the record itself, not at the header or a later death
+        cause = {"time_a_string": "not an event record", "death_id_true": "not an event record",
+                 "death_position_strings": "not an event record",
+                 "death_position_3d": "is not 2-d",
+                 "death_onto_another_point": "is not at the position of its particle"}
+        if corruption in cause:
+            assert cause[corruption] in err and "header" not in err, err
         assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("t", [math.nan, 5.0], ids=["nan", "after_horizon"])

@@ -42,7 +42,7 @@ def point_value(g, mark):
 
 def cadlag_reference(mt, g, eps_t):
     """The cadlag check with gamma_t rebuilt by ``config_at`` at each support
-    event.  An oracle for the ``present_at`` masks in ``cadlag_check``."""
+    event.  An oracle for the lifetime rows that ``cadlag_check`` reads."""
     traj, grid, values = mt.base, mt.grid, mt.marks.values
     col = {pid: k for k, pid in enumerate(mt.marks.ids)}
     support_events = [ev for ev in traj.events if in_box(g.support, ev.position)]

@@ -126,6 +126,50 @@ def test_only_birth_death_reads_the_id_keyed_phantom():
     assert {module: dict(reads) for module, reads in readers.items() if reads} == {}
 
 
+# the phantom table's lifetime columns; ``Trajectory.present_rows`` reads them
+LIFETIMES = {"births", "deaths"}
+
+
+def lifetime_reads(sources: dict[str, str]) -> list[str]:
+    """``module:line`` of every comparison that reads ``.births`` or
+    ``.deaths`` and every ``searchsorted`` call passed them, in ``sources``
+    (module name -> source text) outside ``birth_death.Trajectory``."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        owner = {id(sub) for node in tree.body if module == "birth_death"
+                 and isinstance(node, ast.ClassDef) and node.name == "Trajectory"
+                 for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+            elif isinstance(node, ast.Call) and "searchsorted" in _names(node.func):
+                operands = [*node.args, *(kw.value for kw in node.keywords)]
+            else:
+                continue
+            if id(node) not in owner and LIFETIMES & {name for op in operands
+                                                      for name in _names(op)}:
+                found.append((module, node.lineno))
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
+def test_lifetime_guard_flags_a_second_presence_rule():
+    source = ("class Trajectory:\n"
+              "    def rows(self, t):\n"
+              "        return np.searchsorted(t, self.births), self.deaths > t\n"
+              "def grid(traj):\n    return np.concatenate((traj.births, traj.deaths))\n"
+              "def alive(traj, t):\n    return traj.births[1:] <= t\n"
+              "def ends(traj, t):\n    return searchsorted(t, v=traj.deaths)\n"
+              "def other(traj, t):\n    return np.searchsorted(t, traj.times) < t\n")
+    assert lifetime_reads({"birth_death": source, "m": source}) == [
+        "birth_death:7", "birth_death:9", "m:3", "m:3", "m:7", "m:9"]
+
+
+def test_presence_has_one_rule():
+    """Who is present is read only through ``Trajectory.present_rows``: no
+    other code compares the lifetimes or searches them."""
+    assert lifetime_reads({p.stem: p.read_text() for p in MODULES}) == []
+
 
 # defaulted parameters no library call sets, each for a stated reason
 UNSET_ALLOWED = {

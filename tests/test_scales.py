@@ -23,6 +23,7 @@ from bdspin.spin_sde import (
     CoefficientSet,
     InitialMarkPolicy,
     IntegratorConfig,
+    MarkPath,
     constant_diffusion,
     cubic_drift,
     exchange_coupling,
@@ -44,6 +45,7 @@ from oracles import (
     present_ids,
     radial_norm,
     radial_norms,
+    traced_peak,
     weighted_lp_norm,
     weighted_lp_norm_from_radii,
 )
@@ -559,14 +561,14 @@ def reference_moment_growth(paths, traj, coeffs, params, c1, c2, series_tol=1e-1
                         "radius": coeffs.radius, "replicas": len(paths)})
 
 
-def glauber_moment_case(seed=3):
-    window = Window(6.0, 2, "periodic")
+def glauber_moment_case(seed=3, side=6.0, T=0.5, dt=1 / 32, n_paths=4):
+    window = Window(side, 2, "periodic")
     gamma0 = poisson_configuration(window, 0.8, seed=seed)
-    traj = simulate(gamma0, GlauberBirthKernel(2.0, step_potential(0.5, 1.0)), 1.0, 0.5, seed)
+    traj = simulate(gamma0, GlauberBirthKernel(2.0, step_potential(0.5, 1.0)), 1.0, T, seed)
     coeffs = CoefficientSet(cubic_drift(0.4), exchange_coupling(0.3),
                             tanh_diffusion(0.25), radius=1.0)
     paths = [integrate_marks(traj, coeffs, InitialMarkPolicy.constant(0.5),
-                             IntegratorConfig(dt=1 / 32), seed=s) for s in range(4)]
+                             IntegratorConfig(dt=dt), seed=s) for s in range(n_paths)]
     return traj, coeffs, paths
 
 
@@ -583,6 +585,33 @@ class TestMomentGrowthReference:
         want = reference_moment_growth(paths, traj, coeffs, params, c1, c2)
         assert got.empirical_c1 > 0.0
         assert json.dumps(asdict(got)) == json.dumps(asdict(want))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_a_non_finite_absent_mark_gives_nan(self, bad):
+        # an absent mark is multiplied by 0.0, not overwritten: inf * 0.0 is NaN
+        traj, coeffs, paths = glauber_moment_case()
+        grid = paths[0].grid
+        dead = int(np.flatnonzero(traj.deaths <= grid[-2])[0])  # absent on the last step
+        values = paths[0].values.copy()
+        values[-1, dead] = bad
+        paths[0] = MarkPath(grid, paths[0].ids, values)
+        params = ScaleParams(0.0, 1.0, 0.2, 0.7, 4.0, 0.5)
+        with np.errstate(invalid="ignore", over="ignore"):
+            report = check_moment_growth(paths, traj, coeffs, params, 1.0, 1.0)
+        assert math.isnan(report.measured_value) and not report.passed
+
+    def test_moment_check_needs_one_values_sized_buffer(self):
+        # one buffer holds each path's |z|^p in turn; the absent runs are
+        # multiplied by 0.0 in it, with no grid x phantom mask
+        traj, coeffs, paths = glauber_moment_case(seed=1, side=24.0, T=1.0, dt=1 / 64,
+                                                  n_paths=3)
+        params = ScaleParams(0.0, 1.0, 0.2, 0.7, 4.0, 0.5)
+        check_moment_growth(paths, traj, coeffs, params, 1.0, 1.0)  # one-off allocations
+        _, peak = traced_peak(lambda: check_moment_growth(paths, traj, coeffs, params,
+                                                          1.0, 1.0))
+        nbytes = paths[0].values.nbytes
+        assert nbytes > 1_000_000
+        assert peak <= 1.5 * nbytes, (peak, nbytes)
 
     def test_neighbor_counts_built_once(self, monkeypatch):
         traj, coeffs, paths = glauber_moment_case()

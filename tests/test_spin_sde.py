@@ -15,8 +15,7 @@ from bdspin.spin_sde import (
     InitialMarkPolicy,
     IntegrationBlowUpError,
     IntegratorConfig,
-    PairDiffusion,
-    PairDrift,
+    PairTerm,
     SingleDrift,
     build_time_grid,
     check_drift_diffusion_bounds,
@@ -88,8 +87,8 @@ MISDECLARED = {
 
 # a constant pair drift and pair diffusion of 1 declared with Lipschitz
 # constant 0: each exceeds its bound by the neighbour count, on every sample
-CONSTANT_PAIR = PairDrift(lambda a, b, d: np.full_like(a, 1.0), 0.0)
-CONSTANT_DIFFUSION = PairDiffusion(lambda a, b, d: np.full_like(a, 1.0), 0.0)
+CONSTANT_PAIR = PairTerm(lambda a, b, d: np.full_like(a, 1.0), 0.0)
+CONSTANT_DIFFUSION = PairTerm(lambda a, b, d: np.full_like(a, 1.0), 0.0)
 TIES = {
     "drift_growth": CoefficientSet(zero_drift(), CONSTANT_PAIR, zero_diffusion(), 1.0),
     "diffusion_at_zero": CoefficientSet(zero_drift(), CONSTANT_PAIR, CONSTANT_DIFFUSION, 1.0),
@@ -100,7 +99,7 @@ TIES = {
 # rows tie across blocks (a single-site dissipativity of 100 keeps every
 # drift_dissipativity excess below 1)
 ROW_TIE = CoefficientSet(SingleDrift(np.zeros_like, 0.0, 2.0, 100.0),
-                         PairDrift(lambda a, b, d: (np.abs(b) > 2.0) * 1.0, 0.0),
+                         PairTerm(lambda a, b, d: (np.abs(b) > 2.0) * 1.0, 0.0),
                          zero_diffusion(), 1.0)
 
 # every builtin term kind at radii 1.0 and 1.7, the misdeclared sets and the ties
